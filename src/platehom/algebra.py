@@ -44,12 +44,6 @@ def mandel2(m: np.ndarray) -> np.ndarray:
     return np.array([m[0, 0], m[1, 1], SQRT2 * m[0, 1]])
 
 
-def unmandel2(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    s = z[2] / SQRT2
-    return np.array([[z[0], s], [s, z[1]]])
-
-
 def mandel3(m: np.ndarray) -> np.ndarray:
     """Mandel coordinates of a symmetric 3x3 matrix."""
     m = np.asarray(m, dtype=float)
@@ -57,14 +51,6 @@ def mandel3(m: np.ndarray) -> np.ndarray:
         m[0, 0], m[1, 1], m[2, 2],
         SQRT2 * m[1, 2], SQRT2 * m[0, 2], SQRT2 * m[0, 1],
     ])
-
-
-def unmandel3(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    a = z[3] / SQRT2
-    b = z[4] / SQRT2
-    c = z[5] / SQRT2
-    return np.array([[z[0], c, b], [c, z[1], a], [b, a, z[2]]])
 
 
 def mandel_pair(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

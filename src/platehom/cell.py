@@ -40,6 +40,8 @@ class HomogenizedForm:
     residuals: tuple[float, ...]
     phase_ids: tuple[int, ...]
     phase_digests: tuple[str, ...]
+    iterations: tuple[int, ...]            # CG iterations per corrector
+    preconditioner: dict = field(compare=False)  # name and reference tensor
 
     @property
     def a(self) -> np.ndarray:
@@ -53,22 +55,6 @@ def evaluate(form, m1, m2) -> float:
     return evaluate_form(form, m1, m2)
 
 
-def _solve_correctors(op: fem3d.Operator, tol: float, max_iter=None):
-    gmat, e0 = fem3d.corrector_loads(op)
-    u = np.zeros((op.ndof, 6))
-    residuals = np.zeros(6)
-    for a in range(6):
-        ua, info = fem3d.solve(op, -gmat[:, a], tol=tol, max_iter=max_iter)
-        if not info.converged:
-            raise SolverError(
-                f"corrector {a} stalled at residual {info.residual:.3e} "
-                f"after {info.iterations} iterations"
-            )
-        u[:, a] = ua
-        residuals[a] = info.residual
-    return gmat, e0, u, residuals
-
-
 def _form_matrix(e0, gmat, u, ku) -> np.ndarray:
     # A_ab = 0.5 * int (eps_a + B psi_a) . C (eps_b + B psi_b); the cross
     # version below is symmetric by construction and second-order accurate
@@ -77,21 +63,35 @@ def _form_matrix(e0, gmat, u, ku) -> np.ndarray:
     defect = np.max(np.abs(a - a.T))
     scale = max(np.max(np.abs(a)), 1e-300)
     if defect > 1e-12 * scale:
-        raise AssertionError(f"form symmetry defect {defect:.3e} exceeds 1e-12 rel")
+        raise SolverError(f"form symmetry defect {defect:.3e} exceeds 1e-12 rel")
     return 0.5 * (a + a.T)
 
 
 def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
                tol: float = 1e-10, max_iter=None,
                allow_soft: bool = False) -> HomogenizedForm:
-    """Compute the homogenized plate form of a periodic cell at given gamma."""
+    """Compute the homogenized plate form of a periodic cell at given gamma.
+
+    The six corrector problems are one block CG solve, preconditioned by the
+    FFT inverse of a homogeneous reference medium.
+    """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if grid.domain != "cell":
         raise ValueError("homogenize expects a cell-domain grid")
     op = fem3d.assemble(grid, phases, scale=gamma, mode="cell",
                         allow_soft=allow_soft)
-    gmat, e0, u, residuals = _solve_correctors(op, tol, max_iter)
+    gmat, e0 = fem3d.corrector_loads(op)
+    precond = fem3d.ReferencePreconditioner(op)
+    u, info = fem3d.pcg(op.k, -gmat, precond=precond, tol=tol,
+                        max_iter=max_iter, project=op.project)
+    if not info.converged:
+        worst = int(np.argmax(info.column_residuals))
+        raise SolverError(
+            f"corrector {worst} stalled at residual "
+            f"{info.column_residuals[worst]:.3e} after "
+            f"{info.column_iterations[worst]} iterations"
+        )
     a = _form_matrix(e0, gmat, u, op.k @ u)
     ids = sorted(int(p) for p in grid.phase_ids())
     return HomogenizedForm(
@@ -99,10 +99,18 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
         gamma=gamma,
         resolution=grid.shape,
         fractions=tuple(volume_fractions(grid, ids).tolist()),
-        residuals=tuple(residuals.tolist()),
+        residuals=info.column_residuals,
         phase_ids=tuple(ids),
         phase_digests=tuple(phases[p].digest() for p in ids),
+        iterations=info.column_iterations,
+        preconditioner=precond.describe(),
     )
+
+
+def solver_record(hf: HomogenizedForm) -> dict:
+    """What the corrector solve did, for a run manifest (not the form file)."""
+    return {"gamma": hf.gamma, "preconditioner": hf.preconditioner,
+            "iterations": list(hf.iterations), "residuals": list(hf.residuals)}
 
 
 def voigt_form(grid: VoxelGrid, phases: dict[int, HookeTensor3]) -> PlateForm:

@@ -1,9 +1,9 @@
 """Command-line front end: reproducible runs of the module operations.
 
 Every command writes its artifacts plus a manifest (hashed inputs,
-parameters, library versions, timestamp). With the default deterministic
-serial execution, identical configurations produce byte-identical artifacts;
-only the manifest carries a timestamp.
+parameters, library versions, solver record, timestamp). Execution is
+serial and deterministic, so identical configurations produce byte-identical
+artifacts; only the manifest carries a timestamp.
 
 Exit codes: 0 success, 1 parse/validation error, 2 solver failure,
 3 check failure (commands run with --check).
@@ -46,7 +46,10 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
-                    deterministic: bool = True) -> None:
+                    solver: list[dict] | None = None) -> None:
+    """Write manifest.json; ``solver`` holds one record per homogenized form
+    (preconditioner, reference tensor, iterations and residuals per
+    corrector) and is left out for commands that solve no cell problem."""
     import scipy
 
     params = {k: v for k, v in params.items()
@@ -59,9 +62,10 @@ def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
         "versions": {"platehom": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "basis": BASIS_TAG,
-        "deterministic": deterministic,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if solver is not None:
+        doc["solver"] = solver
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
         json.dump(doc, f, indent=1)
 
@@ -171,7 +175,7 @@ def cmd_homogenize(args) -> int:
             return 3
     _write_manifest(outdir, "homogenize",
                     {"gamma": args.gamma, "tol": args.tol},
-                    [args.micro, args.phases])
+                    [args.micro, args.phases], solver=[cell.solver_record(hf)])
     return 0
 
 
@@ -196,7 +200,8 @@ def cmd_gamma_sweep(args) -> int:
     with open(os.path.join(outdir, "sweep.json"), "w") as f:
         json.dump(doc, f, indent=1)
     _write_manifest(outdir, "gamma-sweep", {"gammas": gammas, "tol": args.tol},
-                    [args.micro, args.phases])
+                    [args.micro, args.phases],
+                    solver=[cell.solver_record(f) for f in result.forms if f])
     return 0
 
 
@@ -277,7 +282,9 @@ def cmd_gclosure_sample(args) -> int:
     gclosure.dump_samples_csv(samples, os.path.join(outdir, "samples.csv"))
     _write_manifest(outdir, "gclosure-sample",
                     {"theta": theta, "generators": args.generators,
-                     "res": list(res)}, [args.phases])
+                     "res": list(res)}, [args.phases],
+                    solver=[{"generator": e.generator, **cell.solver_record(e.form)}
+                            for e in samples.entries if e.form])
     return 0
 
 
@@ -351,10 +358,6 @@ def build_parser() -> _Parser:
     def add_common(sp, tol=1e-10):
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--tol", type=float, default=tol)
-        # execution is serial and deterministic either way; the flag is
-        # recorded in the manifest for provenance
-        sp.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                        default=True)
 
     sp = sub.add_parser("gen-micro", help="generate a microstructure file")
     sp.add_argument("--kind", required=True,

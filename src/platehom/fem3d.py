@@ -133,13 +133,14 @@ class Operator:
     node_free: np.ndarray | None = None  # plate mode: free flag per full node
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Remove the translation kernel (cell mode); identity in plate mode."""
+        """Remove the translation kernel (cell mode); identity in plate mode.
+
+        A 2-D ``x`` holds one field per column; each loses its own mean.
+        """
         if self.mode != "cell":
             return x
-        y = x.copy()
-        for c in range(3):
-            y[c::3] -= y[c::3].mean()
-        return y
+        nodes = x.reshape(-1, 3, *x.shape[1:])
+        return (nodes - nodes.mean(axis=0)).reshape(x.shape)
 
     def energy(self, u: np.ndarray) -> float:
         return float(0.5 * u @ (self.k @ u))
@@ -262,14 +263,107 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
 
 
 # ---------------------------------------------------------------------------
+# FFT reference-medium preconditioner for cell operators
+# ---------------------------------------------------------------------------
+
+def reference_tensor(tensors: list[HookeTensor3]) -> HookeTensor3:
+    """Log-Euclidean mean expm(mean(logm(c_p))) of the phase stiffnesses.
+
+    Each phase's eigenvalues are clamped from below at 1e-12 times its
+    largest, so soft phases stay finite; a phase with no stiffness at all
+    is left out. For isotropic phases with lambda = mu this is the
+    geometric mean.
+    """
+    logs = []
+    for t in tensors:
+        w, v = np.linalg.eigh(t.c)
+        if w[-1] > 0.0:
+            logs.append((v * np.log(np.maximum(w, 1e-12 * w[-1]))) @ v.T)
+    w, v = np.linalg.eigh(np.mean(logs, axis=0))
+    return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T)
+
+
+class ReferencePreconditioner:
+    """Inverse of the cell operator of one homogeneous reference tensor.
+
+    For a homogeneous tensor the periodic cell operator is block-circulant
+    in-plane: a 2-D Fourier transform over (y, x) splits it into one
+    3(nz+1)-square system per wavenumber, which couples neighbouring node
+    planes only. Their inverses are stored, complex, (nx//2+1) * ny *
+    (3(nz+1))^2 * 16 bytes; at wavenumber (0, 0), which carries the three
+    translations, the pseudo-inverse. Applying it is rfft2, one batched
+    product over all columns, irfft2 (Moulinec & Suquet 1998; Ladecky et
+    al. 2023).
+    """
+
+    name = "fft-reference"
+
+    def __init__(self, op: Operator):
+        if op.mode != "cell":
+            raise ValueError("the FFT reference preconditioner needs a cell operator")
+        nx, ny, nz = op.grid.shape
+        self.shape = (nz + 1, ny, nx)
+        self.c0 = reference_tensor(op.tensors)
+        ke = element_stiffness(op.kit, self.c0).reshape(8, 3, 8, 3)
+        corner = _local_corners().astype(int)
+        # K u for u = exp(i theta.(x, y)) u_hat picks up exp(i theta.(b - a))
+        # between local corners a (row) and b (column)
+        tx = 2.0 * np.pi * np.fft.rfftfreq(nx)
+        ty = 2.0 * np.pi * np.fft.fftfreq(ny)
+        dxy = corner[None, :, :2] - corner[:, None, :2]            # (a, b, 2)
+        phase = np.exp(1j * (ty[:, None, None, None] * dxy[..., 1]
+                             + tx[None, :, None, None] * dxy[..., 0]))
+        plane = np.eye(2)[corner[:, 2]]                            # (a, z-plane)
+        layer = np.einsum("acbd,yxab,az,bw->yxzcwd", ke, phase, plane, plane)
+        layer = layer.reshape(ny, nx // 2 + 1, 6, 6)
+        m = 3 * (nz + 1)
+        khat = np.zeros((ny, nx // 2 + 1, m, m), dtype=complex)
+        for k in range(nz):
+            khat[:, :, 3 * k:3 * k + 6, 3 * k:3 * k + 6] += layer
+        # wavenumber (0, 0): the pseudo-inverse on the complement of the
+        # translations t, as P inv(P K P + s t t^T) P; the rounding of K on t
+        # is too large, relative to the z-stiffness at large gamma, for a
+        # cut-off on eigenvalues
+        t = np.tile(np.eye(3), (nz + 1, 1)) / np.sqrt(nz + 1)
+        proj = np.eye(m) - t @ t.T
+        k00 = khat[0, 0]
+        khat[0, 0] = proj @ k00 @ proj + np.trace(k00).real / m * (t @ t.T)
+        self.inv = np.linalg.inv(khat)
+        del khat
+        self.inv[0, 0] = proj @ self.inv[0, 0] @ proj
+
+    def describe(self) -> dict:
+        """Name and reference tensor: (lambda0, mu0) when isotropic, else a digest."""
+        c = self.c0.c
+        lam, mu = c[0, 1], 0.5 * c[3, 3]
+        iso = 2.0 * mu * np.eye(6)
+        iso[:3, :3] += lam
+        if np.abs(c - iso).max() <= 1e-12 * np.abs(c).max():
+            return {"name": self.name, "lambda0": float(lam), "mu0": float(mu)}
+        return {"name": self.name, "c0_digest": self.c0.digest()}
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        nz1, ny, nx = self.shape
+        rh = np.fft.rfft2(r.reshape(nz1, ny, nx, 3, -1), axes=(1, 2))
+        rh = rh.transpose(1, 2, 0, 3, 4).reshape(ny, nx // 2 + 1, 3 * nz1, -1)
+        zh = (self.inv @ rh).reshape(ny, nx // 2 + 1, nz1, 3, -1)
+        z = np.fft.irfft2(zh.transpose(2, 0, 1, 3, 4), s=(ny, nx), axes=(1, 2))
+        return z.reshape(r.shape)
+
+
+# ---------------------------------------------------------------------------
 # preconditioned conjugate gradients with kernel projection
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SolveInfo:
-    iterations: int
-    residual: float      # relative residual ||r|| / ||b||
-    converged: bool
+    """Outcome of a CG solve; a 2-D right-hand side sums over its columns."""
+
+    iterations: int          # iterations, summed over the columns
+    residual: float          # largest relative residual ||r|| / ||b||
+    converged: bool          # every column reached the tolerance
+    column_iterations: tuple[int, ...]
+    column_residuals: tuple[float, ...]
 
 
 def _jacobi(k: sp.csr_matrix):
@@ -278,7 +372,7 @@ def _jacobi(k: sp.csr_matrix):
     inv = 1.0 / d
 
     def apply(r):
-        return inv * r
+        return inv[:, None] * r
 
     return apply
 
@@ -299,67 +393,94 @@ def _block_jacobi(k: sp.csr_matrix):
     inv = np.linalg.inv(blocks)
 
     def apply(r):
-        return np.einsum("nij,nj->ni", inv, r.reshape(nb, 3)).ravel()
+        return np.einsum("nij,njc->nic", inv, r.reshape(nb, 3, -1)).reshape(r.shape)
 
     return apply
 
 
-def pcg(k: sp.csr_matrix, b: np.ndarray, precond: str = "jacobi",
+def pcg(k: sp.csr_matrix, b: np.ndarray, precond="jacobi",
         tol: float = 1e-10, max_iter: int | None = None,
-        project=None, x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """Conjugate gradients with Jacobi or 3x3 block-Jacobi preconditioning.
+        project=None) -> tuple[np.ndarray, SolveInfo]:
+    """Preconditioned conjugate gradients on one or several right-hand sides.
 
-    If ``project`` is given it must be an orthogonal projector onto the
-    complement of the operator kernel; it is applied to the right-hand side
-    and re-applied to the iterate every iteration.
+    ``precond`` is "jacobi", "block" (3x3 block-Jacobi) or a callable
+    applying the preconditioner to an (n, m) block. A 2-D ``b`` is solved
+    column by column with column-wise step lengths, one sparse product per
+    iteration for all unconverged columns; a column stops once its relative
+    residual reaches ``tol`` or after ``max_iter`` iterations. If ``project``
+    is given it must be the orthogonal projector onto the complement of the
+    operator kernel; it is applied to the right-hand side, to K p, to the
+    preconditioned residual and to the result. Raises ``SolverError`` when
+    the operator is not positive definite on the search space.
     """
     n = k.shape[0]
     if max_iter is None:
         max_iter = max(200, int(50 * np.sqrt(n)))
-    apply_m = _block_jacobi(k) if precond == "block" else _jacobi(k)
+    if callable(precond):
+        apply_m = precond
+    elif precond == "block":
+        apply_m = _block_jacobi(k)
+    else:
+        apply_m = _jacobi(k)
+
+    def precondition(res_block):
+        z = apply_m(res_block)
+        return z if project is None else project(z)
 
     if project is not None:
         b = project(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveInfo(iterations=0, residual=0.0, converged=True)
-
-    x = np.zeros(n) if x0 is None else x0.copy()
-    if project is not None:
-        x = project(x)
-    r = b - k @ x
-    if project is not None:
-        r = project(r)
-    z = apply_m(r)
+    # column-wise products and norms go through np.vecdot, which rounds a
+    # single column exactly as the 1-D dot product and norm do
+    r = np.array(b.reshape(n, -1), dtype=float)
+    ncol = r.shape[1]
+    bnorm = np.sqrt(np.vecdot(r, r, axis=0))
+    res = np.where(bnorm > 0.0, 1.0, 0.0)      # r = b; a zero column is solved
+    its = np.zeros(ncol, dtype=np.int64)
+    out = np.zeros((n, ncol))
+    # x, r, p and rz hold the columns still iterating, ``cols``; a column
+    # leaves them once it converges or reaches max_iter
+    cols = np.arange(ncol)
+    x = np.zeros((n, ncol))
+    z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = np.vecdot(r, z, axis=0)
     it = 0
-    res = np.linalg.norm(r) / bnorm
-    while res > tol and it < max_iter:
+    while True:
+        going = (res[cols] > tol) & (it < max_iter)
+        if not going.all():
+            done = cols[~going]
+            out[:, done] = x[:, ~going]
+            its[done] = it
+            cols, x, r, p, rz = (cols[going], x[:, going], r[:, going],
+                                 p[:, going], rz[going])
+            if not cols.size:
+                break
         ap = k @ p
         if project is not None:
             ap = project(ap)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise ValueError(
+        pap = np.vecdot(p, ap, axis=0)
+        if (pap <= 0.0).any():
+            j = int(np.argmin(pap))
+            raise SolverError(
                 "operator is not positive definite on the search space "
-                f"(p.Ap = {pap:.3e} at iteration {it})"
+                f"(p.Ap = {pap[j]:.3e} in column {cols[j]} at iteration {it})"
             )
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         it += 1
-        if project is not None and it % 50 == 0:
-            x = project(x)
-            r = project(b - k @ x)
-        z = apply_m(r)
-        rz_new = float(r @ z)
+        z = precondition(r)
+        rz_new = np.vecdot(r, z, axis=0)
         p = z + (rz_new / rz) * p
         rz = rz_new
-        res = np.linalg.norm(r) / bnorm
+        res[cols] = np.sqrt(np.vecdot(r, r, axis=0)) / bnorm[cols]
     if project is not None:
-        x = project(x)
-    return x, SolveInfo(iterations=it, residual=float(res), converged=res <= tol)
+        out = project(out)
+    info = SolveInfo(iterations=int(its.sum()), residual=float(res.max()),
+                     converged=bool(np.all(res <= tol)),
+                     column_iterations=tuple(its.tolist()),
+                     column_residuals=tuple(res.tolist()))
+    return (out[:, 0] if b.ndim == 1 else out), info
 
 
 def solve(op: Operator, rhs: np.ndarray, tol: float = 1e-10,

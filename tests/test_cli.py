@@ -71,6 +71,9 @@ def test_gamma_sweep_command(tmp_path, phases_file):
     doc = json.loads((out2 / "sweep.json").read_text())
     assert len(doc["gammas"]) == 3
     assert doc["gamma0_estimate"] is not None
+    solver = json.loads((out2 / "manifest.json").read_text())["solver"]
+    assert [r["gamma"] for r in solver] == doc["gammas"]
+    assert [r["residuals"] for r in solver] == [f["residuals"] for f in doc["forms"]]
 
 
 def test_plate_solve_command(tmp_path):
@@ -125,6 +128,9 @@ def test_gclosure_sample_command(tmp_path, phases_file):
     assert rc == 0
     lines = (out / "samples.csv").read_text().splitlines()
     assert len(lines) == 4  # tag, header, 2 samples
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert [r["generator"] for r in solver] == ["laminate:x1", "laminate:90"]
+    assert all(len(r["iterations"]) == 6 for r in solver)
 
 
 def test_patchwork_command(tmp_path, phases_file):
@@ -172,9 +178,9 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
     orig = fem3d.pcg
 
     def crippled(k, b, precond="jacobi", tol=1e-10, max_iter=None,
-                 project=None, x0=None):
+                 project=None):
         return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
-                    project=project, x0=x0)
+                    project=project)
 
     monkeypatch.setattr(fem3d, "pcg", crippled)
     m = tmp_path / "m"
@@ -184,6 +190,59 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
               "--phases", phases_file, "--gamma", "1.0",
               "--out", str(tmp_path / "z")])
     assert rc == 2
+
+
+def _homogenize_checkerboard(tmp_path, phases_file, out="z"):
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "checkerboard", "--period", "2",
+         "--res", "4,4,4", "--out", str(m)])
+    return run(["homogenize", "--micro", str(m / "micro.json"),
+                "--phases", phases_file, "--gamma", "1.0",
+                "--out", str(tmp_path / out)])
+
+
+def test_indefinite_operator_exit_code(tmp_path, phases_file, monkeypatch):
+    # a CG breakdown (p.Ap <= 0) is a solver failure, not a usage error
+    import platehom.fem3d as fem3d
+
+    orig = fem3d.assemble
+
+    def negated(*args, **kwargs):
+        op = orig(*args, **kwargs)
+        op.k = -op.k
+        return op
+
+    monkeypatch.setattr(fem3d, "assemble", negated)
+    assert _homogenize_checkerboard(tmp_path, phases_file) == 2
+
+
+def test_form_symmetry_defect_exit_code(tmp_path, phases_file, monkeypatch):
+    import platehom.fem3d as fem3d
+
+    orig = fem3d.corrector_loads
+
+    def skewed(op):
+        gmat, e0 = orig(op)
+        return gmat, e0 + np.triu(np.full((6, 6), 1e-6 * np.abs(e0).max()), 1)
+
+    monkeypatch.setattr(fem3d, "corrector_loads", skewed)
+    assert _homogenize_checkerboard(tmp_path, phases_file) == 2
+
+
+def test_manifest_records_solver(tmp_path, phases_file):
+    assert _homogenize_checkerboard(tmp_path, phases_file, out="h") == 0
+    manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
+    form = json.loads((tmp_path / "h" / "form.json").read_text())
+    (record,) = manifest["solver"]
+    assert record["gamma"] == 1.0
+    assert record["preconditioner"] == {"name": "fft-reference",
+                                        "lambda0": pytest.approx(10 ** 0.5),
+                                        "mu0": pytest.approx(10 ** 0.5)}
+    assert len(record["iterations"]) == 6
+    assert all(1 <= it <= 40 for it in record["iterations"])
+    assert record["residuals"] == form["residuals"]
+    assert all(r <= 1e-10 for r in record["residuals"])
+    assert "solver" not in form
 
 
 def test_config_file_merging(tmp_path, phases_file):

@@ -146,8 +146,11 @@ def test_indefinite_operator_rejected():
     import scipy.sparse as sp
 
     k = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(fem3d.SolverError, match="positive definite"):
         pcg(k, np.array([1.0, 1.0, 1.0]), tol=1e-12)
+    # a block right-hand side breaks down in the same way, per column
+    with pytest.raises(fem3d.SolverError, match="in column 1"):
+        pcg(k, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), tol=1e-12)
 
 
 def test_solve_reports_iteration_cap_without_raising():
@@ -277,3 +280,56 @@ def test_clamped_pcg_matches_direct_solve():
     assert info.converged
     u_direct = spla.spsolve(op.k.tocsc(), ell)
     assert np.linalg.norm(u_cg - u_direct) < 1e-10 * np.linalg.norm(u_direct)
+
+
+# ---------------------------------------------------------------------------
+# FFT reference-medium preconditioner and block CG
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+def test_reference_symbol_inverts_homogeneous_cell(gamma):
+    # on a cell of the reference tensor itself the preconditioner is the
+    # pseudo-inverse: M K v = P v; nx != ny and odd nx catch a swapped axis,
+    # and a sign or phase error in the symbol fails at every wavenumber
+    c0 = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                 isotropic_hooke(10.0, 10.0)])
+    grid = VoxelGrid(5, 4, 3, np.ones(60, dtype=np.int32), "cell")
+    op = assemble(grid, {1: c0}, scale=gamma)
+    m = fem3d.ReferencePreconditioner(op)
+    v = np.random.default_rng(3).standard_normal((op.ndof, 2))
+    pv = op.project(v)
+    assert np.abs(m(op.k @ v) - pv).max() < 1e-10 * np.abs(pv).max()
+    assert np.abs(m(op.k @ v[:, 0]) - pv[:, 0]).max() < 1e-10 * np.abs(pv).max()
+
+
+def test_reference_tensor_log_euclidean_mean():
+    # isotropic lambda = mu phases: the geometric mean
+    c0 = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                 isotropic_hooke(100.0, 100.0)])
+    assert_allclose(c0.c, isotropic_hooke(10.0, 10.0).c, rtol=1e-13)
+    # a soft phase stays finite, a phase without stiffness is left out
+    soft = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0), soft_hooke(1e-4)])
+    assert np.all(np.isfinite(soft.c)) and soft.alpha > 0.0
+    void = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0), soft_hooke(0.0)])
+    assert_allclose(void.c, isotropic_hooke(1.0, 1.0).c, rtol=1e-13)
+
+
+def test_block_pcg_zero_column_and_columnwise_projection():
+    grid = make_laminate("x1", [0.5, 0.5], (4, 4, 4))
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    op = assemble(grid, phases, scale=1.0)
+    gmat, _ = fem3d.corrector_loads(op)
+    b = np.zeros((op.ndof, 3))
+    b[:, 0] = -gmat[:, 0]
+    b[:, 2] = -gmat[:, 3] + 5.0        # a constant shift each column drops
+    x, info = pcg(op.k, b, precond=fem3d.ReferencePreconditioner(op),
+                  tol=1e-12, project=op.project)
+    assert info.column_iterations[1] == 0 and info.column_residuals[1] == 0.0
+    assert np.all(x[:, 1] == 0.0)
+    assert info.iterations == sum(info.column_iterations)
+    assert info.converged and max(info.column_residuals) <= 1e-12
+    for j in (0, 2):
+        for c in range(3):
+            assert abs(x[c::3, j].mean()) < 1e-12
+        ref, _ = solve(op, b[:, j], tol=1e-12)
+        assert np.linalg.norm(x[:, j] - ref) < 1e-9 * np.linalg.norm(ref)
