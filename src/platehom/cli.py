@@ -47,9 +47,11 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
                     solver: list[dict] | None = None) -> None:
-    """Write manifest.json; ``solver`` holds one record per homogenized form
-    (preconditioner, reference tensor, iterations and residuals per
-    corrector) and is left out for commands that solve no cell problem."""
+    """Write manifest.json; ``solver`` holds one record per solve: per
+    homogenized form (preconditioner, reference tensor, iterations and
+    residuals per corrector) or per thickness of ``theorem1`` (h,
+    preconditioner with its coarse dof count, iterations and residual). It
+    is left out for commands that solve no 3D problem."""
     import scipy
 
     params = {k: v for k, v in params.items()
@@ -234,7 +236,8 @@ def cmd_theorem1(args) -> int:
     convergence.dump_harness_summary(result, os.path.join(outdir, "summary.json"))
     _write_manifest(outdir, "theorem1",
                     {"h": hs, "f": _floats(args.f), "clamped": args.clamped},
-                    [args.micro, args.phases, args.form or ""])
+                    [args.micro, args.phases, args.form or ""],
+                    solver=result.solver)
     if args.check and not (result.gap_monotone and result.corrector_monotone
                            and result.final_gap < args.gap_tol):
         return 3

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,6 +244,9 @@ class HarnessResult:
     gap_monotone: bool
     corrector_monotone: bool
     final_gap: float
+    # one record per h: h, preconditioner, iterations and residual, or the
+    # solver error
+    solver: list[dict] = field(default_factory=list)
 
 
 def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
@@ -269,15 +272,20 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
     f0 = limit.energy
 
     rows: list[HarnessRow] = []
+    solver: list[dict] = []
     for h in h_list:
         try:
-            op, u, f_h, _ = fem3d.solve_clamped(grid, phases, h, forces,
-                                                clamped, tol=tol)
+            op, u, f_h, info = fem3d.solve_clamped(grid, phases, h, forces,
+                                                   clamped, tol=tol)
         except fem3d.SolverError as exc:
             rows.append(HarnessRow(h=h, f_h=np.nan, f_0=f0, rel_gap=np.nan,
                                    corrector_norm=np.nan, kl_gap=np.nan,
                                    error=str(exc)))
+            solver.append({"h": h, "error": str(exc)})
             continue
+        solver.append({"h": h, "preconditioner": info.preconditioner,
+                       "iterations": info.iterations,
+                       "residual": info.residual})
         field = fem3d.expand_field(op, u)
         w_h, v_h, corr = extract_kl(field, h)
         kl_gap = np.sqrt(nodal_l2_sq_2d(w_h - limit.w)
@@ -293,6 +301,7 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
         gap_monotone=all(b < a for a, b in zip(gaps, gaps[1:])),
         corrector_monotone=all(b < a for a, b in zip(corrs, corrs[1:])),
         final_gap=gaps[-1] if gaps else np.nan,
+        solver=solver,
     )
 
 

@@ -245,16 +245,17 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # the triplets set the peak memory of a solve; scipy narrows 64-bit
+    # indices to 32 bits with a copy, so they are built 32-bit
+    index = edof.astype(np.int32)
     vals = kes[tensor_of_elem]  # (nelem, 24, 24)
-    rows = np.broadcast_to(edof[:, :, None], vals.shape)
-    cols = np.broadcast_to(edof[:, None, :], vals.shape)
+    rows = np.broadcast_to(index[:, :, None], vals.shape)
+    cols = np.broadcast_to(index[:, None, :], vals.shape)
     if mode == "plate":
         keep = (rows >= 0) & (cols >= 0)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    k = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel().astype(np.int64), cols.ravel().astype(np.int64))),
-        shape=(ndof, ndof),
-    ).tocsr()
+    k = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(ndof, ndof)).tocsr()
     k.sum_duplicates()
 
     return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit, edof=edof,
@@ -364,6 +365,7 @@ class SolveInfo:
     converged: bool          # every column reached the tolerance
     column_iterations: tuple[int, ...]
     column_residuals: tuple[float, ...]
+    preconditioner: dict | None = None  # its describe(), set by ``solve``
 
 
 def _jacobi(k: sp.csr_matrix):
@@ -396,6 +398,53 @@ def _block_jacobi(k: sp.csr_matrix):
         return np.einsum("nij,njc->nic", inv, r.reshape(nb, 3, -1)).reshape(r.shape)
 
     return apply
+
+
+class PlatePreconditioner:
+    """Two-level additive preconditioner M = BJ + P Kc^-1 P^T for a clamped
+    plate operator (two-level additive Schwarz; Toselli & Widlund 2005,
+    ch. 2-3).
+
+    BJ is the 3x3 block-Jacobi smoother. The coarse space is the part of the
+    Griso decomposition that is linear in x3, hat + r ^ x3 e3: per free node
+    column (one whose bottom node is free) three translations and the two
+    rotation components, u1 += x3 r2 and u2 -= x3 r1, the sign convention of
+    ``convergence.GrisoParts.elementary``. These fields are the near-kernel
+    that makes the scaled operator ill-conditioned as h -> 0; the coarse
+    operator Kc = P^T K P is factored once.
+    """
+
+    name = "two-level"
+
+    def __init__(self, op: Operator):
+        if op.mode != "plate":
+            raise ValueError("the two-level preconditioner needs a plate operator")
+        nx, ny, nz = op.grid.shape
+        ncol = int(op.node_free[:(nx + 1) * (ny + 1)].sum())   # bottom layer
+        # free nodes are numbered in flat order and every layer has the same
+        # free columns, so layer k's node of coarse column c is k * ncol + c
+        node = np.arange(nz + 1)[:, None] * ncol + np.arange(ncol)[None, :]
+        z = np.broadcast_to(np.linspace(-0.5, 0.5, nz + 1)[:, None], node.shape)
+        col = np.broadcast_to(5 * np.arange(ncol)[None, :], node.shape)
+        rows = np.concatenate([3 * node + c for c in (0, 1, 2, 1, 0)], axis=None)
+        cols = np.concatenate([col + j for j in range(5)], axis=None)
+        vals = np.concatenate([np.ones((3,) + node.shape), [-z, z]], axis=None)
+        self.p = sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, 5 * ncol))
+        self.p.eliminate_zeros()
+        # imported here: it adds about 0.1 s and 10 MB to every program start
+        from scipy.sparse.linalg import splu
+
+        kc = (self.p.T @ (op.k @ self.p)).tocsc()
+        self.coarse = splu(kc, permc_spec="MMD_AT_PLUS_A")
+        self.smoother = _block_jacobi(op.k)
+
+    def describe(self) -> dict:
+        """Name, smoother and coarse dof count."""
+        return {"name": self.name, "smoother": "block-jacobi",
+                "coarse_dofs": self.p.shape[1]}
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self.smoother(r) + self.p @ self.coarse.solve(self.p.T @ r)
 
 
 def pcg(k: sp.csr_matrix, b: np.ndarray, precond="jacobi",
@@ -484,16 +533,22 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond="jacobi",
 
 
 def solve(op: Operator, rhs: np.ndarray, tol: float = 1e-10,
-          max_iter: int | None = None, precond: str = "jacobi"
-          ) -> tuple[np.ndarray, SolveInfo]:
-    """Solve K u = rhs; cell-mode kernel handled by projection.
+          max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
+    """Solve K u = rhs; a cell is preconditioned by its
+    ``ReferencePreconditioner``, its kernel handled by projection, a plate by
+    its ``PlatePreconditioner``.
 
     Never raises on slow convergence: the achieved residual is reported and
     the caller decides.
     """
-    project = op.project if op.mode == "cell" else None
-    return pcg(op.k, rhs, precond=precond, tol=tol, max_iter=max_iter,
-               project=project)
+    if op.mode == "cell":
+        precond, project = ReferencePreconditioner(op), op.project
+    else:
+        precond, project = PlatePreconditioner(op), None
+    u, info = pcg(op.k, rhs, precond=precond, tol=tol, max_iter=max_iter,
+                  project=project)
+    info.preconditioner = precond.describe()
+    return u, info
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +618,9 @@ def body_load(op: Operator, f) -> np.ndarray:
 
 def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
                   f, clamped: tuple[str, ...], tol: float = 1e-12,
-                  max_iter: int | None = None, precond: str = "block",
-                  allow_soft: bool = False):
-    """Minimize the force-loaded scaled energy over the clamped plate.
+                  max_iter: int | None = None, allow_soft: bool = False):
+    """Minimize the force-loaded scaled energy over the clamped plate, by CG
+    with the two-level ``PlatePreconditioner``.
 
     Returns (operator, free-dof minimizer, energy value, solver info); the
     energy is the discrete functional value 0.5 u.K u - l.u.
@@ -575,7 +630,7 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
     op = assemble(grid, phases, scale=h, mode="plate", clamped=clamped,
                   allow_soft=allow_soft)
     ell = body_load(op, f)
-    u, info = pcg(op.k, ell, precond=precond, tol=tol, max_iter=max_iter)
+    u, info = solve(op, ell, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverError(
             f"clamped solve stalled at residual {info.residual:.3e} "

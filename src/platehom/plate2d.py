@@ -13,6 +13,7 @@ refinement behavior is verified empirically by the tests.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -149,7 +150,18 @@ class _CurvatureStencils:
                 add(ci, cj + 1, 2, -cross)
                 nodes = sorted(entries)
                 coeff = np.stack([entries[n] for n in nodes], axis=1)
+                coeff.flags.writeable = False     # shared through the cache
                 self.rows[(ci, cj)] = (nodes, coeff)
+
+
+@functools.lru_cache(maxsize=1)
+def _curvature_stencils(mx: int, my: int,
+                        clamped: tuple[str, ...]) -> _CurvatureStencils:
+    """The stencils of the last grid and clamped set, so that repeated
+    assemblies and strain evaluations on one grid (a perturbation report
+    makes six) build them once. One set only: at 64x64 it takes 6 MB, and
+    it grows with mx * my."""
+    return _CurvatureStencils(mx, my, clamped)
 
 
 def assemble_plate(problem: PlateProblem):
@@ -165,7 +177,7 @@ def assemble_plate(problem: PlateProblem):
 
     bm = _membrane_b(hx, hy)
     wgp = hx * hy / 4.0
-    stencils = _CurvatureStencils(mx, my, problem.clamped)
+    stencils = _curvature_stencils(mx, my, tuple(problem.clamped))
 
     rows, cols, vals = [], [], []
     for ci in range(mx):
@@ -260,7 +272,7 @@ def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:
     """(mx, my, 6) membrane/curvature pair at cell centers of a solution."""
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
-    stencils = _CurvatureStencils(mx, my, problem.clamped)
+    stencils = _curvature_stencils(mx, my, tuple(problem.clamped))
     out = np.zeros((mx, my, 6))
     w, v = sol.w, sol.v
     for ci in range(mx):

@@ -107,6 +107,13 @@ def test_theorem1_command(tmp_path, phases_file):
     assert len(rows) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert "gap_monotone" in summary
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert [r["h"] for r in solver] == [0.25, 0.125]
+    for r in solver:
+        assert r["preconditioner"] == {"name": "two-level",
+                                       "smoother": "block-jacobi",
+                                       "coarse_dofs": 5 * 8 * 9}
+        assert r["iterations"] > 0 and r["residual"] <= 1e-11
 
 
 def test_griso_command(tmp_path):

@@ -154,8 +154,11 @@ def test_indefinite_operator_rejected():
 
 
 def test_solve_reports_iteration_cap_without_raising():
-    grid = uniform_grid(4, 4, 4)
-    op = assemble(grid, {1: isotropic_hooke(1.0, 1.0)}, scale=1.0)
+    # two phases: on a uniform cell the FFT preconditioner is the exact
+    # inverse and one iteration converges
+    grid = make_laminate("x1", [0.5, 0.5], (4, 4, 4))
+    op = assemble(grid, {1: isotropic_hooke(1.0, 1.0),
+                         2: isotropic_hooke(10.0, 10.0)}, scale=1.0)
     rng = np.random.default_rng(0)
     rhs = op.project(rng.standard_normal(op.ndof))
     u, info = solve(op, rhs, tol=1e-14, max_iter=2)
@@ -331,5 +334,76 @@ def test_block_pcg_zero_column_and_columnwise_projection():
     for j in (0, 2):
         for c in range(3):
             assert abs(x[c::3, j].mean()) < 1e-12
-        ref, _ = solve(op, b[:, j], tol=1e-12)
+        ref, _ = pcg(op.k, b[:, j], tol=1e-12, project=op.project)  # Jacobi
         assert np.linalg.norm(x[:, j] - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# two-level preconditioner for clamped plates
+# ---------------------------------------------------------------------------
+
+def free_columns(nx, ny, clamped):
+    """(nx+1, ny+1) mask of the node columns off the clamped edges."""
+    free = np.ones((nx + 1, ny + 1), dtype=bool)
+    for edge, index in (("left", np.s_[0, :]), ("right", np.s_[nx, :]),
+                        ("bottom", np.s_[:, 0]), ("top", np.s_[:, ny])):
+        if edge in clamped:
+            free[index] = False
+    return free
+
+
+@pytest.mark.parametrize("clamped", [("left",), fem3d.EDGES])
+def test_plate_coarse_basis_is_griso_elementary_part(clamped):
+    # P c is hat + r ^ x3 e3 with hat and r read off c per free column; the
+    # Griso decomposition returns them and leaves no residual. nx != ny
+    # catches swapped axes, the rotations' signs are those of the paper.
+    from platehom.convergence import griso_decompose
+
+    nx, ny, nz = 5, 4, 3
+    grid = make_laminate("x3", [0.5, 0.5], (nx, ny, nz), domain="plate")
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    op = assemble(grid, phases, scale=0.1, mode="plate", clamped=clamped)
+    m = fem3d.PlatePreconditioner(op)
+    free = free_columns(nx, ny, clamped)
+    assert m.describe()["coarse_dofs"] == 5 * free.sum()
+    c = np.random.default_rng(6).standard_normal(m.p.shape[1])
+    parts = griso_decompose(expand_field(op, m.p @ c))
+    coef = np.zeros((ny + 1, nx + 1, 5))
+    coef[free.T] = c.reshape(-1, 5)       # free columns in flat (y, x) order
+    coef = coef.transpose(1, 0, 2)
+    assert np.abs(parts.bar).max() < 1e-13
+    assert np.abs(parts.hat - coef[..., :3]).max() < 1e-13
+    assert np.abs(parts.r - coef[..., 3:]).max() < 1e-13
+
+
+@pytest.mark.parametrize("clamped", [("left",), fem3d.EDGES])
+def test_two_level_clamped_solve_matches_direct_solve(clamped):
+    import scipy.sparse.linalg as spla
+
+    rng = np.random.default_rng(5)
+    grid = VoxelGrid(8, 8, 4, rng.integers(1, 3, 256).astype(np.int32), "plate")
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    f = (0.3, -0.2, 1.0)
+    op, u, energy, info = solve_clamped(grid, phases, 1.0 / 16, f, clamped,
+                                        tol=1e-12)
+    assert info.preconditioner == {
+        "name": "two-level", "smoother": "block-jacobi",
+        "coarse_dofs": 5 * int(free_columns(8, 8, clamped).sum())}
+    ell = body_load(op, f)
+    u_direct = spla.splu(op.k.tocsc()).solve(ell)
+    e_direct = 0.5 * u_direct @ (op.k @ u_direct) - ell @ u_direct
+    assert abs(energy - e_direct) <= 1e-10 * abs(e_direct)
+
+
+def test_solve_picks_preconditioner_by_mode():
+    cell_op = assemble(make_laminate("x1", [0.5, 0.5], (4, 4, 4)),
+                       {1: isotropic_hooke(1.0, 1.0),
+                        2: isotropic_hooke(10.0, 10.0)}, scale=1.0)
+    gmat, _ = fem3d.corrector_loads(cell_op)
+    _, info = solve(cell_op, -gmat[:, 0], tol=1e-10)
+    assert info.converged and info.preconditioner["name"] == "fft-reference"
+    plate_op = assemble(uniform_grid(6, 6, 3, domain="plate"),
+                        {1: isotropic_hooke(1.0, 1.0)}, scale=0.1,
+                        mode="plate", clamped=("left",))
+    _, info = solve(plate_op, body_load(plate_op, (0, 0, 1.0)), tol=1e-10)
+    assert info.converged and info.preconditioner["name"] == "two-level"

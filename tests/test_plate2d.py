@@ -86,6 +86,16 @@ def test_perturbation_stability_linear_in_eta():
     assert rep.strain_gaps[0] > 0
 
 
+def test_perturbation_stability_builds_stencils_once():
+    # three solves and three strain evaluations on one grid share one set
+    from platehom import plate2d
+
+    plate2d._curvature_stencils.cache_clear()
+    perturbation_stability(cantilever(mx=8, my=8), etas=(1e-3, 1e-4))
+    info = plate2d._curvature_stencils.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
 def test_perturbation_zero_eta_zero_gap():
     rep = perturbation_stability(cantilever(mx=8, my=8), etas=(0.0, 1e-3))
     assert rep.energy_gaps[0] == 0.0
