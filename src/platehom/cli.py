@@ -49,9 +49,11 @@ def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
                     solver: list[dict] | None = None) -> None:
     """Write manifest.json; ``solver`` holds one record per solve: per
     homogenized form (preconditioner, reference tensor, iterations and
-    residuals per corrector) or per thickness of ``theorem1`` (h,
-    preconditioner with its coarse dof count, iterations and residual). It
-    is left out for commands that solve no 3D problem."""
+    residuals per corrector), per thickness of ``theorem1`` (h,
+    preconditioner with its coarse dof count, iterations and residual) or
+    for the one ``plate-solve`` (preconditioner with its factor size,
+    iterations, residual and energy error estimate). It is left out for
+    commands that solve nothing."""
     import scipy
 
     params = {k: v for k, v in params.items()
@@ -216,7 +218,11 @@ def cmd_plate_solve(args) -> int:
         json.dump({"energy": sol.energy, "load_value": sol.load_value,
                    "iterations": sol.iterations, "residual": sol.residual,
                    "basis": BASIS_TAG}, f, indent=1)
-    _write_manifest(outdir, "plate-solve", {"tol": args.tol}, [args.problem])
+    _write_manifest(outdir, "plate-solve", {"tol": args.tol}, [args.problem],
+                    solver=[{"preconditioner": sol.preconditioner,
+                             "iterations": sol.iterations,
+                             "residual": sol.residual,
+                             "energy_error": sol.energy_error}])
     return 0
 
 

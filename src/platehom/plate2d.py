@@ -8,6 +8,16 @@ built from 3-point nodal second differences averaged onto the cell, the
 bilinear cross-derivative for the mixed entry, and one-sided ghost reflection
 across clamped edges enforcing dv/dn = 0. The v space is nonconforming;
 refinement behavior is verified empirically by the tests.
+
+Every strain row is a Kronecker product of 1-D operators (average,
+difference, averaged second difference), built once per grid, and the 2x2
+Gauss sum K = sum_g 2 w_g B_g^T blockdiag(A) B_g is one sparse product in
+closed form (see ``_StrainOperators``). K is factored once by sparse LU,
+which preconditions CG (one or two iterations). With the two edges of one axis
+clamped, the other two free and an even cell count between them, the
+averaged second differences leave an exact zero-energy deflection (0, 1, 0,
+1, ... across node columns): K is singular and ``minimize_plate`` raises
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -73,137 +83,126 @@ class PlateSolution:
     load_value: float    # l(w, v) at the minimizer
     iterations: int
     residual: float
+    energy_error: float  # |r.LU^-1 r| / |l.u| with r = l - K u
+    preconditioner: dict
 
 
-def _membrane_b(hx: float, hy: float) -> np.ndarray:
-    """(4 gp, 3, 8) Mandel-2 strain matrices of the bilinear quad."""
-    corners = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float)
-    signs = 2.0 * corners - 1.0
-    gps = GAUSS * signs
-    b = np.zeros((4, 3, 8))
-    for g, (xi, eta) in enumerate(gps):
-        for a, (xa, ya) in enumerate(signs):
-            dx = xa * (1 + ya * eta) / 4.0 * (2.0 / hx)
-            dy = ya * (1 + xa * xi) / 4.0 * (2.0 / hy)
-            b[g, 0, 2 * a + 0] = dx
-            b[g, 1, 2 * a + 1] = dy
-            b[g, 2, 2 * a + 0] = dy / SQRT2
-            b[g, 2, 2 * a + 1] = dx / SQRT2
-    return b
+def _two_point(n: int, lo, hi) -> np.ndarray:
+    """(n, n+1): row c holds ``lo`` at node c and ``hi`` at node c + 1."""
+    m = np.zeros((n, n + 1))
+    c = np.arange(n)
+    m[c, c], m[c, c + 1] = lo, hi
+    return m
 
 
-def _second_difference_columns(mx: int, clamped_lo: bool, clamped_hi: bool):
-    """For each node column c, the (nodes, coeffs) of the 1D second difference
-    at c, or None where unavailable (free boundary column)."""
-    cols: list[tuple[list[int], list[float]] | None] = [None] * (mx + 1)
-    for c in range(1, mx):
-        cols[c] = ([c - 1, c, c + 1], [1.0, -2.0, 1.0])
-    if clamped_lo:
-        cols[0] = ([1], [2.0])          # ghost v(-1)=v(1), v(0)=0
-    if clamped_hi:
-        cols[mx] = ([mx - 1], [2.0])
-    return cols
+def _second_difference(n: int, clamped_lo: bool, clamped_hi: bool) -> np.ndarray:
+    """(n, n+1), unscaled: per cell, the mean of the 3-point nodal second
+    differences at those of its two end nodes that have one. A clamped end
+    node has v = 0 and the ghost value v(-1) = v(1), so its difference is
+    2 v(1); a free end node has none."""
+    d2 = np.zeros((n + 1, n + 1))
+    c = np.arange(1, n)
+    d2[c, c - 1], d2[c, c], d2[c, c + 1] = 1.0, -2.0, 1.0
+    d2[0, 1] = 2.0 if clamped_lo else 0.0
+    d2[n, n - 1] = 2.0 if clamped_hi else 0.0
+    have = np.ones(n + 1)
+    have[0], have[n] = clamped_lo, clamped_hi
+    pick = _two_point(n, have[:-1], have[1:])
+    count = pick.sum(axis=1, keepdims=True)
+    if np.any(count == 0.0):
+        raise ValueError("no curvature stencil available on some cell")
+    return (pick / count) @ d2
 
 
-class _CurvatureStencils:
-    """Per-cell sparse rows of the Hessian operator at cell centers."""
+def _slot(r: int, c: int, ncomp: int, scale: float = 1.0) -> np.ndarray:
+    """(6, ncomp): places component c of a node field in strain row r."""
+    m = np.zeros((6, ncomp))
+    m[r, c] = scale
+    return m
+
+
+class _StrainOperators:
+    """Membrane/curvature strain operators of one grid and clamped set.
+
+    Rows are 6 c + r for cell c = ci + mx cj. Dofs are w1, w2 of node
+    n = i + (mx+1) j at 2n, 2n+1 and v at 2 nn + n, so kron(ay, ax) applies
+    ay along j and ax along i. Membrane rows are the strains of the bilinear
+    w, curvature rows M2 = -hess v: averaged second differences in x and y
+    and the bilinear cross derivative.
+
+    ``center`` holds the cell-center strains on all dofs. The strain at the
+    Gauss point (xi, eta) = (+-g, +-g), g = 1/sqrt(3), is center + xi B_xi +
+    eta B_eta, so the cross terms cancel in the 2x2 Gauss sum:
+    sum_g B_g^T D B_g = 4 (B_c^T D B_c + g^2 B_xi^T D B_xi + g^2 B_eta^T D B_eta).
+    ``gauss`` stacks B_c, g B_xi and g B_eta on the free dofs.
+    """
 
     def __init__(self, mx: int, my: int, clamped: tuple[str, ...]):
-        hx, hy = 1.0 / mx, 1.0 / my
-        d2x = _second_difference_columns(mx, "left" in clamped, "right" in clamped)
-        d2y = _second_difference_columns(my, "bottom" in clamped, "top" in clamped)
-        self.rows = {}  # (ci, cj) -> (node_list [(i, j)], coeff array (3, n))
-        for ci in range(mx):
-            for cj in range(my):
-                entries: dict[tuple[int, int], np.ndarray] = {}
+        node_free = np.ones((my + 1, mx + 1), dtype=bool)   # [j, i]
+        node_free[:, 0] &= "left" not in clamped
+        node_free[:, mx] &= "right" not in clamped
+        node_free[0, :] &= "bottom" not in clamped
+        node_free[my, :] &= "top" not in clamped
+        self.flat_free = node_free.ravel()
+        self.dof_free = np.concatenate([np.repeat(self.flat_free, 2),
+                                        self.flat_free])
 
-                def add(i, j, row, val):
-                    key = (i, j)
-                    if key not in entries:
-                        entries[key] = np.zeros(3)
-                    entries[key][row] += val
+        dx, dy = _two_point(mx, -mx, mx), _two_point(my, -my, my)
+        avg_x, avg_y = _two_point(mx, 0.5, 0.5), _two_point(my, 0.5, 0.5)
+        # d/dxi of the interpolant at local coordinate xi in [-1, 1]
+        tilt_x, tilt_y = _two_point(mx, -0.5, 0.5), _two_point(my, -0.5, 0.5)
+        d2x = _second_difference(mx, "left" in clamped, "right" in clamped)
+        d2y = _second_difference(my, "bottom" in clamped, "top" in clamped)
 
-                avail_x = [c for c in (ci, ci + 1) if d2x[c] is not None]
-                if not avail_x:
-                    raise ValueError(
-                        "no x-curvature stencil available; grid too coarse "
-                        "or both x-edges free at mx < 2"
-                    )
-                for c in avail_x:
-                    nodes, coeffs = d2x[c]
-                    for n, cf in zip(nodes, coeffs):
-                        for j in (cj, cj + 1):
-                            add(n, j, 0, cf / (hx * hx) / (2 * len(avail_x)))
-                avail_y = [r for r in (cj, cj + 1) if d2y[r] is not None]
-                if not avail_y:
-                    raise ValueError("no y-curvature stencil available")
-                for r in avail_y:
-                    nodes, coeffs = d2y[r]
-                    for n, cf in zip(nodes, coeffs):
-                        for i in (ci, ci + 1):
-                            add(i, n, 1, cf / (hy * hy) / (2 * len(avail_y)))
-                # bilinear cross derivative, exact at the cell center
-                cross = 1.0 / (hx * hy)
-                add(ci, cj, 2, cross)
-                add(ci + 1, cj + 1, 2, cross)
-                add(ci + 1, cj, 2, -cross)
-                add(ci, cj + 1, 2, -cross)
-                nodes = sorted(entries)
-                coeff = np.stack([entries[n] for n in nodes], axis=1)
-                coeff.flags.writeable = False     # shared through the cache
-                self.rows[(ci, cj)] = (nodes, coeff)
+        def strains(gx, gy, vxx, vyy, vxy):
+            """Strain rows from the x and y derivatives of w and the second
+            derivatives of v, each an (ncell, nn) operator."""
+            membrane = sum(sp.kron(op, _slot(r, c, 2, scale), format="csr")
+                           for op, r, c, scale in (
+                               (gx, 0, 0, 1.0), (gy, 1, 1, 1.0),
+                               (gy, 2, 0, 1 / SQRT2), (gx, 2, 1, 1 / SQRT2)))
+            bending = sum(sp.kron(op, _slot(r, 0, 1, -1.0), format="csr")
+                          for r, op in ((3, vxx), (4, vyy), (5, vxy)))
+            return sp.hstack([membrane, bending], format="csr")
+
+        zero = sp.csr_matrix((mx * my, (mx + 1) * (my + 1)))
+        self.center = strains(sp.kron(avg_y, dx), sp.kron(dy, avg_x),
+                              sp.kron(avg_y, d2x) * (mx * mx),
+                              sp.kron(d2y, avg_x) * (my * my),
+                              sp.kron(dy, dx))
+        b_xi = strains(zero, sp.kron(dy, tilt_x), zero, zero, zero)
+        b_eta = strains(sp.kron(tilt_y, dx), zero, zero, zero, zero)
+        self.gauss = sp.vstack([self.center, GAUSS * b_xi, GAUSS * b_eta],
+                               format="csr")[:, self.dof_free]
 
 
 @functools.lru_cache(maxsize=1)
 def _curvature_stencils(mx: int, my: int,
-                        clamped: tuple[str, ...]) -> _CurvatureStencils:
-    """The stencils of the last grid and clamped set, so that repeated
-    assemblies and strain evaluations on one grid (a perturbation report
-    makes six) build them once. One set only: at 64x64 it takes 6 MB, and
-    it grows with mx * my."""
-    return _CurvatureStencils(mx, my, clamped)
+                        clamped: tuple[str, ...]) -> _StrainOperators:
+    """The strain operators of the last grid and clamped set, so that
+    repeated assemblies and strain evaluations on one grid (a perturbation
+    report makes six) build them once. One set only: it grows with
+    mx * my."""
+    return _StrainOperators(mx, my, clamped)
 
 
 def assemble_plate(problem: PlateProblem):
-    """Returns (K, load, free mask, dof layout) with energy = 0.5 u.K u - l.u."""
+    """Returns (K, load, free dof mask, free node mask) with energy
+    0.5 u.K u - l.u on the free dofs.
+
+    K = sum_g 2 w_g B_g^T blockdiag(A_c) B_g over the 2x2 Gauss points,
+    summed in closed form (see ``_StrainOperators``)."""
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
-    nn = (mx + 1) * (my + 1)
-    nw = 2 * nn
-    ndof = nw + nn
-
-    def nid(i, j):
-        return i + (mx + 1) * j
-
-    bm = _membrane_b(hx, hy)
-    wgp = hx * hy / 4.0
-    stencils = _curvature_stencils(mx, my, tuple(problem.clamped))
-
-    rows, cols, vals = [], [], []
-    for ci in range(mx):
-        for cj in range(my):
-            a = problem.forms[ci, cj]
-            wnodes = [nid(ci, cj), nid(ci + 1, cj), nid(ci, cj + 1),
-                      nid(ci + 1, cj + 1)]
-            wdofs = np.array([2 * n + c for n in wnodes for c in (0, 1)])
-            vnodes, ccoef = stencils.rows[(ci, cj)]
-            vdofs = np.array([nw + nid(i, j) for i, j in vnodes])
-            dofs = np.concatenate([wdofs, vdofs])
-            nloc = dofs.size
-            ke = np.zeros((nloc, nloc))
-            for g in range(4):
-                z = np.zeros((6, nloc))
-                z[:3, :8] = bm[g]
-                z[3:, 8:] = -ccoef          # curvature M2 = -hessian
-                ke += 2.0 * wgp * (z.T @ a @ z)
-            rows.append(np.broadcast_to(dofs[:, None], (nloc, nloc)).ravel())
-            cols.append(np.broadcast_to(dofs[None, :], (nloc, nloc)).ravel())
-            vals.append(ke.ravel())
-    k_full = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    k_full.sum_duplicates()
+    ops = _curvature_stencils(mx, my, tuple(problem.clamped))
+    ncell = mx * my
+    # cell order c = ci + mx cj; 4 Gauss points of weight 2 w_g = hx hy / 2
+    forms = problem.forms.swapaxes(0, 1).reshape(ncell, 6, 6)
+    blocks = np.tile(forms * (2.0 * hx * hy), (3, 1, 1))
+    d = sp.bsr_matrix((blocks, np.arange(3 * ncell), np.arange(3 * ncell + 1)),
+                      shape=(18 * ncell, 18 * ncell)).tocsr()
+    # csr @ csr throughout: scipy's bsr and csc products are slower here
+    k = ops.gauss.T.tocsr() @ (d @ ops.gauss)
 
     # lumped nodal load weights (quarter of each adjacent cell)
     area = np.zeros((mx + 1, my + 1))
@@ -211,83 +210,88 @@ def assemble_plate(problem: PlateProblem):
     area[1:, :-1] += hx * hy / 4.0
     area[:-1, 1:] += hx * hy / 4.0
     area[1:, 1:] += hx * hy / 4.0
-    ell = np.zeros(ndof)
-    for i in range(mx + 1):
-        for j in range(my + 1):
-            n = nid(i, j)
-            ell[2 * n] = problem.forces[i, j, 0] * area[i, j]
-            ell[2 * n + 1] = problem.forces[i, j, 1] * area[i, j]
-            ell[nw + n] = problem.forces[i, j, 2] * area[i, j]
+    load = (problem.forces * area[..., None]).swapaxes(0, 1).reshape(-1, 3)
+    ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])
+    return k, ell[ops.dof_free], ops.dof_free, ops.flat_free
 
-    node_free = np.ones((mx + 1, my + 1), dtype=bool)
-    if "left" in problem.clamped:
-        node_free[0, :] = False
-    if "right" in problem.clamped:
-        node_free[mx, :] = False
-    if "bottom" in problem.clamped:
-        node_free[:, 0] = False
-    if "top" in problem.clamped:
-        node_free[:, my] = False
-    flat_free = np.zeros(nn, dtype=bool)
-    for i in range(mx + 1):
-        for j in range(my + 1):
-            flat_free[nid(i, j)] = node_free[i, j]
-    dof_free = np.concatenate([np.repeat(flat_free, 2), flat_free])
 
-    k = k_full[dof_free][:, dof_free].tocsr()
-    return k, ell[dof_free], dof_free, flat_free
+class LUPreconditioner:
+    """Exact sparse LU factorization of a plate operator, applied as the CG
+    preconditioner: K is symmetric positive definite, so the factorization
+    is stable with the diagonal as pivots and a symmetric (MMD on A^T + A)
+    ordering. A singular K raises ``SolverError``."""
+
+    name = "sparse-lu"
+    ordering = "MMD_AT_PLUS_A"
+
+    def __init__(self, k: sp.csr_matrix):
+        # imported here: it adds about 0.1 s and 10 MB to every program start
+        from scipy.sparse.linalg import splu
+
+        try:
+            self.lu = splu(k.tocsc(), permc_spec=self.ordering,
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:       # "Factor is exactly singular"
+            raise SolverError(f"plate operator is singular: {exc}") from exc
+
+    def describe(self) -> dict:
+        """Name, fill-reducing ordering and the nonzeros of L + U."""
+        return {"name": self.name, "ordering": self.ordering,
+                "factor_nnz": int(self.lu.nnz)}
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r)
 
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
                    max_iter: int | None = None) -> PlateSolution:
-    """Discrete minimizer of the limit plate functional via diagonal PCG."""
-    k, ell, dof_free, flat_free = assemble_plate(problem)
-    if max_iter is None:
-        max_iter = max(2000, 100 * k.shape[0])
-    u, info = pcg(k, ell, precond="jacobi", tol=tol, max_iter=max_iter)
+    """Discrete minimizer of the limit plate functional: CG preconditioned
+    by the sparse LU factors of K.
+
+    Raises ``SolverError`` when K is singular: when the factorization
+    breaks down, or when the relative energy error estimate
+    |r.LU^-1 r| / |l.u| of the result, r = l - K u, exceeds ``tol`` (the CG
+    recursion cannot see a zero-energy mode that the factors amplify).
+    """
+    k, ell, dof_free, _ = assemble_plate(problem)
+    precond = LUPreconditioner(k)
+    u, info = pcg(k, ell, precond=precond, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverError(
             f"plate solve stalled at residual {info.residual:.3e} "
             f"after {info.iterations} iterations"
         )
+    load_value = float(ell @ u)
+    ku = k @ u
+    r = ell - ku
+    energy_error = float(abs(r @ precond(r))
+                         / max(abs(load_value), np.finfo(float).tiny))
+    if not energy_error <= tol:
+        raise SolverError(
+            f"plate operator is singular: relative energy error estimate "
+            f"{energy_error:.3e} exceeds {tol:.1e} after {info.iterations} "
+            "iterations"
+        )
     mx, my = problem.mx, problem.my
+    full = np.zeros(dof_free.size)
+    full[dof_free] = u
     nn = (mx + 1) * (my + 1)
-    full = np.zeros(2 * nn + nn)
-    full[np.flatnonzero(np.concatenate([np.repeat(flat_free, 2), flat_free]))] = u
-    wflat = full[:2 * nn].reshape(nn, 2)
-    vflat = full[2 * nn:]
-    w = np.zeros((mx + 1, my + 1, 2))
-    v = np.zeros((mx + 1, my + 1))
-    for j in range(my + 1):
-        for i in range(mx + 1):
-            n = i + (mx + 1) * j
-            w[i, j] = wflat[n]
-            v[i, j] = vflat[n]
-    energy = float(0.5 * u @ (k @ u) - ell @ u)
-    return PlateSolution(w=w, v=v, energy=energy, load_value=float(ell @ u),
-                         iterations=info.iterations, residual=info.residual)
+    w = full[:2 * nn].reshape(my + 1, mx + 1, 2).swapaxes(0, 1)
+    v = full[2 * nn:].reshape(my + 1, mx + 1).T
+    energy = float(0.5 * u @ ku - load_value)
+    return PlateSolution(w=w, v=v, energy=energy, load_value=load_value,
+                         iterations=info.iterations, residual=info.residual,
+                         energy_error=energy_error,
+                         preconditioner=precond.describe())
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:
     """(mx, my, 6) membrane/curvature pair at cell centers of a solution."""
     mx, my = problem.mx, problem.my
-    hx, hy = 1.0 / mx, 1.0 / my
-    stencils = _curvature_stencils(mx, my, tuple(problem.clamped))
-    out = np.zeros((mx, my, 6))
-    w, v = sol.w, sol.v
-    for ci in range(mx):
-        for cj in range(my):
-            du = w[ci + 1, cj] + w[ci + 1, cj + 1] - w[ci, cj] - w[ci, cj + 1]
-            dv = w[ci, cj + 1] + w[ci + 1, cj + 1] - w[ci, cj] - w[ci + 1, cj]
-            gx = du / (2 * hx)
-            gy = dv / (2 * hy)
-            out[ci, cj, 0] = gx[0]
-            out[ci, cj, 1] = gy[1]
-            out[ci, cj, 2] = (gx[1] + gy[0]) / SQRT2
-            vnodes, ccoef = stencils.rows[(ci, cj)]
-            vv = np.array([v[i, j] for i, j in vnodes])
-            out[ci, cj, 3:] = -(ccoef @ vv)
-    return out
+    ops = _curvature_stencils(mx, my, tuple(problem.clamped))
+    full = np.concatenate([sol.w.swapaxes(0, 1).ravel(), sol.v.T.ravel()])
+    return (ops.center @ full).reshape(my, mx, 6).swapaxes(0, 1)
 
 
 @dataclass

@@ -92,6 +92,44 @@ def test_plate_solve_command(tmp_path):
     assert energy["energy"] < 0
 
 
+def _plate_problem(tmp_path, m, clamped):
+    from platehom.algebra import isotropic_hooke, plane_stress_form
+
+    q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
+    doc = {"mx": m, "my": m, "form": q0.a.ravel().tolist(),
+           "forces": [0.0, 0.0, 1.0], "clamped": clamped}
+    prob = tmp_path / f"problem{m}.json"
+    prob.write_text(json.dumps(doc))
+    return str(prob)
+
+
+def test_plate_solve_manifest_and_repeatable_artifacts(tmp_path):
+    prob = _plate_problem(tmp_path, 8, ["left"])
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["plate-solve", "--problem", prob, "--out", str(out)]) == 0
+    for name in ("energy.json", "solution.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    energy = json.loads((outs[0] / "energy.json").read_text())
+    assert sorted(energy) == ["basis", "energy", "iterations", "load_value",
+                              "residual"]
+    (rec,) = json.loads((outs[0] / "manifest.json").read_text())["solver"]
+    assert rec["preconditioner"]["name"] == "sparse-lu"
+    assert rec["preconditioner"]["ordering"] == "MMD_AT_PLUS_A"
+    assert rec["preconditioner"]["factor_nnz"] > 0
+    assert rec["iterations"] == energy["iterations"] <= 3
+    assert rec["residual"] == energy["residual"] <= 1e-12
+    assert 0.0 <= rec["energy_error"] <= 1e-12
+
+
+def test_plate_solve_singular_strip_exit_code(tmp_path):
+    # an even cell count between two clamped edges has a zero-energy mode
+    out = tmp_path / "strip"
+    for m, code in ((8, 2), (9, 0)):
+        prob = _plate_problem(tmp_path, m, ["left", "right"])
+        assert run(["plate-solve", "--problem", prob, "--out", str(out)]) == code
+
+
 def test_theorem1_command(tmp_path, phases_file):
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "laminate", "--axis", "x3",

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from platehom.algebra import isotropic_hooke, plane_stress_form
-from platehom.plate2d import (PlateProblem, cell_strains, dump_solution_csv,
-                              load_problem, minimize_plate,
-                              perturbation_stability)
+from platehom.algebra import SQRT2, isotropic_hooke, plane_stress_form
+from platehom.fem3d import SolverError
+from platehom.plate2d import (PlateProblem, PlateSolution, assemble_plate,
+                              cell_strains, dump_solution_csv, load_problem,
+                              minimize_plate, perturbation_stability)
 
 Q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
 
@@ -159,3 +161,185 @@ def test_problem_file_per_cell_forms_and_nodal_forces(tmp_path):
     stiff = PlateProblem(mx=4, my=4, forms=a_stiff, forces=forces,
                          clamped=("left",))
     assert abs(sol.energy) > abs(minimize_plate(stiff).energy)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-cell element loop the Kronecker assembly replaced
+# ---------------------------------------------------------------------------
+
+def _loop_membrane_b(hx, hy):
+    """(4 gp, 3, 8) Mandel-2 strain matrices of the bilinear quad."""
+    signs = 2.0 * np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float) - 1.0
+    b = np.zeros((4, 3, 8))
+    for g, (xi, eta) in enumerate(signs / np.sqrt(3.0)):
+        for a, (xa, ya) in enumerate(signs):
+            dx = xa * (1 + ya * eta) / 4.0 * (2.0 / hx)
+            dy = ya * (1 + xa * xi) / 4.0 * (2.0 / hy)
+            b[g, 0, 2 * a + 0] = dx
+            b[g, 1, 2 * a + 1] = dy
+            b[g, 2, 2 * a + 0] = dy / SQRT2
+            b[g, 2, 2 * a + 1] = dx / SQRT2
+    return b
+
+
+def _loop_second_differences(m, clamped_lo, clamped_hi):
+    cols = [None] * (m + 1)
+    for c in range(1, m):
+        cols[c] = ([c - 1, c, c + 1], [1.0, -2.0, 1.0])
+    if clamped_lo:
+        cols[0] = ([1], [2.0])
+    if clamped_hi:
+        cols[m] = ([m - 1], [2.0])
+    return cols
+
+
+def _loop_curvature_rows(mx, my, clamped):
+    """(ci, cj) -> (nodes, (3, n) coefficients of the cell-center Hessian)."""
+    hx, hy = 1.0 / mx, 1.0 / my
+    d2x = _loop_second_differences(mx, "left" in clamped, "right" in clamped)
+    d2y = _loop_second_differences(my, "bottom" in clamped, "top" in clamped)
+    out = {}
+    for ci in range(mx):
+        for cj in range(my):
+            entries = {}
+
+            def add(i, j, row, val):
+                entries.setdefault((i, j), np.zeros(3))[row] += val
+
+            avail_x = [c for c in (ci, ci + 1) if d2x[c] is not None]
+            for c in avail_x:
+                for n, cf in zip(*d2x[c]):
+                    for j in (cj, cj + 1):
+                        add(n, j, 0, cf / (hx * hx) / (2 * len(avail_x)))
+            avail_y = [r for r in (cj, cj + 1) if d2y[r] is not None]
+            for r in avail_y:
+                for n, cf in zip(*d2y[r]):
+                    for i in (ci, ci + 1):
+                        add(i, n, 1, cf / (hy * hy) / (2 * len(avail_y)))
+            cross = 1.0 / (hx * hy)
+            add(ci, cj, 2, cross)
+            add(ci + 1, cj + 1, 2, cross)
+            add(ci + 1, cj, 2, -cross)
+            add(ci, cj + 1, 2, -cross)
+            nodes = sorted(entries)
+            out[(ci, cj)] = (nodes, np.stack([entries[n] for n in nodes], 1))
+    return out
+
+
+def _loop_assemble(problem):
+    """(K, load, free dof mask) of the element loop."""
+    mx, my = problem.mx, problem.my
+    hx, hy = 1.0 / mx, 1.0 / my
+    nn = (mx + 1) * (my + 1)
+
+    def nid(i, j):
+        return i + (mx + 1) * j
+
+    bm = _loop_membrane_b(hx, hy)
+    curv = _loop_curvature_rows(mx, my, problem.clamped)
+    rows, cols, vals = [], [], []
+    for ci in range(mx):
+        for cj in range(my):
+            a = problem.forms[ci, cj]
+            wnodes = [nid(ci, cj), nid(ci + 1, cj), nid(ci, cj + 1),
+                      nid(ci + 1, cj + 1)]
+            wdofs = [2 * n + c for n in wnodes for c in (0, 1)]
+            vnodes, ccoef = curv[(ci, cj)]
+            dofs = np.array(wdofs + [2 * nn + nid(i, j) for i, j in vnodes])
+            ke = np.zeros((dofs.size, dofs.size))
+            for g in range(4):
+                z = np.zeros((6, dofs.size))
+                z[:3, :8] = bm[g]
+                z[3:, 8:] = -ccoef
+                ke += 2.0 * (hx * hy / 4.0) * (z.T @ a @ z)
+            rows.append(np.repeat(dofs, dofs.size))
+            cols.append(np.tile(dofs, dofs.size))
+            vals.append(ke.ravel())
+    k = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(3 * nn, 3 * nn))
+    area = np.zeros((mx + 1, my + 1))
+    for di in (0, 1):
+        for dj in (0, 1):
+            area[di:mx + di, dj:my + dj] += hx * hy / 4.0
+    ell = np.zeros(3 * nn)
+    free = np.ones(nn, dtype=bool)
+    edges = {"left": lambda i, j: i == 0, "right": lambda i, j: i == mx,
+             "bottom": lambda i, j: j == 0, "top": lambda i, j: j == my}
+    for i in range(mx + 1):
+        for j in range(my + 1):
+            n = nid(i, j)
+            ell[[2 * n, 2 * n + 1, 2 * nn + n]] = problem.forces[i, j] * area[i, j]
+            free[n] = not any(edges[e](i, j) for e in problem.clamped)
+    dof_free = np.concatenate([np.repeat(free, 2), free])
+    return k[dof_free][:, dof_free], ell[dof_free], dof_free
+
+
+def _loop_cell_strains(problem, w, v):
+    mx, my = problem.mx, problem.my
+    hx, hy = 1.0 / mx, 1.0 / my
+    curv = _loop_curvature_rows(mx, my, problem.clamped)
+    out = np.zeros((mx, my, 6))
+    for ci in range(mx):
+        for cj in range(my):
+            du = w[ci + 1, cj] + w[ci + 1, cj + 1] - w[ci, cj] - w[ci, cj + 1]
+            dv = w[ci, cj + 1] + w[ci + 1, cj + 1] - w[ci, cj] - w[ci + 1, cj]
+            gx, gy = du / (2 * hx), dv / (2 * hy)
+            out[ci, cj, :3] = gx[0], gy[1], (gx[1] + gy[0]) / SQRT2
+            vnodes, ccoef = curv[(ci, cj)]
+            out[ci, cj, 3:] = -(ccoef @ np.array([v[i, j] for i, j in vnodes]))
+    return out
+
+
+@pytest.mark.parametrize("mx,my", [(5, 4), (4, 6)])
+@pytest.mark.parametrize("clamped", [("left",), ("left", "right"),
+                                     ("bottom", "top"),
+                                     ("left", "right", "bottom", "top")])
+def test_kronecker_assembly_matches_element_loop(mx, my, clamped):
+    rng = np.random.default_rng(mx * 10 + my + len(clamped))
+    g = rng.standard_normal((mx, my, 6, 6))
+    forms = g @ g.swapaxes(-1, -2) + 0.5 * np.eye(6)
+    forces = rng.standard_normal((mx + 1, my + 1, 3))
+    prob = PlateProblem(mx=mx, my=my, forms=forms, forces=forces,
+                        clamped=clamped)
+    k, ell, dof_free, _ = assemble_plate(prob)
+    k_ref, ell_ref, free_ref = _loop_assemble(prob)
+    assert np.array_equal(dof_free, free_ref)
+    scale = abs(k_ref).max()
+    assert abs(k - k_ref).max() <= 1e-14 * scale
+    assert_allclose(ell, ell_ref, rtol=1e-14, atol=1e-14 * abs(ell_ref).max())
+    w = rng.standard_normal((mx + 1, my + 1, 2))
+    v = rng.standard_normal((mx + 1, my + 1))
+    sol = PlateSolution(w=w, v=v, energy=0.0, load_value=0.0, iterations=0,
+                        residual=0.0, energy_error=0.0, preconditioner={})
+    want = _loop_cell_strains(prob, w, v)
+    assert_allclose(cell_strains(prob, sol), want, rtol=0,
+                    atol=1e-13 * abs(want).max())
+
+
+def strip(m):
+    return PlateProblem(mx=m, my=m, forms=Q0.a,
+                        forces=np.array([0.0, 0.0, 1.0]),
+                        clamped=("left", "right"))
+
+
+def test_singular_even_strip_raises_solver_error():
+    # an even cell count between two clamped edges leaves the zero-energy
+    # deflection v = 0, 1, 0, 1, ... across node columns
+    with pytest.raises(SolverError):
+        minimize_plate(strip(8))
+
+
+def test_odd_strip_solves_with_lu_preconditioner():
+    sol = minimize_plate(strip(9))
+    assert sol.energy < 0.0
+    assert sol.iterations <= 3
+    assert sol.energy_error <= 1e-12
+    assert sol.preconditioner["name"] == "sparse-lu"
+    assert sol.preconditioner["factor_nnz"] > 0
+
+
+def test_lu_preconditioned_cantilever_converges_in_few_iterations():
+    sol = minimize_plate(cantilever(mx=16, my=16))
+    assert sol.iterations <= 3
+    assert sol.energy_error <= 1e-12
