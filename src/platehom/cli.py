@@ -50,10 +50,10 @@ def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
     """Write manifest.json; ``solver`` holds one record per solve: per
     homogenized form (preconditioner, reference tensor, iterations and
     residuals per corrector), per thickness of ``theorem1`` (h,
-    preconditioner with its coarse dof count, iterations and residual) or
-    for the one ``plate-solve`` (preconditioner with its factor size,
-    iterations, residual and energy error estimate). It is left out for
-    commands that solve nothing."""
+    preconditioner with its coarse dof count, coarse solver and bandwidth,
+    iterations and residual) or for the one ``plate-solve`` (preconditioner
+    with its factor size, iterations, residual and energy error estimate).
+    It is left out for commands that solve nothing."""
     import scipy
 
     params = {k: v for k, v in params.items()

@@ -380,15 +380,14 @@ def _jacobi(k: sp.csr_matrix):
 
 
 def _block_jacobi(k: sp.csr_matrix):
-    n = k.shape[0]
-    if n % 3:
-        return _jacobi(k)
-    nb = n // 3
-    coo = k.tocoo()
-    same = (coo.row // 3) == (coo.col // 3)
-    blocks = np.zeros((nb, 3, 3))
-    np.add.at(blocks, (coo.row[same] // 3, coo.row[same] % 3, coo.col[same] % 3),
-              coo.data[same])
+    nb = k.shape[0] // 3
+    # K[3b + i, 3b + i + d] is entry 3b + min(i, i + d) of K's diagonal at
+    # offset d
+    blocks = np.empty((nb, 3, 3))
+    for d in range(-2, 3):
+        diag = k.diagonal(d)
+        for i in range(max(0, -d), min(3, 3 - d)):
+            blocks[:, i, i + d] = diag[min(i, i + d)::3]
     # guard empty blocks (fully eliminated nodes never appear here)
     sing = np.abs(np.linalg.det(blocks)) < 1e-300
     blocks[sing] = np.eye(3)
@@ -412,6 +411,13 @@ class PlatePreconditioner:
     ``convergence.GrisoParts.elementary``. These fields are the near-kernel
     that makes the scaled operator ill-conditioned as h -> 0; the coarse
     operator Kc = P^T K P is factored once.
+
+    ``p`` numbers the coarse columns in flat order, x fastest. Kc couples
+    neighbouring columns only, so with the faster index running along the
+    side with fewer free columns it is a band matrix of about
+    5 (min(nx, ny) + 2) sub-diagonals; its banded Cholesky factor is stored
+    in that order, and a Kc that is not positive definite (an indefinite
+    phase) raises ``SolverError``.
     """
 
     name = "two-level"
@@ -420,7 +426,8 @@ class PlatePreconditioner:
         if op.mode != "plate":
             raise ValueError("the two-level preconditioner needs a plate operator")
         nx, ny, nz = op.grid.shape
-        ncol = int(op.node_free[:(nx + 1) * (ny + 1)].sum())   # bottom layer
+        free = op.node_free[:(nx + 1) * (ny + 1)].reshape(ny + 1, nx + 1)
+        ncol = int(free.sum())                                   # bottom layer
         # free nodes are numbered in flat order and every layer has the same
         # free columns, so layer k's node of coarse column c is k * ncol + c
         node = np.arange(nz + 1)[:, None] * ncol + np.arange(ncol)[None, :]
@@ -431,29 +438,58 @@ class PlatePreconditioner:
         vals = np.concatenate([np.ones((3,) + node.shape), [-z, z]], axis=None)
         self.p = sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, 5 * ncol))
         self.p.eliminate_zeros()
-        # imported here: it adds about 0.1 s and 10 MB to every program start
-        from scipy.sparse.linalg import splu
+        self.pt = self.p.T.tocsr()
+        # the free columns fill a rectangle; band order runs y fastest when
+        # a y-line holds fewer of them than an x-line
+        lines = np.arange(ncol).reshape(free.any(axis=1).sum(), -1)
+        if lines.shape[0] < lines.shape[1]:
+            lines = lines.T
+        self.order = (5 * lines.ravel()[:, None] + np.arange(5)).ravel()
+        # imported here: it adds about 0.06 s to every program start
+        from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-        kc = (self.p.T @ (op.k @ self.p)).tocsc()
-        self.coarse = splu(kc, permc_spec="MMD_AT_PLUS_A")
+        pt = self.pt[self.order]
+        kc = sp.tril(pt @ (op.k @ pt.T), format="coo")      # in band order
+        self.bandwidth = int((kc.row - kc.col).max())
+        # Fortran order, so that LAPACK factors it in place
+        band = np.zeros((self.bandwidth + 1, kc.shape[0]), order="F")
+        band[kc.row - kc.col, kc.col] = kc.data
+        del kc
+        try:
+            self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                        check_finite=False)
+        except LinAlgError as exc:
+            raise SolverError(
+                f"coarse plate operator is not positive definite: {exc}"
+            ) from exc
+        self._cho_solve = cho_solve_banded
         self.smoother = _block_jacobi(op.k)
 
     def describe(self) -> dict:
-        """Name, smoother and coarse dof count."""
+        """Name, smoother, coarse dof count, coarse solver and its bandwidth."""
         return {"name": self.name, "smoother": "block-jacobi",
-                "coarse_dofs": self.p.shape[1]}
+                "coarse_dofs": self.p.shape[1],
+                "coarse_solver": "banded-cholesky",
+                "bandwidth": self.bandwidth}
+
+    def coarse_solve(self, y: np.ndarray) -> np.ndarray:
+        """Kc^-1 y, with y and the result in the column order of ``p``."""
+        x = np.empty_like(y)
+        x[self.order] = self._cho_solve((self.band, True), y[self.order],
+                                        overwrite_b=True, check_finite=False)
+        return x
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.smoother(r) + self.p @ self.coarse.solve(self.p.T @ r)
+        return self.smoother(r) + self.p @ self.coarse_solve(self.pt @ r)
 
 
-def pcg(k: sp.csr_matrix, b: np.ndarray, precond="jacobi",
-        tol: float = 1e-10, max_iter: int | None = None,
+def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
+        max_iter: int | None = None,
         project=None) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
-    ``precond`` is "jacobi", "block" (3x3 block-Jacobi) or a callable
-    applying the preconditioner to an (n, m) block. A 2-D ``b`` is solved
+    ``precond`` is a callable applying the preconditioner to an (n, m)
+    block (a preconditioner object, or ``_jacobi(k)``). A 2-D ``b`` is solved
     column by column with column-wise step lengths, one sparse product per
     iteration for all unconverged columns; a column stops once its relative
     residual reaches ``tol`` or after ``max_iter`` iterations. If ``project``
@@ -465,15 +501,9 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond="jacobi",
     n = k.shape[0]
     if max_iter is None:
         max_iter = max(200, int(50 * np.sqrt(n)))
-    if callable(precond):
-        apply_m = precond
-    elif precond == "block":
-        apply_m = _block_jacobi(k)
-    else:
-        apply_m = _jacobi(k)
 
     def precondition(res_block):
-        z = apply_m(res_block)
+        z = precond(res_block)
         return z if project is None else project(z)
 
     if project is not None:

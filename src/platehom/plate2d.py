@@ -127,8 +127,9 @@ class _StrainOperators:
     Rows are 6 c + r for cell c = ci + mx cj. Dofs are w1, w2 of node
     n = i + (mx+1) j at 2n, 2n+1 and v at 2 nn + n, so kron(ay, ax) applies
     ay along j and ax along i. Membrane rows are the strains of the bilinear
-    w, curvature rows M2 = -hess v: averaged second differences in x and y
-    and the bilinear cross derivative.
+    w, curvature rows the Mandel coordinates (-v_xx, -v_yy, -sqrt2 v_xy) of
+    M2 = -hess v (``algebra.mandel_pair``): averaged second differences in x
+    and y and the bilinear cross derivative.
 
     ``center`` holds the cell-center strains on all dofs. The strain at the
     Gauss point (xi, eta) = (+-g, +-g), g = 1/sqrt(3), is center + xi B_xi +
@@ -161,8 +162,9 @@ class _StrainOperators:
                            for op, r, c, scale in (
                                (gx, 0, 0, 1.0), (gy, 1, 1, 1.0),
                                (gy, 2, 0, 1 / SQRT2), (gx, 2, 1, 1 / SQRT2)))
-            bending = sum(sp.kron(op, _slot(r, 0, 1, -1.0), format="csr")
-                          for r, op in ((3, vxx), (4, vyy), (5, vxy)))
+            bending = sum(sp.kron(op, _slot(r, 0, 1, scale), format="csr")
+                          for r, op, scale in ((3, vxx, -1.0), (4, vyy, -1.0),
+                                               (5, vxy, -SQRT2)))
             return sp.hstack([membrane, bending], format="csr")
 
         zero = sp.csr_matrix((mx * my, (mx + 1) * (my + 1)))

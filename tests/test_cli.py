@@ -148,9 +148,13 @@ def test_theorem1_command(tmp_path, phases_file):
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert [r["h"] for r in solver] == [0.25, 0.125]
     for r in solver:
+        # 8 free columns along x (the left edge is clamped), 9 along y:
+        # x runs fastest and neighbours are 9 columns apart
         assert r["preconditioner"] == {"name": "two-level",
                                        "smoother": "block-jacobi",
-                                       "coarse_dofs": 5 * 8 * 9}
+                                       "coarse_dofs": 5 * 8 * 9,
+                                       "coarse_solver": "banded-cholesky",
+                                       "bandwidth": 5 * 9 + 4}
         assert r["iterations"] > 0 and r["residual"] <= 1e-11
 
 
@@ -222,8 +226,7 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
 
     orig = fem3d.pcg
 
-    def crippled(k, b, precond="jacobi", tol=1e-10, max_iter=None,
-                 project=None):
+    def crippled(k, b, precond, tol=1e-10, max_iter=None, project=None):
         return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
                     project=project)
 

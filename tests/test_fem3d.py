@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from platehom import fem3d
-from platehom.algebra import isotropic_hooke, soft_hooke
+from platehom.algebra import HookeTensor3, isotropic_hooke, soft_hooke
 from platehom.fem3d import (assemble, body_load, element_kit,
                             element_stiffness, expand_field, pcg,
                             restrict_field, solve, solve_clamped)
@@ -135,8 +135,8 @@ def test_pcg_block_jacobi_agrees():
                   mode="plate", clamped=("left",))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(op.ndof)
-    xa, ia = pcg(op.k, b, precond="jacobi", tol=1e-12)
-    xb, ib = pcg(op.k, b, precond="block", tol=1e-12)
+    xa, ia = pcg(op.k, b, fem3d._jacobi(op.k), tol=1e-12)
+    xb, ib = pcg(op.k, b, fem3d._block_jacobi(op.k), tol=1e-12)
     assert ia.converged and ib.converged
     assert np.linalg.norm(xa - xb) < 1e-8 * np.linalg.norm(xa)
     assert ib.iterations <= ia.iterations
@@ -147,10 +147,11 @@ def test_indefinite_operator_rejected():
 
     k = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(fem3d.SolverError, match="positive definite"):
-        pcg(k, np.array([1.0, 1.0, 1.0]), tol=1e-12)
+        pcg(k, np.array([1.0, 1.0, 1.0]), fem3d._jacobi(k), tol=1e-12)
     # a block right-hand side breaks down in the same way, per column
     with pytest.raises(fem3d.SolverError, match="in column 1"):
-        pcg(k, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), tol=1e-12)
+        pcg(k, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            fem3d._jacobi(k), tol=1e-12)
 
 
 def test_solve_reports_iteration_cap_without_raising():
@@ -279,7 +280,7 @@ def test_clamped_pcg_matches_direct_solve():
     grid = uniform_grid(6, 6, 3, domain="plate")
     op = assemble(grid, phases, scale=0.2, mode="plate", clamped=("left",))
     ell = body_load(op, (0.3, -0.1, 1.0))
-    u_cg, info = pcg(op.k, ell, precond="block", tol=1e-13)
+    u_cg, info = pcg(op.k, ell, fem3d._block_jacobi(op.k), tol=1e-13)
     assert info.converged
     u_direct = spla.spsolve(op.k.tocsc(), ell)
     assert np.linalg.norm(u_cg - u_direct) < 1e-10 * np.linalg.norm(u_direct)
@@ -334,7 +335,8 @@ def test_block_pcg_zero_column_and_columnwise_projection():
     for j in (0, 2):
         for c in range(3):
             assert abs(x[c::3, j].mean()) < 1e-12
-        ref, _ = pcg(op.k, b[:, j], tol=1e-12, project=op.project)  # Jacobi
+        ref, _ = pcg(op.k, b[:, j], fem3d._jacobi(op.k), tol=1e-12,
+                     project=op.project)
         assert np.linalg.norm(x[:, j] - ref) < 1e-9 * np.linalg.norm(ref)
 
 
@@ -388,7 +390,9 @@ def test_two_level_clamped_solve_matches_direct_solve(clamped):
                                         tol=1e-12)
     assert info.preconditioner == {
         "name": "two-level", "smoother": "block-jacobi",
-        "coarse_dofs": 5 * int(free_columns(8, 8, clamped).sum())}
+        "coarse_dofs": 5 * int(free_columns(8, 8, clamped).sum()),
+        "coarse_solver": "banded-cholesky",
+        "bandwidth": {("left",): 49, fem3d.EDGES: 44}[clamped]}
     ell = body_load(op, f)
     u_direct = spla.splu(op.k.tocsc()).solve(ell)
     e_direct = 0.5 * u_direct @ (op.k @ u_direct) - ell @ u_direct
@@ -407,3 +411,35 @@ def test_solve_picks_preconditioner_by_mode():
                         mode="plate", clamped=("left",))
     _, info = solve(plate_op, body_load(plate_op, (0, 0, 1.0)), tol=1e-10)
     assert info.converged and info.preconditioner["name"] == "two-level"
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 3), (4, 7, 3)])
+@pytest.mark.parametrize("clamped", [("left",), ("bottom",), fem3d.EDGES])
+def test_banded_coarse_solve_matches_dense_solve(shape, clamped):
+    # the coarse solve is an exact solve with Kc = P^T K P; nx != ny in both
+    # orientations catches a band order along the wrong side
+    nx, ny, nz = shape
+    rng = np.random.default_rng(nx + 3 * len(clamped))
+    grid = VoxelGrid(nx, ny, nz, rng.integers(1, 3, nx * ny * nz).astype(np.int32),
+                     "plate")
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    op = assemble(grid, phases, scale=0.25, mode="plate", clamped=clamped)
+    m = fem3d.PlatePreconditioner(op)
+    assert m.describe()["coarse_solver"] == "banded-cholesky"
+    assert m.bandwidth == m.describe()["bandwidth"] <= 5 * (min(nx, ny) + 3)
+    kc = (m.p.T @ op.k @ m.p).toarray()
+    b = rng.standard_normal((kc.shape[0], 2))
+    want = np.linalg.solve(kc, b)
+    got = m.coarse_solve(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_indefinite_coarse_operator_raises_solver_error():
+    # an indefinite phase (accepted with allow_soft) makes Kc indefinite;
+    # the banded Cholesky factorization reports it as a solver failure
+    grid = make_laminate("x1", [0.5, 0.5], (6, 4, 2), domain="plate")
+    negative = HookeTensor3.from_mandel(-isotropic_hooke(1.0, 1.0).c)
+    op = assemble(grid, {1: isotropic_hooke(1.0, 1.0), 2: negative},
+                  scale=0.25, mode="plate", clamped=("left",), allow_soft=True)
+    with pytest.raises(fem3d.SolverError, match="not positive definite"):
+        fem3d.PlatePreconditioner(op)

@@ -194,7 +194,8 @@ def _loop_second_differences(m, clamped_lo, clamped_hi):
 
 
 def _loop_curvature_rows(mx, my, clamped):
-    """(ci, cj) -> (nodes, (3, n) coefficients of the cell-center Hessian)."""
+    """(ci, cj) -> (nodes, (3, n) coefficients of the cell-center Hessian in
+    Mandel coordinates: v_xx, v_yy, sqrt2 v_xy)."""
     hx, hy = 1.0 / mx, 1.0 / my
     d2x = _loop_second_differences(mx, "left" in clamped, "right" in clamped)
     d2y = _loop_second_differences(my, "bottom" in clamped, "top" in clamped)
@@ -216,7 +217,7 @@ def _loop_curvature_rows(mx, my, clamped):
                 for n, cf in zip(*d2y[r]):
                     for i in (ci, ci + 1):
                         add(i, n, 1, cf / (hy * hy) / (2 * len(avail_y)))
-            cross = 1.0 / (hx * hy)
+            cross = SQRT2 / (hx * hy)
             add(ci, cj, 2, cross)
             add(ci + 1, cj + 1, 2, cross)
             add(ci + 1, cj, 2, -cross)
@@ -315,6 +316,35 @@ def test_kronecker_assembly_matches_element_loop(mx, my, clamped):
     want = _loop_cell_strains(prob, w, v)
     assert_allclose(cell_strains(prob, sol), want, rtol=0,
                     atol=1e-13 * abs(want).max())
+
+
+@pytest.mark.parametrize("clamped", [("left",), ("bottom",)])
+def test_cell_strains_of_quadratic_deflections(clamped):
+    # -hess v in the Mandel coordinates of algebra.mandel_pair: v = xy has
+    # twist slot -sqrt2 v_xy = -sqrt2; v = x^2 and y^2 have curvature -2 in
+    # their own slot and no twist. The second differences are exact on
+    # quadratics, and so is the ghost row of a clamped left (bottom) edge on
+    # x^2 (y^2), which vanishes there with its normal slope.
+    prob = PlateProblem(mx=5, my=4, forms=Q0.a, forces=np.zeros(3),
+                        clamped=clamped)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 5),
+                       indexing="ij")
+
+    def strains(v):
+        sol = PlateSolution(w=np.zeros((6, 5, 2)), v=v, energy=0.0,
+                            load_value=0.0, iterations=0, residual=0.0,
+                            energy_error=0.0, preconditioner={})
+        return cell_strains(prob, sol)
+
+    z = strains(x * y)
+    assert_allclose(z[..., 5], -SQRT2, rtol=1e-13)
+    assert_allclose(z[..., :3], 0.0, atol=1e-13)
+    z = strains(x ** 2)
+    assert_allclose(z[..., 3], -2.0, rtol=1e-12)
+    assert_allclose(z[..., 5], 0.0, atol=1e-12)
+    z = strains(y ** 2)
+    assert_allclose(z[..., 4], -2.0, rtol=1e-12)
+    assert_allclose(z[..., 5], 0.0, atol=1e-12)
 
 
 def strip(m):
