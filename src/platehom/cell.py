@@ -42,6 +42,8 @@ class HomogenizedForm:
     phase_digests: tuple[str, ...]
     iterations: tuple[int, ...]            # CG iterations per corrector
     preconditioner: dict = field(compare=False)  # name and reference tensor
+    ndof: int = field(compare=False)       # size of the assembled K
+    nnz: int = field(compare=False)        # stored entries of K
 
     @property
     def a(self) -> np.ndarray:
@@ -104,12 +106,15 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
         phase_digests=tuple(phases[p].digest() for p in ids),
         iterations=info.column_iterations,
         preconditioner=precond.describe(),
+        ndof=op.ndof,
+        nnz=op.k.nnz,
     )
 
 
 def solver_record(hf: HomogenizedForm) -> dict:
     """What the corrector solve did, for a run manifest (not the form file)."""
-    return {"gamma": hf.gamma, "preconditioner": hf.preconditioner,
+    return {"gamma": hf.gamma, "ndof": hf.ndof, "nnz": hf.nnz,
+            "preconditioner": hf.preconditioner,
             "iterations": list(hf.iterations), "residuals": list(hf.residuals)}
 
 

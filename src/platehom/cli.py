@@ -48,10 +48,11 @@ def _sha256(path: str) -> str:
 def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
                     solver: list[dict] | None = None) -> None:
     """Write manifest.json; ``solver`` holds one record per solve: per
-    homogenized form (preconditioner, reference tensor, iterations and
-    residuals per corrector), per thickness of ``theorem1`` (h,
-    preconditioner with its coarse dof count, coarse solver and bandwidth,
-    iterations and residual) or for the one ``plate-solve`` (preconditioner
+    homogenized form (dof and stored-entry counts of K, preconditioner,
+    reference tensor, iterations and residuals per corrector), per thickness
+    of ``theorem1`` (h, dof and stored-entry counts of K, preconditioner
+    with its coarse dof count, coarse solver and bandwidth, iterations and
+    residual) or for the one ``plate-solve`` (preconditioner
     with its factor size, iterations, residual and energy error estimate).
     It is left out for commands that solve nothing."""
     import scipy

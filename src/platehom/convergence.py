@@ -244,8 +244,8 @@ class HarnessResult:
     gap_monotone: bool
     corrector_monotone: bool
     final_gap: float
-    # one record per h: h, preconditioner, iterations and residual, or the
-    # solver error
+    # one record per h: h, the dof and stored-entry counts of K, the
+    # preconditioner, iterations and residual, or the solver error
     solver: list[dict] = field(default_factory=list)
 
 
@@ -283,7 +283,8 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
                                    error=str(exc)))
             solver.append({"h": h, "error": str(exc)})
             continue
-        solver.append({"h": h, "preconditioner": info.preconditioner,
+        solver.append({"h": h, "ndof": op.ndof, "nnz": op.k.nnz,
+                       "preconditioner": info.preconditioner,
                        "iterations": info.iterations,
                        "residual": info.residual})
         field = fem3d.expand_field(op, u)

@@ -11,10 +11,18 @@ Cell mode identifies the x=0/x=1 and y=0/y=1 node planes (periodic in-plane,
 natural top/bottom) and its operator kernel is the three translations,
 handled by mean-projection inside CG. Plate mode eliminates all components
 on the clamped edge planes.
+
+On a voxel grid each node couples to at most its 27 lattice neighbours, in
+full 3x3 blocks, so K's sparsity pattern depends on the shape, the mode and
+the clamped edges only. ``assemble`` builds that pattern once (``_stencil``,
+the last one cached) and fills K by adding every local corner pair's 3x3
+element blocks into 27 per-offset node arrays, which one gather moves into
+CSR order: no triplets, no sort and no duplicate summation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +137,7 @@ class Operator:
     tensors: list[HookeTensor3]
     tensor_of_elem: np.ndarray  # (nelem,) index into tensors
     ndof: int
+    block_diagonal: np.ndarray  # (ndof // 3, 3, 3) K's diagonal node blocks
     clamped: tuple[str, ...] = ()
     node_free: np.ndarray | None = None  # plate mode: free flag per full node
 
@@ -179,6 +188,86 @@ def _element_dofs(node_ids: np.ndarray, nx: int, ny: int, nz: int) -> np.ndarray
     return dofs
 
 
+@dataclass(frozen=True)
+class _Stencil:
+    """K's sparsity pattern on one voxel node lattice; its arrays are
+    read-only, because every operator on the lattice shares them.
+
+    The stencil layout is 27 per-offset arrays of 3x3 node blocks over the
+    node lattice (z, y, x; x fastest, the flat node order). Offset
+    (dx, dy, dz) in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1,
+    and its block at node n is K's block between n and n + (dx, dy, dz).
+    """
+
+    lattice: tuple[int, int, int]  # (nz + 1, ny', nx') nodes
+    offset: np.ndarray    # (8, 8) offset of local corner b seen from corner a
+    rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
+    indptr: np.ndarray    # (ndof + 1,) int32
+    indices: np.ndarray   # (nnz,) int32, increasing within each row
+    gather: np.ndarray    # (nnz,) int32: flat layout entry of each CSR value
+
+
+@functools.lru_cache(maxsize=1)
+def _stencil(shape: tuple[int, int, int], mode: str,
+             clamped: tuple[str, ...]) -> _Stencil:
+    """The stencil pattern of the last grid shape, mode and clamped edges
+    (in ``EDGES`` order), so that operators on one grid at several scales
+    build it once. One pattern only: it is two thirds of K's size."""
+    nx, ny, nz = shape
+    corner = _local_corners().astype(np.int64)
+    d = corner[None, :, :] - corner[:, None, :]         # (a, b, xyz)
+    if mode == "cell":
+        lattice = (nz + 1, ny, nx)
+        # on a periodic axis of one or two nodes, offsets that reach the
+        # same node share one slot, d mod n
+        for axis, n in ((0, nx), (1, ny)):
+            if n <= 2:
+                d[..., axis] %= n
+    else:
+        lattice = (nz + 1, ny + 1, nx + 1)
+    offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + (d[..., 0] + 1)
+
+    rows = np.ones(lattice, dtype=bool)
+    for edge, plane in (("left", np.s_[:, :, 0]), ("right", np.s_[:, :, -1]),
+                        ("bottom", np.s_[:, 0, :]), ("top", np.s_[:, -1, :])):
+        if edge in clamped:
+            rows[plane] = False
+    node = np.where(rows, np.cumsum(rows).reshape(lattice) - 1, -1)
+    # one more node on each side: wrapped in-plane in cell mode, -1 (none)
+    # elsewhere
+    inplane = ((0, 0), (1, 1), (1, 1))
+    node = (np.pad(node, inplane, mode="wrap") if mode == "cell"
+            else np.pad(node, inplane, constant_values=-1))
+    node = np.pad(node, ((1, 1), (0, 0), (0, 0)), constant_values=-1)
+    nbr = np.full((27,) + lattice, -1, dtype=np.int64)
+    for o in np.unique(offset):
+        z, y, x = o // 9, o // 3 % 3, o % 3
+        nbr[o] = node[z:z + lattice[0], y:y + lattice[1], x:x + lattice[2]]
+
+    rows = rows.ravel()
+    nbr = nbr.reshape(27, -1).T[rows]                   # (nrow, 27)
+    count = (nbr >= 0).sum(axis=1)
+    # each row's neighbours by increasing node id, missing ones last
+    order = np.argsort(np.where(nbr >= 0, nbr, nbr.size), axis=1)
+    nbr = np.take_along_axis(nbr, order, axis=1).astype(np.int32)
+    # CSR order within a row node: row component, neighbour, column component
+    comp = np.arange(3, dtype=np.int32)
+    stored = np.broadcast_to((np.arange(27) < count[:, None])[:, None, :, None],
+                             (nbr.shape[0], 3, 27, 3))
+    indices = np.broadcast_to(3 * nbr[:, None, :, None] + comp, stored.shape)
+    indices = indices[stored]
+    layout = (order.astype(np.int32) * rows.size
+              + np.flatnonzero(rows).astype(np.int32)[:, None])
+    gather = (3 * layout[:, None, :, None] + comp[:, None, None]) * 3 + comp
+    gather = gather[stored]
+    indptr = np.zeros(3 * count.size + 1, dtype=np.int32)
+    np.cumsum(np.repeat(3 * count, 3), out=indptr[1:])
+    for a in (offset, rows, indptr, indices, gather):
+        a.flags.writeable = False
+    return _Stencil(lattice=lattice, offset=offset, rows=rows, indptr=indptr,
+                    indices=indices, gather=gather)
+
+
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
              mode: str | None = None, clamped: tuple[str, ...] = (),
              allow_soft: bool = False) -> Operator:
@@ -186,6 +275,10 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
 
     ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires a
     nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
+    Each local corner pair (a, b) adds its 3x3 block of the element
+    stiffnesses, per element, to the stencil offset c_b - c_a at the node of
+    corner a (a slice of the node lattice, rolled in-plane in cell mode);
+    one gather through the cached pattern gives K's CSR values.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
@@ -210,12 +303,10 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     # parasitic shear; cell problems see uniform loads and are unaffected.
     kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, scale,
                       ans_shear=(mode == "plate"))
-    kes = np.stack([element_stiffness(kit, t) for t in tensors])
 
     if mode == "cell":
-        node_ids = _cell_node_ids(nx, ny, nz)
-        ndof = 3 * nx * ny * (nz + 1)
-        edof = _element_dofs(node_ids, nx, ny, nz)
+        stencil = _stencil(grid.shape, mode, ())
+        edof = _element_dofs(_cell_node_ids(nx, ny, nz), nx, ny, nz)
         node_free = None
     elif mode == "plate":
         if not clamped:
@@ -223,44 +314,38 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
         bad = [e for e in clamped if e not in EDGES]
         if bad:
             raise ValueError(f"unknown edge names {bad}")
-        node_ids = _plate_node_ids(nx, ny, nz)
-        edof_full = _element_dofs(node_ids, nx, ny, nz)
-        free_node = np.ones(((nx + 1), (ny + 1), (nz + 1)), dtype=bool)
-        if "left" in clamped:
-            free_node[0, :, :] = False
-        if "right" in clamped:
-            free_node[nx, :, :] = False
-        if "bottom" in clamped:
-            free_node[:, 0, :] = False
-        if "top" in clamped:
-            free_node[:, ny, :] = False
-        free_flat = np.zeros((nx + 1) * (ny + 1) * (nz + 1), dtype=bool)
-        free_flat[node_ids[free_node]] = True
-        dof_free = np.repeat(free_flat, 3)
+        stencil = _stencil(grid.shape, mode,
+                           tuple(e for e in EDGES if e in clamped))
+        node_free = stencil.rows
+        dof_free = np.repeat(node_free, 3)
         new_id = -np.ones(dof_free.size, dtype=np.int64)
         new_id[dof_free] = np.arange(dof_free.sum())
-        edof = new_id[edof_full]
-        ndof = int(dof_free.sum())
-        node_free = free_flat
+        edof = new_id[_element_dofs(_plate_node_ids(nx, ny, nz), nx, ny, nz)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    ndof = 3 * int(stencil.rows.sum())
 
-    # the triplets set the peak memory of a solve; scipy narrows 64-bit
-    # indices to 32 bits with a copy, so they are built 32-bit
-    index = edof.astype(np.int32)
-    vals = kes[tensor_of_elem]  # (nelem, 24, 24)
-    rows = np.broadcast_to(index[:, :, None], vals.shape)
-    cols = np.broadcast_to(index[:, None, :], vals.shape)
-    if mode == "plate":
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    k = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(ndof, ndof)).tocsr()
-    k.sum_duplicates()
+    kes = np.stack([element_stiffness(kit, t) for t in tensors])
+    # (a, b, tensor, 3, 3): each pair's blocks contiguous, for a fast take
+    kes = np.ascontiguousarray(kes.reshape(-1, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
+    elem_tensor = tensor_of_elem.reshape(nz, ny, nx)
+    blocks = np.zeros((27,) + stencil.lattice + (3, 3))
+    for a, (ax, ay, az) in enumerate(_local_corners().astype(int)):
+        for b in range(8):
+            vals = kes[a, b][elem_tensor]              # (nz, ny, nx, 3, 3)
+            target = blocks[stencil.offset[a, b], az:az + nz]
+            if mode == "cell":
+                target += np.roll(vals, (ay, ax), axis=(1, 2))
+            else:
+                target[:, ay:ay + ny, ax:ax + nx] += vals
+    block_diagonal = blocks[13].reshape(-1, 3, 3)[stencil.rows]
+    k = sp.csr_matrix((blocks.reshape(-1)[stencil.gather], stencil.indices,
+                       stencil.indptr), shape=(ndof, ndof))
 
     return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit, edof=edof,
                     tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
-                    clamped=tuple(clamped), node_free=node_free)
+                    block_diagonal=block_diagonal, clamped=tuple(clamped),
+                    node_free=node_free)
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +453,12 @@ class SolveInfo:
     preconditioner: dict | None = None  # its describe(), set by ``solve``
 
 
-def _jacobi(k: sp.csr_matrix):
-    d = k.diagonal().copy()
-    d[d <= 0.0] = 1.0
-    inv = 1.0 / d
-
-    def apply(r):
-        return inv[:, None] * r
-
-    return apply
-
-
-def _block_jacobi(k: sp.csr_matrix):
-    nb = k.shape[0] // 3
-    # K[3b + i, 3b + i + d] is entry 3b + min(i, i + d) of K's diagonal at
-    # offset d
-    blocks = np.empty((nb, 3, 3))
-    for d in range(-2, 3):
-        diag = k.diagonal(d)
-        for i in range(max(0, -d), min(3, 3 - d)):
-            blocks[:, i, i + d] = diag[min(i, i + d)::3]
+def _block_jacobi(blocks: np.ndarray):
+    """3x3 block-Jacobi smoother from K's (nnode, 3, 3) diagonal blocks."""
+    nb = blocks.shape[0]
     # guard empty blocks (fully eliminated nodes never appear here)
     sing = np.abs(np.linalg.det(blocks)) < 1e-300
-    blocks[sing] = np.eye(3)
-    inv = np.linalg.inv(blocks)
+    inv = np.linalg.inv(np.where(sing[:, None, None], np.eye(3), blocks))
 
     def apply(r):
         return np.einsum("nij,njc->nic", inv, r.reshape(nb, 3, -1)).reshape(r.shape)
@@ -463,7 +530,7 @@ class PlatePreconditioner:
                 f"coarse plate operator is not positive definite: {exc}"
             ) from exc
         self._cho_solve = cho_solve_banded
-        self.smoother = _block_jacobi(op.k)
+        self.smoother = _block_jacobi(op.block_diagonal)
 
     def describe(self) -> dict:
         """Name, smoother, coarse dof count, coarse solver and its bandwidth."""
@@ -489,7 +556,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
     ``precond`` is a callable applying the preconditioner to an (n, m)
-    block (a preconditioner object, or ``_jacobi(k)``). A 2-D ``b`` is solved
+    block, such as a preconditioner object. A 2-D ``b`` is solved
     column by column with column-wise step lengths, one sparse product per
     iteration for all unconverged columns; a column stops once its relative
     residual reaches ``tol`` or after ``max_iter`` iterations. If ``project``

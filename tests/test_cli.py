@@ -293,6 +293,29 @@ def test_manifest_records_solver(tmp_path, phases_file):
     assert "solver" not in form
 
 
+def test_manifests_record_operator_size(tmp_path, phases_file):
+    # a node couples to its neighbours in 3x3 blocks, and the neighbour
+    # count factors by axis: 3 per axis, 2 at an end of a non-periodic one
+    def nnz(*counts):
+        return 9 * int(np.prod([sum(c) for c in counts]))
+
+    assert _homogenize_checkerboard(tmp_path, phases_file, out="h") == 0
+    (record,) = json.loads((tmp_path / "h" / "manifest.json").read_text())["solver"]
+    assert record["ndof"] == 3 * 4 * 4 * 5                # periodic 4x4, 5 planes
+    assert record["nnz"] == nnz([3] * 4, [3] * 4, [2, 3, 3, 3, 2])
+    m = tmp_path / "p"
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+         "--fractions", "0.5,0.5", "--res", "8,8,4", "--domain", "plate",
+         "--out", str(m)])
+    assert run(["theorem1", "--micro", str(m / "micro.json"),
+                "--phases", phases_file, "--h", "0.25", "--f", "0,0,1",
+                "--clamped", "left", "--out", str(tmp_path / "t")]) == 0
+    (record,) = json.loads((tmp_path / "t" / "manifest.json").read_text())["solver"]
+    assert record["ndof"] == 3 * 8 * 9 * 5                # left column clamped
+    assert record["nnz"] == nnz([2] + [3] * 6 + [2], [2] + [3] * 7 + [2],
+                                [2, 3, 3, 3, 2])
+
+
 def test_config_file_merging(tmp_path, phases_file):
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "checkerboard", "--period", "2",

@@ -159,6 +159,20 @@ def test_harness_single_phase_smoke():
     assert res.corrector_monotone
 
 
+def test_harness_builds_the_stencil_pattern_once():
+    # three thicknesses on one grid share one sparsity pattern of K
+    from platehom import fem3d
+
+    phases = {1: isotropic_hooke(1.0, 1.0)}
+    grid = VoxelGrid(6, 6, 2, np.ones(72, dtype=np.int32), "plate")
+    fem3d._stencil.cache_clear()
+    res = theorem1_harness(grid, phases, [0.5, 0.25, 0.125], (0, 0, 1.0),
+                           ("left",), plane_stress_form(phases[1]))
+    assert all(r.error is None for r in res.rows)
+    info = fem3d._stencil.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_harness_zero_force():
     phases = {1: isotropic_hooke(1.0, 1.0)}
     grid = VoxelGrid(4, 4, 2, np.ones(32, dtype=np.int32), "plate")

@@ -1,7 +1,10 @@
 """Scaled-gradient FEM: element oracle, kernels, solver, clamped plates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from platehom import fem3d
@@ -14,6 +17,40 @@ from platehom.microstructure import VoxelGrid, make_laminate, refine
 
 def uniform_grid(nx, ny, nz, domain="cell"):
     return VoxelGrid(nx, ny, nz, np.ones(nx * ny * nz, dtype=np.int32), domain)
+
+
+def jacobi(k):
+    """Point-Jacobi preconditioner: the reference the solvers are checked
+    against."""
+    d = k.diagonal().copy()
+    d[d <= 0.0] = 1.0
+    inv = 1.0 / d
+
+    def apply(r):
+        return inv[:, None] * r
+
+    return apply
+
+
+def triplet_stiffness(op):
+    """K from COO triplets of every element's 24x24 stiffness, summed by
+    scipy's conversion to CSR: the reference for the stencil assembly."""
+    kes = np.stack([element_stiffness(op.kit, t) for t in op.tensors])
+    index = op.edof.astype(np.int32)
+    vals = kes[op.tensor_of_elem]
+    rows = np.broadcast_to(index[:, :, None], vals.shape)
+    cols = np.broadcast_to(index[:, None, :], vals.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    k = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(op.ndof, op.ndof)).tocsr()
+    k.sum_duplicates()
+    return k
+
+
+def random_grid(shape, domain, seed=0):
+    n = int(np.prod(shape))
+    data = np.random.default_rng(seed).integers(1, 3, n).astype(np.int32)
+    return VoxelGrid(*shape, data, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +172,21 @@ def test_pcg_block_jacobi_agrees():
                   mode="plate", clamped=("left",))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(op.ndof)
-    xa, ia = pcg(op.k, b, fem3d._jacobi(op.k), tol=1e-12)
-    xb, ib = pcg(op.k, b, fem3d._block_jacobi(op.k), tol=1e-12)
+    xa, ia = pcg(op.k, b, jacobi(op.k), tol=1e-12)
+    xb, ib = pcg(op.k, b, fem3d._block_jacobi(op.block_diagonal), tol=1e-12)
     assert ia.converged and ib.converged
     assert np.linalg.norm(xa - xb) < 1e-8 * np.linalg.norm(xa)
     assert ib.iterations <= ia.iterations
 
 
 def test_indefinite_operator_rejected():
-    import scipy.sparse as sp
-
     k = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(fem3d.SolverError, match="positive definite"):
-        pcg(k, np.array([1.0, 1.0, 1.0]), fem3d._jacobi(k), tol=1e-12)
+        pcg(k, np.array([1.0, 1.0, 1.0]), jacobi(k), tol=1e-12)
     # a block right-hand side breaks down in the same way, per column
     with pytest.raises(fem3d.SolverError, match="in column 1"):
         pcg(k, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-            fem3d._jacobi(k), tol=1e-12)
+            jacobi(k), tol=1e-12)
 
 
 def test_solve_reports_iteration_cap_without_raising():
@@ -280,10 +315,84 @@ def test_clamped_pcg_matches_direct_solve():
     grid = uniform_grid(6, 6, 3, domain="plate")
     op = assemble(grid, phases, scale=0.2, mode="plate", clamped=("left",))
     ell = body_load(op, (0.3, -0.1, 1.0))
-    u_cg, info = pcg(op.k, ell, fem3d._block_jacobi(op.k), tol=1e-13)
+    u_cg, info = pcg(op.k, ell, fem3d._block_jacobi(op.block_diagonal), tol=1e-13)
     assert info.converged
     u_direct = spla.spsolve(op.k.tocsc(), ell)
     assert np.linalg.norm(u_cg - u_direct) < 1e-10 * np.linalg.norm(u_direct)
+
+
+# ---------------------------------------------------------------------------
+# stencil assembly against the element triplets
+# ---------------------------------------------------------------------------
+
+STENCIL_CASES = [((1, 3, 4), "cell", ()), ((2, 2, 2), "cell", ()),
+                 ((4, 2, 2), "cell", ()), ((8, 8, 8), "cell", ()),
+                 ((6, 6, 3), "plate", ("left",)),
+                 ((6, 6, 3), "plate", ("left", "top")),
+                 ((6, 6, 3), "plate", ("left", "right")),
+                 ((6, 6, 3), "plate", fem3d.EDGES)]
+
+
+@pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES)
+def test_stencil_assembly_matches_triplets(shape, mode, clamped):
+    # cells of one or two nodes along x or y alias the +-1 offsets onto one
+    # node; the triplets sum those couplings in scipy's order, the stencil
+    # in corner-pair order, so the values agree to rounding only
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
+    op = assemble(random_grid(shape, mode, seed=sum(shape)), phases, scale=0.3,
+                  mode=mode, clamped=clamped)
+    ref = triplet_stiffness(op)
+    assert op.k.indptr.dtype == ref.indptr.dtype == np.int32
+    assert op.k.indices.dtype == ref.indices.dtype == np.int32
+    assert np.array_equal(op.k.indptr, ref.indptr)
+    assert np.array_equal(op.k.indices, ref.indices)
+    assert np.abs(op.k.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("shape, mode, clamped",
+                         [STENCIL_CASES[0], STENCIL_CASES[1], STENCIL_CASES[5]])
+def test_block_diagonal_is_ks_diagonal_blocks(shape, mode, clamped):
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
+    op = assemble(random_grid(shape, mode), phases, scale=0.3, mode=mode,
+                  clamped=clamped)
+    nb = op.ndof // 3
+    dense = op.k.toarray().reshape(nb, 3, nb, 3)
+    assert np.array_equal(op.block_diagonal,
+                          dense[np.arange(nb), :, np.arange(nb), :])
+
+
+def test_stencil_pattern_is_shared_and_read_only():
+    phases = {1: isotropic_hooke(1.0, 1.0)}
+    grid = uniform_grid(4, 3, 2, domain="plate")
+    a = assemble(grid, phases, scale=0.5, mode="plate", clamped=("top", "left"))
+    b = assemble(grid, phases, scale=0.25, mode="plate", clamped=("left", "top"))
+    assert np.shares_memory(a.k.indices, b.k.indices)
+    with pytest.raises(ValueError, match="read-only"):
+        a.k.indices[0] = 1
+
+
+def test_assembly_peak_memory_is_a_small_multiple_of_k():
+    # the fill holds its 27 block arrays and K's values, about 1.5 times
+    # K's bytes; an assembly from every element's triplets peaks at 6.6
+    grid = random_grid((16, 16, 4), "plate")
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(4.0, 4.0)}
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            op = assemble(grid, phases, scale=0.0625, mode="plate",
+                          clamped=("left",))
+            return op, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fem3d._stencil.cache_clear()
+    op, cold = traced_peak()
+    k_bytes = op.k.data.nbytes + op.k.indices.nbytes + op.k.indptr.nbytes
+    del op
+    _, warm = traced_peak()
+    assert cold <= 3.0 * k_bytes
+    assert warm <= 2.0 * k_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +444,7 @@ def test_block_pcg_zero_column_and_columnwise_projection():
     for j in (0, 2):
         for c in range(3):
             assert abs(x[c::3, j].mean()) < 1e-12
-        ref, _ = pcg(op.k, b[:, j], fem3d._jacobi(op.k), tol=1e-12,
+        ref, _ = pcg(op.k, b[:, j], jacobi(op.k), tol=1e-12,
                      project=op.project)
         assert np.linalg.norm(x[:, j] - ref) < 1e-9 * np.linalg.norm(ref)
 
