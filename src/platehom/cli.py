@@ -51,9 +51,10 @@ def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
     homogenized form (dof and stored-entry counts of K, preconditioner,
     reference tensor, iterations and residuals per corrector), per thickness
     of ``theorem1`` (h, dof and stored-entry counts of K, preconditioner
-    with its coarse dof count, coarse solver and bandwidth, iterations and
-    residual) or for the one ``plate-solve`` (preconditioner
-    with its factor size, iterations, residual and energy error estimate).
+    with its coarse dof count, coarse solver and bandwidth, iterations,
+    residual and energy error estimate) or for the one ``plate-solve``
+    (preconditioner with its band layout and bandwidth, iterations, residual
+    and energy error estimate).
     It is left out for commands that solve nothing."""
     import scipy
 

@@ -245,7 +245,8 @@ class HarnessResult:
     corrector_monotone: bool
     final_gap: float
     # one record per h: h, the dof and stored-entry counts of K, the
-    # preconditioner, iterations and residual, or the solver error
+    # preconditioner, iterations, residual and energy error estimate, or
+    # the solver error
     solver: list[dict] = field(default_factory=list)
 
 
@@ -286,7 +287,8 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
         solver.append({"h": h, "ndof": op.ndof, "nnz": op.k.nnz,
                        "preconditioner": info.preconditioner,
                        "iterations": info.iterations,
-                       "residual": info.residual})
+                       "residual": info.residual,
+                       "energy_error": info.energy_error})
         field = fem3d.expand_field(op, u)
         w_h, v_h, corr = extract_kl(field, h)
         kl_gap = np.sqrt(nodal_l2_sq_2d(w_h - limit.w)

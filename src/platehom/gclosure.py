@@ -5,8 +5,10 @@ The sampled set is exactly that: a finite family of homogenized forms from
 parametric microstructure generators, each adjusted to the target fractions.
 The patchwork tiles each patch of the plate with a periodic cell; windowed
 recovery re-homogenizes one period cut strictly inside each patch and checks
-it against the patch's target form, which is the constructive content of the
-locality statement.
+it against the patch's target form. That window is a copy of the patch cell,
+so the check is a smoke test of the tiling and the windowing: it does not
+test the locality of Gamma-closure, which needs 3D plate solves on the
+patchwork as eps -> 0.
 """
 
 from __future__ import annotations
@@ -160,6 +162,11 @@ def windowed_recovery(grid: VoxelGrid, spec: PatchworkSpec,
 
     The window is period-aligned and at least ``margin_periods`` periods from
     every patch interface; a patch too small for that margin is an error.
+
+    A period-aligned window of the tiling is bit-for-bit the patch cell, so
+    by construction every patch's form gap is exactly 0 and its volume
+    fractions match. This is a smoke test of ``patchwork_construct`` and
+    ``window``; it does not test locality.
     """
     reports = []
     ids = sorted(phases)

@@ -12,12 +12,15 @@ refinement behavior is verified empirically by the tests.
 Every strain row is a Kronecker product of 1-D operators (average,
 difference, averaged second difference), built once per grid, and the 2x2
 Gauss sum K = sum_g 2 w_g B_g^T blockdiag(A) B_g is one sparse product in
-closed form (see ``_StrainOperators``). K is factored once by sparse LU,
-which preconditions CG (one or two iterations). With the two edges of one axis
-clamped, the other two free and an even cell count between them, the
-averaged second differences leave an exact zero-energy deflection (0, 1, 0,
-1, ... across node columns): K is singular and ``minimize_plate`` raises
-``SolverError``.
+closed form (see ``_StrainOperators``). Every node couples to nodes at
+most three lines away, so in a node order that runs fastest along the
+shorter side K is a band matrix (``band_layout``). Its banded Cholesky
+factor, the one direct factor of the program (``fem3d.BandedCholesky``),
+preconditions CG, which converges in one or two iterations. With the two
+edges of one axis clamped, the other two free and an even cell count
+between them, the averaged second differences leave an exact zero-energy
+deflection (0, 1, 0, 1, ... across node columns): K is singular and
+``minimize_plate`` raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import SQRT2
-from .fem3d import EDGES, SolverError, pcg
+from .fem3d import (EDGES, BandedCholesky, SolverError, band_order,
+                    energy_error, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -83,7 +87,7 @@ class PlateSolution:
     load_value: float    # l(w, v) at the minimizer
     iterations: int
     residual: float
-    energy_error: float  # |r.LU^-1 r| / |l.u| with r = l - K u
+    energy_error: float  # |r.K_c^-1 r| / |l.u|, r = l - K u, K_c K's factor
     preconditioner: dict
 
 
@@ -217,62 +221,55 @@ def assemble_plate(problem: PlateProblem):
     return k, ell[ops.dof_free], ops.dof_free, ops.flat_free
 
 
-class LUPreconditioner:
-    """Exact sparse LU factorization of a plate operator, applied as the CG
-    preconditioner: K is symmetric positive definite, so the factorization
-    is stable with the diagonal as pivots and a symmetric (MMD on A^T + A)
-    ordering. A singular K raises ``SolverError``."""
+def band_layout(problem: PlateProblem,
+                flat_free: np.ndarray) -> tuple[str, np.ndarray]:
+    """Layout name and band order of the free dofs (w1, w2 of free node f at
+    2f, 2f + 1 and v at 2 nf + f, free nodes in flat order).
 
-    name = "sparse-lu"
-    ordering = "MMD_AT_PLUS_A"
-
-    def __init__(self, k: sp.csr_matrix):
-        # imported here: it adds about 0.1 s and 10 MB to every program start
-        from scipy.sparse.linalg import splu
-
-        try:
-            self.lu = splu(k.tocsc(), permc_spec=self.ordering,
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:       # "Factor is exactly singular"
-            raise SolverError(f"plate operator is singular: {exc}") from exc
-
-    def describe(self) -> dict:
-        """Name, fill-reducing ordering and the nonzeros of L + U."""
-        return {"name": self.name, "ordering": self.ordering,
-                "factor_nnz": int(self.lu.nnz)}
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.lu.solve(r)
+    Nodes run with the faster index along the side that has fewer free
+    nodes. When no cell form couples membrane and bending, K splits into a
+    w block and a v block: "split" puts every w dof before every v dof, and
+    the band is the wider block's, about 3 n sub-diagonals for n free nodes
+    along the shorter side. Otherwise "interleaved" keeps w1, w2, v together
+    per node, about 9 n.
+    """
+    mx, my = problem.mx, problem.my
+    free = flat_free.reshape(my + 1, mx + 1)
+    nodes = band_order(int(free.any(axis=1).sum()), int(free.any(axis=0).sum()))
+    nf = nodes.size
+    w = 2 * nodes[:, None] + np.arange(2)
+    if np.any(problem.forms[..., :3, 3:]) or np.any(problem.forms[..., 3:, :3]):
+        return "interleaved", np.column_stack([w, 2 * nf + nodes]).ravel()
+    return "split", np.concatenate([w.ravel(), 2 * nf + nodes])
 
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
                    max_iter: int | None = None) -> PlateSolution:
     """Discrete minimizer of the limit plate functional: CG preconditioned
-    by the sparse LU factors of K.
+    by the banded Cholesky factor of K (``fem3d.BandedCholesky``) in the
+    order of ``band_layout``, which converges in one or two iterations.
 
     Raises ``SolverError`` when K is singular: when the factorization
     breaks down, or when the relative energy error estimate
-    |r.LU^-1 r| / |l.u| of the result, r = l - K u, exceeds ``tol`` (the CG
-    recursion cannot see a zero-energy mode that the factors amplify).
+    |r.K_c^-1 r| / |l.u| of the result, r = l - K u and K_c the computed
+    factor, exceeds ``tol`` (the CG recursion cannot see a zero-energy mode
+    that the factor amplifies).
     """
-    k, ell, dof_free, _ = assemble_plate(problem)
-    precond = LUPreconditioner(k)
-    u, info = pcg(k, ell, precond=precond, tol=tol, max_iter=max_iter)
+    k, ell, dof_free, flat_free = assemble_plate(problem)
+    layout, order = band_layout(problem, flat_free)
+    factor = BandedCholesky(k, order, "plate operator")
+    u, info = pcg(k, ell, precond=factor.solve, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise SolverError(
             f"plate solve stalled at residual {info.residual:.3e} "
             f"after {info.iterations} iterations"
         )
-    load_value = float(ell @ u)
     ku = k @ u
-    r = ell - ku
-    energy_error = float(abs(r @ precond(r))
-                         / max(abs(load_value), np.finfo(float).tiny))
-    if not energy_error <= tol:
+    error = energy_error(ell, u, ku, factor.solve)
+    if not error <= tol:
         raise SolverError(
             f"plate operator is singular: relative energy error estimate "
-            f"{energy_error:.3e} exceeds {tol:.1e} after {info.iterations} "
+            f"{error:.3e} exceeds {tol:.1e} after {info.iterations} "
             "iterations"
         )
     mx, my = problem.mx, problem.my
@@ -281,11 +278,14 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
     nn = (mx + 1) * (my + 1)
     w = full[:2 * nn].reshape(my + 1, mx + 1, 2).swapaxes(0, 1)
     v = full[2 * nn:].reshape(my + 1, mx + 1).T
+    load_value = float(ell @ u)
     energy = float(0.5 * u @ ku - load_value)
     return PlateSolution(w=w, v=v, energy=energy, load_value=load_value,
                          iterations=info.iterations, residual=info.residual,
-                         energy_error=energy_error,
-                         preconditioner=precond.describe())
+                         energy_error=error,
+                         preconditioner={"name": "banded-cholesky",
+                                         "layout": layout,
+                                         "bandwidth": factor.bandwidth})
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:

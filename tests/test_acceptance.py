@@ -201,6 +201,10 @@ def test_criterion_7_volume_fraction_adjustment():
 
 
 def test_criterion_8_patchwork_local_recovery(monkeypatch):
+    # a smoke test, not a test of locality: the window that
+    # windowed_recovery re-homogenizes is bit-for-bit the patch cell, so
+    # both patch gaps are 0 by construction and the check cannot fail on a
+    # correct tiling; it guards the patchwork construction and the window
     iterations = []
 
     def counted(*args, **kwargs):

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,9 +117,11 @@ def test_plate_solve_manifest_and_repeatable_artifacts(tmp_path):
     assert sorted(energy) == ["basis", "energy", "iterations", "load_value",
                               "residual"]
     (rec,) = json.loads((outs[0] / "manifest.json").read_text())["solver"]
-    assert rec["preconditioner"]["name"] == "sparse-lu"
-    assert rec["preconditioner"]["ordering"] == "MMD_AT_PLUS_A"
-    assert rec["preconditioner"]["factor_nnz"] > 0
+    # 8 free nodes along x (the left edge is clamped), 9 along y: x runs
+    # fastest, and the isotropic form splits K, whose v block has the wider
+    # band, 3 * 8 + 1
+    assert rec["preconditioner"] == {"name": "banded-cholesky",
+                                     "layout": "split", "bandwidth": 25}
     assert rec["iterations"] == energy["iterations"] <= 3
     assert rec["residual"] == energy["residual"] <= 1e-12
     assert 0.0 <= rec["energy_error"] <= 1e-12
@@ -156,6 +161,34 @@ def test_theorem1_command(tmp_path, phases_file):
                                        "coarse_solver": "banded-cholesky",
                                        "bandwidth": 5 * 9 + 4}
         assert r["iterations"] > 0 and r["residual"] <= 1e-11
+        assert 0.0 <= r["energy_error"] <= 1e-9
+
+
+def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
+    # both factorizations are banded Cholesky from scipy.linalg; importing
+    # scipy.sparse.linalg would add time and memory to every run
+    import platehom
+
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+         "--fractions", "0.5,0.5", "--res", "4,4,2", "--domain", "plate",
+         "--out", str(m)])
+    commands = [
+        ["plate-solve", "--problem", _plate_problem(tmp_path, 8, ["left"]),
+         "--out", str(tmp_path / "p")],
+        ["theorem1", "--micro", str(m / "micro.json"), "--phases", phases_file,
+         "--h", "0.25", "--f", "0,0,1", "--clamped", "left",
+         "--out", str(tmp_path / "t")],
+    ]
+    code = ("import sys\nfrom platehom.cli import main\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
+            + "print('scipy.sparse.linalg' in sys.modules)")
+    src = str(Path(platehom.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split()[-1] == "False"
 
 
 def test_griso_command(tmp_path):

@@ -6,10 +6,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from platehom.algebra import SQRT2, isotropic_hooke, plane_stress_form
-from platehom.fem3d import SolverError
+from platehom.cell import kl_limit_form
+from platehom.fem3d import BandedCholesky, SolverError
+from platehom.microstructure import make_laminate
 from platehom.plate2d import (PlateProblem, PlateSolution, assemble_plate,
-                              cell_strains, dump_solution_csv, load_problem,
-                              minimize_plate, perturbation_stability)
+                              band_layout, cell_strains, dump_solution_csv,
+                              load_problem, minimize_plate,
+                              perturbation_stability)
 
 Q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
 
@@ -347,29 +350,67 @@ def test_cell_strains_of_quadratic_deflections(clamped):
     assert_allclose(z[..., 5], 0.0, atol=1e-12)
 
 
-def strip(m):
-    return PlateProblem(mx=m, my=m, forms=Q0.a,
-                        forces=np.array([0.0, 0.0, 1.0]),
-                        clamped=("left", "right"))
+def coupled_form() -> np.ndarray:
+    """Limit form of an unsymmetric x3 laminate: membrane and bending
+    couple."""
+    grid = make_laminate("x3", [0.3, 0.7], (2, 2, 8), domain="plate")
+    form = kl_limit_form(grid, {1: isotropic_hooke(1.0, 1.0),
+                                2: isotropic_hooke(10.0, 10.0)}).a
+    assert np.abs(form[:3, 3:]).max() > 0.1
+    return form
 
 
-def test_singular_even_strip_raises_solver_error():
+def strip(m, forms=Q0.a, clamped=("left", "right")):
+    return PlateProblem(mx=m, my=m, forms=forms,
+                        forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
+
+
+@pytest.mark.parametrize("clamped", [("left", "right"), ("bottom", "top")])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("m", [6, 8, 16])
+def test_singular_even_strip_raises_solver_error(m, coupled, clamped):
     # an even cell count between two clamped edges leaves the zero-energy
-    # deflection v = 0, 1, 0, 1, ... across node columns
+    # deflection v = 0, 1, 0, 1, ... across node lines: it has no strain,
+    # so no form, coupled or not, gives it energy
+    forms = coupled_form() if coupled else Q0.a
     with pytest.raises(SolverError):
-        minimize_plate(strip(8))
+        minimize_plate(strip(m, forms, clamped))
 
 
-def test_odd_strip_solves_with_lu_preconditioner():
+def test_odd_strip_solves_with_banded_cholesky():
+    # 9 x 9 between clamped left and right edges: 8 free nodes along x,
+    # 10 along y, so x runs fastest; the v block's band is 3 * 8 + 1
     sol = minimize_plate(strip(9))
     assert sol.energy < 0.0
     assert sol.iterations <= 3
     assert sol.energy_error <= 1e-12
-    assert sol.preconditioner["name"] == "sparse-lu"
-    assert sol.preconditioner["factor_nnz"] > 0
+    assert sol.preconditioner == {"name": "banded-cholesky", "layout": "split",
+                                  "bandwidth": 25}
 
 
-def test_lu_preconditioned_cantilever_converges_in_few_iterations():
+def test_banded_cholesky_cantilever_converges_in_few_iterations():
     sol = minimize_plate(cantilever(mx=16, my=16))
     assert sol.iterations <= 3
     assert sol.energy_error <= 1e-12
+
+
+@pytest.mark.parametrize("mx,my", [(12, 5), (5, 12)])
+@pytest.mark.parametrize("clamped", [("left",), ("bottom",)])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
+    # the factor solves exactly in either layout, and its band follows the
+    # side with fewer free nodes: x-fastest order would give 111
+    # sub-diagonals on the coupled 12 x 5 plate with its left edge clamped
+    prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
+                        forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
+    k, _, _, flat_free = assemble_plate(prob)
+    layout, order = band_layout(prob, flat_free)
+    factor = BandedCholesky(k, order)
+    free = flat_free.reshape(my + 1, mx + 1)
+    n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
+    assert layout == ("interleaved" if coupled else "split")
+    assert factor.bandwidth == (9 * n + 3 if coupled else 3 * n + 1)
+    b = np.random.default_rng(mx).standard_normal((k.shape[0], 2))
+    want = np.linalg.solve(k.toarray(), b)
+    got = factor.solve(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
