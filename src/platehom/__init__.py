@@ -8,7 +8,7 @@ from .cell import (HomogenizedForm, check_bounds, evaluate, gamma_sweep,
                    homogenize, kl_limit_form, voigt_form)
 from .convergence import (GrisoParts, extract_kl, griso_decompose, korn_ratio,
                           theorem1_harness)
-from .fem3d import Operator, SolverError, assemble, solve, solve_clamped
+from .fem3d import Operator, SolverError, assemble, solve_clamped
 from .gclosure import (GeneratorSpec, Patch, PatchworkSpec, patchwork_construct,
                        sample_ptheta, windowed_recovery)
 from .microstructure import (VoxelGrid, adjust_volume_fraction, load_grid,

@@ -18,6 +18,11 @@ the clamped edges only. ``assemble`` builds that pattern once (``_stencil``,
 the last one cached) and fills K by adding every local corner pair's 3x3
 element blocks into 27 per-offset node arrays, which one gather moves into
 CSR order: no triplets, no sort and no duplicate summation.
+
+Assembly, loads and field maps share the stencil's node lattice and one
+corner scatter, ``_scatter_corner``: the values of local corner a of every
+element land on a slice of the lattice, rolled in-plane in cell mode. The
+stencil's ``rows`` pick the nodes that carry dofs out of the lattice.
 """
 
 from __future__ import annotations
@@ -45,12 +50,8 @@ class ElementKit:
 
     b: np.ndarray       # (8 gp, 6, 24) Mandel strain-displacement matrices
     wdet: float         # quadrature weight * |J| (same for all gp)
-    n: np.ndarray       # (8 gp, 8) shape function values
     zeta_frac: np.ndarray  # (8 gp,) z position of gp as fraction of hz in [0,1]
-    hx: float
-    hy: float
     hz: float
-    scale: float
 
 
 def _local_corners() -> np.ndarray:
@@ -97,19 +98,16 @@ def element_kit(hx: float, hy: float, hz: float, scale: float,
     """
     corners = 2.0 * _local_corners() - 1.0  # (+-1)^3
     gps = GAUSS * corners                   # 2x2x2 Gauss points, same ordering
-    nmat = np.zeros((8, 8))
     bmat = np.zeros((8, 6, 24))
     jac = np.array([2.0 / hx, 2.0 / hy, 2.0 / (hz * scale)])
     for g, (xi, eta, zeta) in enumerate(gps):
-        for a, (xa, ya, za) in enumerate(corners):
-            nmat[g, a] = (1 + xa * xi) * (1 + ya * eta) * (1 + za * zeta) / 8.0
         bmat[g] = _b_at((xi, eta, zeta), jac)
         if ans_shear:
             bmat[g, 3, :] = _b_at((xi, 0.0, zeta), jac)[3, :]
             bmat[g, 4, :] = _b_at((0.0, eta, zeta), jac)[4, :]
     zeta_frac = (gps[:, 2] + 1.0) / 2.0
-    return ElementKit(b=bmat, wdet=hx * hy * hz / 8.0, n=nmat,
-                      zeta_frac=zeta_frac, hx=hx, hy=hy, hz=hz, scale=scale)
+    return ElementKit(b=bmat, wdet=hx * hy * hz / 8.0, zeta_frac=zeta_frac,
+                      hz=hz)
 
 
 def element_stiffness(kit: ElementKit, hooke: HookeTensor3) -> np.ndarray:
@@ -126,6 +124,8 @@ class Operator:
 
     ``k`` acts on the reduced dof vector (periodic dofs in cell mode, free
     dofs in plate mode); the quadratic energy of a field u is 0.5 u.K u.
+    The reduced dofs are those of the ``rows`` nodes of the node lattice, in
+    flat order, three per node.
     """
 
     k: sp.csr_matrix
@@ -133,13 +133,13 @@ class Operator:
     scale: float
     grid: VoxelGrid
     kit: ElementKit
-    edof: np.ndarray          # (nelem, 24) reduced dof ids (-1 = eliminated)
     tensors: list[HookeTensor3]
     tensor_of_elem: np.ndarray  # (nelem,) index into tensors
     ndof: int
     block_diagonal: np.ndarray  # (ndof // 3, 3, 3) K's diagonal node blocks
+    lattice: tuple[int, int, int]  # the stencil's (nz + 1, ny', nx') nodes
+    rows: np.ndarray            # (nnode,) nodes with dofs (all on a cell)
     clamped: tuple[str, ...] = ()
-    node_free: np.ndarray | None = None  # plate mode: free flag per full node
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Remove the translation kernel (cell mode); identity in plate mode.
@@ -153,39 +153,6 @@ class Operator:
 
     def energy(self, u: np.ndarray) -> float:
         return float(0.5 * u @ (self.k @ u))
-
-
-def _cell_node_ids(nx: int, ny: int, nz: int) -> np.ndarray:
-    """(nx+1, ny+1, nz+1) periodic node ids (x/y wrapped)."""
-    i = np.arange(nx + 1) % nx
-    j = np.arange(ny + 1) % ny
-    k = np.arange(nz + 1)
-    return (i[:, None, None] + nx * (j[None, :, None] + ny * k[None, None, :]))
-
-
-def _plate_node_ids(nx: int, ny: int, nz: int) -> np.ndarray:
-    i = np.arange(nx + 1)
-    j = np.arange(ny + 1)
-    k = np.arange(nz + 1)
-    return (i[:, None, None] + (nx + 1) * (j[None, :, None] + (ny + 1) * k[None, None, :]))
-
-
-def _element_dofs(node_ids: np.ndarray, nx: int, ny: int, nz: int) -> np.ndarray:
-    """(nelem, 24) dof ids from a (nx+1, ny+1, nz+1) node-id lattice."""
-    corners = _local_corners().astype(int)
-    ii = np.arange(nx)
-    jj = np.arange(ny)
-    kk = np.arange(nz)
-    ei, ej, ek = np.meshgrid(ii, jj, kk, indexing="ij")
-    # element order must match VoxelGrid flat order: x fastest, then y, then z
-    ei = ei.transpose(2, 1, 0).ravel()
-    ej = ej.transpose(2, 1, 0).ravel()
-    ek = ek.transpose(2, 1, 0).ravel()
-    nodes = np.empty((ei.size, 8), dtype=np.int64)
-    for a, (dx, dy, dz) in enumerate(corners):
-        nodes[:, a] = node_ids[ei + dx, ej + dy, ek + dz]
-    dofs = (3 * nodes[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 24)
-    return dofs
 
 
 @dataclass(frozen=True)
@@ -268,6 +235,19 @@ def _stencil(shape: tuple[int, int, int], mode: str,
                     indices=indices, gather=gather)
 
 
+def _scatter_corner(target: np.ndarray, vals: np.ndarray, a: int,
+                   mode: str) -> None:
+    """Add per-element values (nz, ny, nx, ...) at local corner ``a`` into
+    the node-lattice array ``target``: a slice of it, with the values
+    rolled in-plane onto the periodic nodes in cell mode."""
+    ax, ay, az = a & 1, (a >> 1) & 1, a >> 2
+    nz, ny, nx = vals.shape[:3]
+    if mode == "cell":
+        target[az:az + nz] += np.roll(vals, (ay, ax), axis=(1, 2))
+    else:
+        target[az:az + nz, ay:ay + ny, ax:ax + nx] += vals
+
+
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
              mode: str | None = None, clamped: tuple[str, ...] = (),
              allow_soft: bool = False) -> Operator:
@@ -306,8 +286,6 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
 
     if mode == "cell":
         stencil = _stencil(grid.shape, mode, ())
-        edof = _element_dofs(_cell_node_ids(nx, ny, nz), nx, ny, nz)
-        node_free = None
     elif mode == "plate":
         if not clamped:
             raise ValueError("plate mode requires at least one clamped edge")
@@ -316,11 +294,6 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
             raise ValueError(f"unknown edge names {bad}")
         stencil = _stencil(grid.shape, mode,
                            tuple(e for e in EDGES if e in clamped))
-        node_free = stencil.rows
-        dof_free = np.repeat(node_free, 3)
-        new_id = -np.ones(dof_free.size, dtype=np.int64)
-        new_id[dof_free] = np.arange(dof_free.sum())
-        edof = new_id[_element_dofs(_plate_node_ids(nx, ny, nz), nx, ny, nz)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     ndof = 3 * int(stencil.rows.sum())
@@ -330,22 +303,18 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     kes = np.ascontiguousarray(kes.reshape(-1, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
     elem_tensor = tensor_of_elem.reshape(nz, ny, nx)
     blocks = np.zeros((27,) + stencil.lattice + (3, 3))
-    for a, (ax, ay, az) in enumerate(_local_corners().astype(int)):
+    for a in range(8):
         for b in range(8):
-            vals = kes[a, b][elem_tensor]              # (nz, ny, nx, 3, 3)
-            target = blocks[stencil.offset[a, b], az:az + nz]
-            if mode == "cell":
-                target += np.roll(vals, (ay, ax), axis=(1, 2))
-            else:
-                target[:, ay:ay + ny, ax:ax + nx] += vals
+            _scatter_corner(blocks[stencil.offset[a, b]],
+                           kes[a, b][elem_tensor], a, mode)
     block_diagonal = blocks[13].reshape(-1, 3, 3)[stencil.rows]
     k = sp.csr_matrix((blocks.reshape(-1)[stencil.gather], stencil.indices,
                        stencil.indptr), shape=(ndof, ndof))
 
-    return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit, edof=edof,
+    return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit,
                     tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
-                    block_diagonal=block_diagonal, clamped=tuple(clamped),
-                    node_free=node_free)
+                    block_diagonal=block_diagonal, lattice=stencil.lattice,
+                    rows=stencil.rows, clamped=tuple(clamped))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +419,7 @@ class SolveInfo:
     converged: bool          # every column reached the tolerance
     column_iterations: tuple[int, ...]
     column_residuals: tuple[float, ...]
-    preconditioner: dict | None = None  # its describe(), set by ``solve``
+    preconditioner: dict | None = None  # its describe(), set by the caller
     energy_error: float | None = None   # |r.M^-1 r| / |l.u|, by ``solve_clamped``
 
 
@@ -547,8 +516,8 @@ class PlatePreconditioner:
     def __init__(self, op: Operator):
         if op.mode != "plate":
             raise ValueError("the two-level preconditioner needs a plate operator")
-        nx, ny, nz = op.grid.shape
-        free = op.node_free[:(nx + 1) * (ny + 1)].reshape(ny + 1, nx + 1)
+        nz = op.grid.shape[2]
+        free = op.rows.reshape(op.lattice)[0]
         ncol = int(free.sum())                                   # bottom layer
         # free nodes are numbered in flat order and every layer has the same
         # free columns, so layer k's node of coarse column c is k * ncol + c
@@ -567,7 +536,6 @@ class PlatePreconditioner:
         self.coarse = BandedCholesky(self.pt @ (op.k @ self.p),
                                      (5 * columns[:, None] + np.arange(5)).ravel(),
                                      "coarse plate operator")
-        self.bandwidth = self.coarse.bandwidth
         self.smoother = _block_jacobi(op.block_diagonal)
 
     def describe(self) -> dict:
@@ -575,14 +543,10 @@ class PlatePreconditioner:
         return {"name": self.name, "smoother": "block-jacobi",
                 "coarse_dofs": self.p.shape[1],
                 "coarse_solver": "banded-cholesky",
-                "bandwidth": self.bandwidth}
-
-    def coarse_solve(self, y: np.ndarray) -> np.ndarray:
-        """Kc^-1 y, with y and the result in the column order of ``p``."""
-        return self.coarse.solve(y)
+                "bandwidth": self.coarse.bandwidth}
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.smoother(r) + self.p @ self.coarse_solve(self.pt @ r)
+        return self.smoother(r) + self.p @ self.coarse.solve(self.pt @ r)
 
 
 def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
@@ -664,39 +628,30 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     return (out[:, 0] if b.ndim == 1 else out), info
 
 
-def solve(op: Operator, rhs: np.ndarray, tol: float = 1e-10,
-          max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """Solve K u = rhs; a cell is preconditioned by its
-    ``ReferencePreconditioner``, its kernel handled by projection, a plate by
-    its ``PlatePreconditioner``.
-
-    Never raises on slow convergence: the achieved residual is reported and
-    the caller decides.
-    """
-    if op.mode == "cell":
-        precond, project = ReferencePreconditioner(op), op.project
-    else:
-        precond, project = PlatePreconditioner(op), None
-    u, info = pcg(op.k, rhs, precond=precond, tol=tol, max_iter=max_iter,
-                  project=project)
-    info.preconditioner = precond.describe()
-    return u, info
-
-
 # ---------------------------------------------------------------------------
 # cell corrector loads
 # ---------------------------------------------------------------------------
 
-def corrector_loads(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Load couplings for the six membrane/curvature basis strains.
+def _corner_sum(op: Operator, vals: np.ndarray) -> np.ndarray:
+    """Reduced dof array of per-element corner values (nz, ny, nx, 8, 3, ...).
 
-    Returns (G, E0): G[:, a] = integral of B^T C eps_a over the grid
-    (so the corrector equation reads K psi_a = -G[:, a]) and
-    E0[a, b] = integral of eps_a . C eps_b (twice the zero-corrector energy).
-    The basis strain is eps_a(x3) = mandel3(iota(M1_a + x3 M2_a)).
+    Each node sums its corners from 7 down to 0: the order in which a loop
+    over the elements in flat order meets them, so away from a periodic
+    wrap the sums round exactly as that loop's.
     """
-    grid, kit = op.grid, op.kit
-    nx, ny, nz = grid.shape
+    full = np.zeros(op.lattice + vals.shape[4:])
+    for a in range(7, -1, -1):
+        _scatter_corner(full, vals[:, :, :, a], a, op.mode)
+    return full.reshape(-1, *vals.shape[4:])[op.rows].reshape(
+        op.ndof, *vals.shape[5:])
+
+
+def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Per (tensor, layer) element loads of the six basis strains:
+    (ntens, nz, 24, 6) integrals of B^T C eps and (ntens, nz, 6, 6)
+    integrals of eps . C eps."""
+    kit = op.kit
+    nz = op.grid.shape[2]
     ntens = len(op.tensors)
 
     # load vectors at the 8 gauss points for each layer: (nz, 8, 6, 6)
@@ -714,20 +669,26 @@ def corrector_loads(op: Operator) -> tuple[np.ndarray, np.ndarray]:
             ce = np.einsum("ij,kjl->kil", hooke.c, eps[:, g])     # (nz, 6, 6)
             g_tab[t] += kit.wdet * np.einsum("ia,kil->kal", kit.b[g], ce)
             e0_tab[t] += kit.wdet * np.einsum("kia,kil->kal", eps[:, g], ce)
+    return g_tab, e0_tab
 
-    layer_of_elem = np.repeat(np.arange(nz), nx * ny)
-    gvals = g_tab[op.tensor_of_elem, layer_of_elem]   # (nelem, 24, 6)
-    gmat = np.zeros((op.ndof, 6))
-    if op.mode == "plate":
-        keep = op.edof >= 0
-        np.add.at(gmat, op.edof[keep], gvals[keep])
-    else:
-        np.add.at(gmat, op.edof, gvals)
 
-    counts = np.zeros((ntens, nz), dtype=np.int64)
-    np.add.at(counts, (op.tensor_of_elem, layer_of_elem), 1)
-    e0 = np.einsum("tk,tkab->ab", counts, e0_tab)
-    return gmat, 0.5 * (e0 + e0.T)
+def corrector_loads(op: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Load couplings for the six membrane/curvature basis strains.
+
+    Returns (G, E0): G[:, a] = integral of B^T C eps_a over the grid
+    (so the corrector equation reads K psi_a = -G[:, a]) and
+    E0[a, b] = integral of eps_a . C eps_b (twice the zero-corrector energy).
+    The basis strain is eps_a(x3) = mandel3(iota(M1_a + x3 M2_a)).
+    """
+    g_tab, e0_tab = _load_tables(op)
+    nx, ny, nz = op.grid.shape
+    # (tensor, layer) table index of every element
+    index = (op.tensor_of_elem.reshape(nz, ny, nx)
+             * nz + np.arange(nz)[:, None, None])
+    gvals = g_tab.reshape(-1, 8, 3, 6)[index]         # (nz, ny, nx, 8, 3, 6)
+    counts = np.bincount(index.ravel(), minlength=len(g_tab) * nz)
+    e0 = np.einsum("tk,tkab->ab", counts.reshape(-1, nz), e0_tab)
+    return _corner_sum(op, gvals), 0.5 * (e0 + e0.T)
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +699,8 @@ def body_load(op: Operator, f) -> np.ndarray:
     """Load vector of the force functional integral f . (u1, u2, h u3)."""
     f = np.asarray(f, dtype=float).reshape(3)
     nodal = op.kit.wdet * np.array([f[0], f[1], op.scale * f[2]])
-    ell = np.zeros(op.ndof)
-    vals = np.broadcast_to(np.tile(nodal, 8), (op.edof.shape[0], 24))
-    if op.mode == "plate":
-        keep = op.edof >= 0
-        np.add.at(ell, op.edof[keep], vals[keep])
-    else:
-        np.add.at(ell, op.edof, vals)
-    return ell
+    nx, ny, nz = op.grid.shape
+    return _corner_sum(op, np.broadcast_to(nodal, (nz, ny, nx, 8, 3)))
 
 
 def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
@@ -780,27 +735,21 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
 
 
 def expand_field(op: Operator, u: np.ndarray) -> np.ndarray:
-    """Reduced dof vector -> full nodal field (nx+1, ny+1, nz+1, 3)."""
-    nx, ny, nz = op.grid.shape
+    """Reduced dof vector -> full nodal field (nx+1, ny+1, nz+1, 3); a cell's
+    x = 1 and y = 1 node planes repeat its x = 0 and y = 0 ones."""
+    full = np.zeros((op.rows.size, 3))
+    full[op.rows] = u.reshape(-1, 3)
+    full = full.reshape(op.lattice + (3,))
     if op.mode == "cell":
-        node_ids = _cell_node_ids(nx, ny, nz)
-        vals = u.reshape(-1, 3)
-        return vals[node_ids]
-    full = np.zeros(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    full[op.node_free] = u.reshape(-1, 3)
-    node_ids = _plate_node_ids(nx, ny, nz)
-    return full[node_ids]
+        full = np.pad(full, ((0, 0), (0, 1), (0, 1), (0, 0)), mode="wrap")
+    return full.transpose(2, 1, 0, 3)
 
 
 def restrict_field(op: Operator, field: np.ndarray) -> np.ndarray:
     """Full nodal field -> reduced dof vector (inverse of expand on its range)."""
-    nx, ny, nz = op.grid.shape
-    if op.mode == "cell":
-        vals = field[:nx, :ny, :, :]
-        # transpose to [k, j, i, comp]: flat node order i + nx*(j + ny*k)
-        return np.ascontiguousarray(vals.transpose(2, 1, 0, 3)).reshape(-1)
-    flat = np.ascontiguousarray(field.transpose(2, 1, 0, 3)).reshape(-1, 3)
-    return flat[op.node_free].ravel()
+    _, ny, nx = op.lattice
+    nodes = field[:nx, :ny].transpose(2, 1, 0, 3).reshape(-1, 3)
+    return nodes[op.rows].ravel()
 
 
 # ---------------------------------------------------------------------------

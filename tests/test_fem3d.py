@@ -11,7 +11,7 @@ from platehom import fem3d
 from platehom.algebra import HookeTensor3, isotropic_hooke, soft_hooke
 from platehom.fem3d import (assemble, body_load, element_kit,
                             element_stiffness, expand_field, pcg,
-                            restrict_field, solve, solve_clamped)
+                            restrict_field, solve_clamped)
 from platehom.microstructure import VoxelGrid, make_laminate, refine
 
 
@@ -32,11 +32,70 @@ def jacobi(k):
     return apply
 
 
+def cell_pcg(op, b, **kw):
+    """CG on a cell operator as ``cell.homogenize`` runs it: the FFT
+    reference preconditioner, the translations projected out."""
+    return pcg(op.k, b, fem3d.ReferencePreconditioner(op), project=op.project,
+               **kw)
+
+
+def element_dofs(op):
+    """(nelem, 24) reduced dof ids of every element's corners, -1 on a
+    clamped node, elements in flat order: the numbering of an element loop,
+    built from the grid shape and the clamped edges alone."""
+    nx, ny, nz = op.grid.shape
+    i, j, k = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
+                          np.arange(nz + 1), indexing="ij")
+    if op.mode == "cell":
+        node = i % nx + nx * (j % ny + ny * k)
+    else:
+        free = np.ones(i.shape, dtype=bool)
+        for edge, on in (("left", i == 0), ("right", i == nx),
+                         ("bottom", j == 0), ("top", j == ny)):
+            if edge in op.clamped:
+                free &= ~on
+        # free nodes are numbered in flat order: x fastest, then y, then z
+        flat = free.transpose(2, 1, 0)
+        node = np.where(flat, np.cumsum(flat).reshape(flat.shape) - 1, -1)
+        node = node.transpose(2, 1, 0)
+    ez, ey, ex = (e.ravel() for e in np.meshgrid(
+        np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"))
+    nodes = np.stack([node[ex + (a & 1), ey + (a >> 1 & 1), ez + (a >> 2)]
+                      for a in range(8)], axis=1)
+    dofs = 3 * nodes[:, :, None] + np.arange(3)
+    return np.where(nodes[:, :, None] >= 0, dofs, -1).reshape(-1, 24)
+
+
+def element_loads(op, f):
+    """(G, E0) of ``corrector_loads`` and the body load of ``f``, every
+    element's values added into the dofs of ``element_dofs`` by np.add.at,
+    element after element: the reference for the lattice scatter. Also
+    the sums of |G|'s terms, which bound G's rounding."""
+    nx, ny, nz = op.grid.shape
+    edof = element_dofs(op)
+    keep = edof >= 0
+    layer = np.repeat(np.arange(nz), nx * ny)
+    g_tab, e0_tab = fem3d._load_tables(op)
+    gvals = g_tab[op.tensor_of_elem, layer][keep]
+    gmat = np.zeros((op.ndof, 6))
+    np.add.at(gmat, edof[keep], gvals)
+    gabs = np.zeros((op.ndof, 6))
+    np.add.at(gabs, edof[keep], np.abs(gvals))
+    counts = np.zeros((len(op.tensors), nz), dtype=np.int64)
+    np.add.at(counts, (op.tensor_of_elem, layer), 1)
+    e0 = np.einsum("tk,tkab->ab", counts, e0_tab)
+    nodal = op.kit.wdet * np.array([f[0], f[1], op.scale * f[2]])
+    ell = np.zeros(op.ndof)
+    np.add.at(ell, edof[keep],
+              np.broadcast_to(np.tile(nodal, 8), edof.shape)[keep])
+    return gmat, gabs, 0.5 * (e0 + e0.T), ell
+
+
 def triplet_stiffness(op):
     """K from COO triplets of every element's 24x24 stiffness, summed by
     scipy's conversion to CSR: the reference for the stencil assembly."""
     kes = np.stack([element_stiffness(op.kit, t) for t in op.tensors])
-    index = op.edof.astype(np.int32)
+    index = element_dofs(op).astype(np.int32)
     vals = kes[op.tensor_of_elem]
     rows = np.broadcast_to(index[:, :, None], vals.shape)
     cols = np.broadcast_to(index[:, None, :], vals.shape)
@@ -149,7 +208,7 @@ def test_noncoercive_phase_rejected_without_flag():
 def test_solve_zero_rhs():
     grid = uniform_grid(3, 3, 3)
     op = assemble(grid, {1: isotropic_hooke(1.0, 1.0)}, scale=1.0)
-    u, info = solve(op, np.zeros(op.ndof))
+    u, info = cell_pcg(op, np.zeros(op.ndof))
     assert info.converged and info.iterations == 0
     assert_allclose(u, 0.0)
 
@@ -161,7 +220,7 @@ def test_solve_manufactured_solution():
     op = assemble(grid, phases, scale=1.5)
     u_star = op.project(rng.standard_normal(op.ndof))
     rhs = op.k @ u_star
-    u, info = solve(op, rhs, tol=1e-12)
+    u, info = cell_pcg(op, rhs, tol=1e-12)
     assert info.converged
     assert np.linalg.norm(u - u_star) < 1e-8 * np.linalg.norm(u_star)
 
@@ -197,7 +256,7 @@ def test_solve_reports_iteration_cap_without_raising():
                          2: isotropic_hooke(10.0, 10.0)}, scale=1.0)
     rng = np.random.default_rng(0)
     rhs = op.project(rng.standard_normal(op.ndof))
-    u, info = solve(op, rhs, tol=1e-14, max_iter=2)
+    u, info = cell_pcg(op, rhs, tol=1e-14, max_iter=2)
     assert not info.converged
     assert info.iterations == 2
     assert info.residual > 0
@@ -273,7 +332,7 @@ def test_laminate_minimum_gamma_rescaling_invariance():
     for gamma in (0.5, 2.0):
         op = assemble(grid, phases, scale=gamma)
         gmat, e0, = fem3d.corrector_loads(op)
-        u, info = solve(op, -gmat[:, 0], tol=1e-12)
+        u, info = cell_pcg(op, -gmat[:, 0], tol=1e-12)
         assert info.converged
         minima[gamma] = 0.5 * (e0[0, 0] + 2 * gmat[:, 0] @ u + u @ (op.k @ u))
     assert_allclose(minima[0.5], minima[2.0], rtol=1e-9)
@@ -287,7 +346,7 @@ def test_refinement_monotonicity_of_minimum():
     for grid in (base, refine(base, 2)):
         op = assemble(grid, phases, scale=1.0)
         gmat, e0 = fem3d.corrector_loads(op)
-        u, info = solve(op, -gmat[:, 3], tol=1e-12)
+        u, info = cell_pcg(op, -gmat[:, 3], tol=1e-12)
         assert info.converged
         vals.append(0.5 * (e0[3, 3] + 2 * gmat[:, 3] @ u + u @ (op.k @ u)))
     assert vals[1] <= vals[0] + 1e-12
@@ -359,6 +418,29 @@ def test_block_diagonal_is_ks_diagonal_blocks(shape, mode, clamped):
     dense = op.k.toarray().reshape(nb, 3, nb, 3)
     assert np.array_equal(op.block_diagonal,
                           dense[np.arange(nb), :, np.arange(nb), :])
+
+
+@pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES)
+def test_lattice_loads_match_element_loop(shape, mode, clamped):
+    # the lattice scatter adds a node's corners in the element loop's order
+    # except on a cell's x = 0 and y = 0 node planes, where the loop meets
+    # the wrapped elements last; a sum of at most 8 terms in another order
+    # is within 7 eps of the sum of their magnitudes
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
+    op = assemble(random_grid(shape, mode, seed=sum(shape)), phases, scale=0.3,
+                  mode=mode, clamped=clamped)
+    f = (0.3, -0.1, 1.0)
+    g_ref, g_abs, e0_ref, ell_ref = element_loads(op, f)
+    gmat, e0 = fem3d.corrector_loads(op)
+    assert np.array_equal(e0, e0_ref)
+    assert np.array_equal(body_load(op, f), ell_ref)
+    if mode == "plate":
+        assert np.array_equal(gmat, g_ref)
+    else:
+        assert np.all(np.abs(gmat - g_ref) <= 7 * np.finfo(float).eps * g_abs)
+        inner = np.s_[:, 1:, 1:]
+        assert np.array_equal(gmat.reshape(op.lattice + (18,))[inner],
+                              g_ref.reshape(op.lattice + (18,))[inner])
 
 
 def test_stencil_pattern_is_shared_and_read_only():
@@ -508,20 +590,6 @@ def test_two_level_clamped_solve_matches_direct_solve(clamped):
     assert abs(energy - e_direct) <= 1e-10 * abs(e_direct)
 
 
-def test_solve_picks_preconditioner_by_mode():
-    cell_op = assemble(make_laminate("x1", [0.5, 0.5], (4, 4, 4)),
-                       {1: isotropic_hooke(1.0, 1.0),
-                        2: isotropic_hooke(10.0, 10.0)}, scale=1.0)
-    gmat, _ = fem3d.corrector_loads(cell_op)
-    _, info = solve(cell_op, -gmat[:, 0], tol=1e-10)
-    assert info.converged and info.preconditioner["name"] == "fft-reference"
-    plate_op = assemble(uniform_grid(6, 6, 3, domain="plate"),
-                        {1: isotropic_hooke(1.0, 1.0)}, scale=0.1,
-                        mode="plate", clamped=("left",))
-    _, info = solve(plate_op, body_load(plate_op, (0, 0, 1.0)), tol=1e-10)
-    assert info.converged and info.preconditioner["name"] == "two-level"
-
-
 @pytest.mark.parametrize("shape", [(7, 4, 3), (4, 7, 3)])
 @pytest.mark.parametrize("clamped", [("left",), ("bottom",), fem3d.EDGES])
 def test_banded_coarse_solve_matches_dense_solve(shape, clamped):
@@ -535,11 +603,11 @@ def test_banded_coarse_solve_matches_dense_solve(shape, clamped):
     op = assemble(grid, phases, scale=0.25, mode="plate", clamped=clamped)
     m = fem3d.PlatePreconditioner(op)
     assert m.describe()["coarse_solver"] == "banded-cholesky"
-    assert m.bandwidth == m.describe()["bandwidth"] <= 5 * (min(nx, ny) + 3)
+    assert m.coarse.bandwidth == m.describe()["bandwidth"] <= 5 * (min(nx, ny) + 3)
     kc = (m.p.T @ op.k @ m.p).toarray()
     b = rng.standard_normal((kc.shape[0], 2))
     want = np.linalg.solve(kc, b)
-    got = m.coarse_solve(b)
+    got = m.coarse.solve(b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
