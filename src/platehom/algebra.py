@@ -195,9 +195,6 @@ class PlateForm:
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.a)
-
 
 def evaluate_form(form: PlateForm, m1: np.ndarray, m2: np.ndarray) -> float:
     """Q(M1, M2) = z.Az for the mandel pair z of (M1, M2)."""

@@ -37,13 +37,9 @@ class HomogenizedForm:
     gamma: float
     resolution: tuple[int, int, int]
     fractions: tuple[float, ...]
-    residuals: tuple[float, ...]
     phase_ids: tuple[int, ...]
     phase_digests: tuple[str, ...]
-    iterations: tuple[int, ...]            # CG iterations per corrector
-    preconditioner: dict = field(compare=False)  # name and reference tensor
-    ndof: int = field(compare=False)       # size of the assembled K
-    nnz: int = field(compare=False)        # stored entries of K
+    solve: fem3d.SolveInfo = field(compare=False)  # the six-corrector CG solve
 
     @property
     def a(self) -> np.ndarray:
@@ -70,7 +66,7 @@ def _form_matrix(e0, gmat, u, ku) -> np.ndarray:
 
 
 def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
-               tol: float = 1e-10, max_iter=None,
+               tol: float = 1e-10,
                allow_soft: bool = False) -> HomogenizedForm:
     """Compute the homogenized plate form of a periodic cell at given gamma.
 
@@ -86,14 +82,8 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
     gmat, e0 = fem3d.corrector_loads(op)
     precond = fem3d.ReferencePreconditioner(op)
     u, info = fem3d.pcg(op.k, -gmat, precond=precond, tol=tol,
-                        max_iter=max_iter, project=op.project)
-    if not info.converged:
-        worst = int(np.argmax(info.column_residuals))
-        raise SolverError(
-            f"corrector {worst} stalled at residual "
-            f"{info.column_residuals[worst]:.3e} after "
-            f"{info.column_iterations[worst]} iterations"
-        )
+                        project=op.project)
+    info.preconditioner = precond.describe()
     a = _form_matrix(e0, gmat, u, op.k @ u)
     ids = sorted(int(p) for p in grid.phase_ids())
     return HomogenizedForm(
@@ -101,21 +91,10 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
         gamma=gamma,
         resolution=grid.shape,
         fractions=tuple(volume_fractions(grid, ids).tolist()),
-        residuals=info.column_residuals,
         phase_ids=tuple(ids),
         phase_digests=tuple(phases[p].digest() for p in ids),
-        iterations=info.column_iterations,
-        preconditioner=precond.describe(),
-        ndof=op.ndof,
-        nnz=op.k.nnz,
+        solve=info,
     )
-
-
-def solver_record(hf: HomogenizedForm) -> dict:
-    """What the corrector solve did, for a run manifest (not the form file)."""
-    return {"gamma": hf.gamma, "ndof": hf.ndof, "nnz": hf.nnz,
-            "preconditioner": hf.preconditioner,
-            "iterations": list(hf.iterations), "residuals": list(hf.residuals)}
 
 
 def voigt_form(grid: VoxelGrid, phases: dict[int, HookeTensor3]) -> PlateForm:
@@ -252,7 +231,7 @@ def form_to_dict(hf: HomogenizedForm) -> dict:
         "matrix": hf.a.ravel().tolist(),
         "fractions": list(hf.fractions),
         "resolution": list(hf.resolution),
-        "residuals": list(hf.residuals),
+        "residuals": list(hf.solve.column_residuals),
         "phase_ids": list(hf.phase_ids),
         "phase_digests": list(hf.phase_digests),
         "note": CONVENTION_NOTE,
@@ -273,12 +252,14 @@ def load_form(path) -> PlateForm:
     return PlateForm(a=a, gamma=doc.get("gamma", "limit"))
 
 
-def _upper_triangle(a: np.ndarray) -> list[float]:
-    iu = np.triu_indices(6)
-    return a[iu].tolist()
-
-
 UPPER_HEADER = [f"a{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(6))]
+
+
+def form_row(a: np.ndarray) -> list[float]:
+    """A form's CSV row: its upper triangle, in ``UPPER_HEADER`` order, then
+    its smallest and largest eigenvalue."""
+    eig = np.linalg.eigvalsh(a)
+    return [*a[np.triu_indices(6)].tolist(), eig[0], eig[-1]]
 
 
 def dump_sweep_csv(result: SweepResult, path) -> None:
@@ -290,10 +271,8 @@ def dump_sweep_csv(result: SweepResult, path) -> None:
             if hf is None:
                 w.writerow([g] + ["nan"] * 23)
                 continue
-            eig = np.linalg.eigvalsh(hf.a)
-            w.writerow([g, *_upper_triangle(hf.a), eig[0], eig[-1]])
+            w.writerow([g, *form_row(hf.a)])
         for label, est in (("gamma->0 est.", result.gamma0_estimate),
                            ("gamma->inf est.", result.gammainf_estimate)):
             if est is not None:
-                eig = np.linalg.eigvalsh(0.5 * (est + est.T))
-                w.writerow([label, *_upper_triangle(est), eig[0], eig[-1]])
+                w.writerow([label, *form_row(est)])

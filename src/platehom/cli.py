@@ -47,15 +47,10 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
                     solver: list[dict] | None = None) -> None:
-    """Write manifest.json; ``solver`` holds one record per solve: per
-    homogenized form (dof and stored-entry counts of K, preconditioner,
-    reference tensor, iterations and residuals per corrector), per thickness
-    of ``theorem1`` (h, dof and stored-entry counts of K, preconditioner
-    with its coarse dof count, coarse solver and bandwidth, iterations,
-    residual and energy error estimate) or for the one ``plate-solve``
-    (preconditioner with its band layout and bandwidth, iterations, residual
-    and energy error estimate).
-    It is left out for commands that solve nothing."""
+    """Write manifest.json; ``solver`` holds one record per solve, its
+    ``fem3d.SolveInfo.record()``, after the gamma of a homogenized form (and
+    the generator of a ``gclosure-sample`` entry) or the h of a ``theorem1``
+    thickness. It is left out for commands that solve nothing."""
     import scipy
 
     params = {k: v for k, v in params.items()
@@ -181,7 +176,8 @@ def cmd_homogenize(args) -> int:
             return 3
     _write_manifest(outdir, "homogenize",
                     {"gamma": args.gamma, "tol": args.tol},
-                    [args.micro, args.phases], solver=[cell.solver_record(hf)])
+                    [args.micro, args.phases],
+                    solver=[{"gamma": hf.gamma, **hf.solve.record()}])
     return 0
 
 
@@ -207,7 +203,8 @@ def cmd_gamma_sweep(args) -> int:
         json.dump(doc, f, indent=1)
     _write_manifest(outdir, "gamma-sweep", {"gammas": gammas, "tol": args.tol},
                     [args.micro, args.phases],
-                    solver=[cell.solver_record(f) for f in result.forms if f])
+                    solver=[{"gamma": f.gamma, **f.solve.record()}
+                            for f in result.forms if f])
     return 0
 
 
@@ -218,13 +215,11 @@ def cmd_plate_solve(args) -> int:
     plate2d.dump_solution_csv(sol, os.path.join(outdir, "solution.csv"))
     with open(os.path.join(outdir, "energy.json"), "w") as f:
         json.dump({"energy": sol.energy, "load_value": sol.load_value,
-                   "iterations": sol.iterations, "residual": sol.residual,
+                   "iterations": sol.solve.iterations,
+                   "residual": sol.solve.residual,
                    "basis": BASIS_TAG}, f, indent=1)
     _write_manifest(outdir, "plate-solve", {"tol": args.tol}, [args.problem],
-                    solver=[{"preconditioner": sol.preconditioner,
-                             "iterations": sol.iterations,
-                             "residual": sol.residual,
-                             "energy_error": sol.energy_error}])
+                    solver=[sol.solve.record()])
     return 0
 
 
@@ -294,7 +289,8 @@ def cmd_gclosure_sample(args) -> int:
     _write_manifest(outdir, "gclosure-sample",
                     {"theta": theta, "generators": args.generators,
                      "res": list(res)}, [args.phases],
-                    solver=[{"generator": e.generator, **cell.solver_record(e.form)}
+                    solver=[{"generator": e.generator, "gamma": e.gamma,
+                             **e.form.solve.record()}
                             for e in samples.entries if e.form])
     return 0
 

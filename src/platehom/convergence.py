@@ -244,8 +244,7 @@ class HarnessResult:
     gap_monotone: bool
     corrector_monotone: bool
     final_gap: float
-    # one record per h: h, the dof and stored-entry counts of K, the
-    # preconditioner, iterations, residual and energy error estimate, or
+    # one record per h: h and the solve's ``SolveInfo.record()``, or h and
     # the solver error
     solver: list[dict] = field(default_factory=list)
 
@@ -284,11 +283,7 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
                                    error=str(exc)))
             solver.append({"h": h, "error": str(exc)})
             continue
-        solver.append({"h": h, "ndof": op.ndof, "nnz": op.k.nnz,
-                       "preconditioner": info.preconditioner,
-                       "iterations": info.iterations,
-                       "residual": info.residual,
-                       "energy_error": info.energy_error})
+        solver.append({"h": h, **info.record()})
         field = fem3d.expand_field(op, u)
         w_h, v_h, corr = extract_kl(field, h)
         kl_gap = np.sqrt(nodal_l2_sq_2d(w_h - limit.w)

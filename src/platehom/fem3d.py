@@ -412,15 +412,32 @@ class ReferencePreconditioner:
 
 @dataclass
 class SolveInfo:
-    """Outcome of a CG solve; a 2-D right-hand side sums over its columns."""
+    """What a CG solve did; a 2-D right-hand side sums over its columns."""
 
+    ndof: int                # size of K
+    nnz: int                 # stored entries of K
     iterations: int          # iterations, summed over the columns
     residual: float          # largest relative residual ||r|| / ||b||
-    converged: bool          # every column reached the tolerance
     column_iterations: tuple[int, ...]
     column_residuals: tuple[float, ...]
     preconditioner: dict | None = None  # its describe(), set by the caller
-    energy_error: float | None = None   # |r.M^-1 r| / |l.u|, by ``solve_clamped``
+    energy_error: float | None = None   # |r.M^-1 r| / |l.u|, set by the caller
+
+    def record(self) -> dict:
+        """The solve's entry in a run manifest: ndof, nnz, preconditioner,
+        then ``iterations`` and ``residual`` of a one-column solve or
+        per-column ``iterations`` and ``residuals`` lists, then the
+        ``energy_error`` when the caller set one."""
+        rec = {"ndof": self.ndof, "nnz": self.nnz,
+               "preconditioner": self.preconditioner}
+        if len(self.column_iterations) == 1:
+            rec.update(iterations=self.iterations, residual=self.residual)
+        else:
+            rec.update(iterations=list(self.column_iterations),
+                       residuals=list(self.column_residuals))
+        if self.energy_error is not None:
+            rec["energy_error"] = self.energy_error
+        return rec
 
 
 def energy_error(ell: np.ndarray, u: np.ndarray, ku: np.ndarray,
@@ -480,7 +497,8 @@ class BandedCholesky:
 def _block_jacobi(blocks: np.ndarray):
     """3x3 block-Jacobi smoother from K's (nnode, 3, 3) diagonal blocks."""
     nb = blocks.shape[0]
-    # guard empty blocks (fully eliminated nodes never appear here)
+    # a node that touches only zero-stiffness elements (a ``soft_hooke(0)``
+    # phase, accepted with allow_soft) has a zero block: invert it as I
     sing = np.abs(np.linalg.det(blocks)) < 1e-300
     inv = np.linalg.inv(np.where(sing[:, None, None], np.eye(3), blocks))
 
@@ -562,7 +580,8 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     is given it must be the orthogonal projector onto the complement of the
     operator kernel; it is applied to the right-hand side, to K p, to the
     preconditioned residual and to the result. Raises ``SolverError`` when
-    the operator is not positive definite on the search space.
+    the operator is not positive definite on the search space, and when a
+    column stalls: it stops at ``max_iter`` with its residual above ``tol``.
     """
     n = k.shape[0]
     if max_iter is None:
@@ -619,10 +638,16 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
         p = z + (rz_new / rz) * p
         rz = rz_new
         res[cols] = np.sqrt(np.vecdot(r, r, axis=0)) / bnorm[cols]
+    if not (res <= tol).all():
+        j = int(np.argmax(res))
+        raise SolverError(
+            f"CG column {j} stalled at residual {res[j]:.3e} "
+            f"after {its[j]} iterations"
+        )
     if project is not None:
         out = project(out)
-    info = SolveInfo(iterations=int(its.sum()), residual=float(res.max()),
-                     converged=bool(np.all(res <= tol)),
+    info = SolveInfo(ndof=n, nnz=k.nnz, iterations=int(its.sum()),
+                     residual=float(res.max()),
                      column_iterations=tuple(its.tolist()),
                      column_residuals=tuple(res.tolist()))
     return (out[:, 0] if b.ndim == 1 else out), info
@@ -705,7 +730,7 @@ def body_load(op: Operator, f) -> np.ndarray:
 
 def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
                   f, clamped: tuple[str, ...], tol: float = 1e-12,
-                  max_iter: int | None = None, allow_soft: bool = False):
+                  allow_soft: bool = False):
     """Minimize the force-loaded scaled energy over the clamped plate, by CG
     with the two-level ``PlatePreconditioner``.
 
@@ -721,13 +746,8 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
                   allow_soft=allow_soft)
     ell = body_load(op, f)
     precond = PlatePreconditioner(op)
-    u, info = pcg(op.k, ell, precond=precond, tol=tol, max_iter=max_iter)
+    u, info = pcg(op.k, ell, precond=precond, tol=tol)
     info.preconditioner = precond.describe()
-    if not info.converged:
-        raise SolverError(
-            f"clamped solve stalled at residual {info.residual:.3e} "
-            f"after {info.iterations} iterations"
-        )
     ku = op.k @ u
     info.energy_error = energy_error(ell, u, ku, precond)
     energy = float(0.5 * u @ ku - ell @ u)

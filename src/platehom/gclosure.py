@@ -78,8 +78,8 @@ class SampleSet:
 
 
 def sample_ptheta(phases: dict[int, HookeTensor3], theta, generators,
-                  gammas, resolution=(8, 8, 8), tol: float = 1e-10,
-                  allow_soft: bool = False) -> SampleSet:
+                  gammas, resolution=(8, 8, 8),
+                  tol: float = 1e-10) -> SampleSet:
     """One homogenized form per (generator, gamma), every generator adjusted
     to the target fractions first; failures are recorded, not raised."""
     theta = np.asarray(theta, dtype=float)
@@ -91,8 +91,7 @@ def sample_ptheta(phases: dict[int, HookeTensor3], theta, generators,
         realized = tuple(volume_fractions(grid, ids).tolist())
         for g in gammas:
             try:
-                hf = cellmod.homogenize(grid, phases, float(g), tol=tol,
-                                        allow_soft=allow_soft)
+                hf = cellmod.homogenize(grid, phases, float(g), tol=tol)
                 out.entries.append(SampleEntry(generator=spec.describe(),
                                                gamma=float(g), form=hf,
                                                realized_theta=realized))
@@ -114,10 +113,7 @@ def dump_samples_csv(samples: SampleSet, path) -> None:
             if e.form is None:
                 w.writerow([e.generator, e.gamma] + ["nan"] * 23 + [e.error])
                 continue
-            eig = np.linalg.eigvalsh(e.form.a)
-            iu = np.triu_indices(6)
-            w.writerow([e.generator, e.gamma, *e.form.a[iu].tolist(),
-                        eig[0], eig[-1], ""])
+            w.writerow([e.generator, e.gamma, *cellmod.form_row(e.form.a), ""])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +140,9 @@ def patchwork_construct(spec: PatchworkSpec) -> VoxelGrid:
     return tile([(p.cell, p.rect) for p in spec.patches], spec.resolution)
 
 
+MARGIN_PERIODS = 1   # whole periods between a window and a patch interface
+
+
 @dataclass
 class PatchReport:
     label: str
@@ -156,11 +155,10 @@ class PatchReport:
 
 def windowed_recovery(grid: VoxelGrid, spec: PatchworkSpec,
                       phases: dict[int, HookeTensor3],
-                      margin_periods: int = 1, tol: float = 1e-10,
-                      allow_soft: bool = False) -> list[PatchReport]:
+                      tol: float = 1e-10) -> list[PatchReport]:
     """Re-homogenize one period inside each patch and compare to the target.
 
-    The window is period-aligned and at least ``margin_periods`` periods from
+    The window is period-aligned and at least ``MARGIN_PERIODS`` periods from
     every patch interface; a patch too small for that margin is an error.
 
     A period-aligned window of the tiling is bit-for-bit the patch cell, so
@@ -177,18 +175,16 @@ def windowed_recovery(grid: VoxelGrid, spec: PatchworkSpec,
         repsy = (j1 - j0) // py
         mx = (repsx - 1) // 2
         my = (repsy - 1) // 2
-        if mx < margin_periods or my < margin_periods:
+        if mx < MARGIN_PERIODS or my < MARGIN_PERIODS:
             raise ValueError(
                 f"patch {p.label or p.rect}: window would sit within "
-                f"{margin_periods} period(s) of an interface"
+                f"{MARGIN_PERIODS} period(s) of an interface"
             )
         wi = i0 + mx * px
         wj = j0 + my * py
         sub = window(grid, wi, wj, px, py)
-        target = cellmod.homogenize(p.cell, phases, spec.gamma, tol=tol,
-                                    allow_soft=allow_soft)
-        got = cellmod.homogenize(sub, phases, spec.gamma, tol=tol,
-                                 allow_soft=allow_soft)
+        target = cellmod.homogenize(p.cell, phases, spec.gamma, tol=tol)
+        got = cellmod.homogenize(sub, phases, spec.gamma, tol=tol)
         gap = float(np.max(np.abs(got.a - target.a))
                     / max(np.max(np.abs(target.a)), 1e-300))
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .algebra import SQRT2
-from .fem3d import (EDGES, BandedCholesky, SolverError, band_order,
-                    energy_error, pcg)
+from .fem3d import (EDGES, BandedCholesky, SolveInfo, SolverError,
+                    band_order, energy_error, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -74,10 +74,6 @@ class PlateProblem:
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "forces", forces)
 
-    @property
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.forms)[..., 0].min())
-
 
 @dataclass
 class PlateSolution:
@@ -85,10 +81,9 @@ class PlateSolution:
     v: np.ndarray        # (mx+1, my+1)
     energy: float
     load_value: float    # l(w, v) at the minimizer
-    iterations: int
-    residual: float
-    energy_error: float  # |r.K_c^-1 r| / |l.u|, r = l - K u, K_c K's factor
-    preconditioner: dict
+    # the CG solve; its energy_error is |r.K_c^-1 r| / |l.u|, r = l - K u,
+    # K_c K's factor
+    solve: SolveInfo = field(compare=False)
 
 
 def _two_point(n: int, lo, hi) -> np.ndarray:
@@ -243,8 +238,7 @@ def band_layout(problem: PlateProblem,
     return "split", np.concatenate([w.ravel(), 2 * nf + nodes])
 
 
-def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
-                   max_iter: int | None = None) -> PlateSolution:
+def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     """Discrete minimizer of the limit plate functional: CG preconditioned
     by the banded Cholesky factor of K (``fem3d.BandedCholesky``) in the
     order of ``band_layout``, which converges in one or two iterations.
@@ -258,14 +252,11 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
     k, ell, dof_free, flat_free = assemble_plate(problem)
     layout, order = band_layout(problem, flat_free)
     factor = BandedCholesky(k, order, "plate operator")
-    u, info = pcg(k, ell, precond=factor.solve, tol=tol, max_iter=max_iter)
-    if not info.converged:
-        raise SolverError(
-            f"plate solve stalled at residual {info.residual:.3e} "
-            f"after {info.iterations} iterations"
-        )
+    u, info = pcg(k, ell, precond=factor.solve, tol=tol)
+    info.preconditioner = {"name": "banded-cholesky", "layout": layout,
+                           "bandwidth": factor.bandwidth}
     ku = k @ u
-    error = energy_error(ell, u, ku, factor.solve)
+    error = info.energy_error = energy_error(ell, u, ku, factor.solve)
     if not error <= tol:
         raise SolverError(
             f"plate operator is singular: relative energy error estimate "
@@ -281,11 +272,7 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12,
     load_value = float(ell @ u)
     energy = float(0.5 * u @ ku - load_value)
     return PlateSolution(w=w, v=v, energy=energy, load_value=load_value,
-                         iterations=info.iterations, residual=info.residual,
-                         energy_error=error,
-                         preconditioner={"name": "banded-cholesky",
-                                         "layout": layout,
-                                         "bandwidth": factor.bandwidth})
+                         solve=info)
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:

@@ -51,7 +51,7 @@ def test_criterion_1_homogeneous_plate_decoupling():
         e16 = (np.max(np.abs(hf16.a[3:, 3:] - r_oracle / 12.0))
                / np.max(np.abs(r_oracle / 12.0)))
         bend_errs[gamma] = (e8, e16)
-        iterations += hf8.iterations + hf16.iterations
+        iterations += hf8.solve.column_iterations + hf16.solve.column_iterations
     rates = {g: np.log2(e8 / e16) for g, (e8, e16) in bend_errs.items()}
     worst_e8 = max(e8 for e8, _ in bend_errs.values())
     # the reference medium is the cell's own tensor: measured 1 per corrector
@@ -73,7 +73,8 @@ def test_criterion_2_x3_laminate_oracle():
     full_rel = np.max(np.abs(a05 - oracle.a)) / np.max(np.abs(oracle.a))
     mem_abs = np.max(np.abs(a05[:3, :3] - oracle.a[:3, :3]))
     gamma_rel = np.max(np.abs(a05 - a20)) / np.max(np.abs(a20))
-    its = max(hf05.iterations + hf20.iterations)       # measured 3
+    its = max(hf05.solve.column_iterations
+              + hf20.solve.column_iterations)       # measured 3
     ok = (full_rel < 0.02 and mem_abs < 1e-8 and gamma_rel < 1e-9
           and its <= 6)
     report(2, ok, f"full-form err {full_rel:.2e}, membrane {mem_abs:.2e}, "
@@ -97,7 +98,7 @@ def test_criterion_3_universal_bounds():
         all_ok &= rep.passed
         worst_floor = min(worst_floor, rep.eig_min - alpha / 12.0)
         worst_voigt = min(worst_voigt, rep.voigt_margin)
-        iterations += hf.iterations
+        iterations += hf.solve.column_iterations
     ok = all_ok and max(iterations) <= 45               # measured 31-34
     report(3, ok, f"20 mixtures, min floor margin {worst_floor:.2e}, "
                   f"min voigt margin {worst_voigt:.2e}, "
@@ -209,7 +210,7 @@ def test_criterion_8_patchwork_local_recovery(monkeypatch):
 
     def counted(*args, **kwargs):
         hf = homogenize(*args, **kwargs)
-        iterations.extend(hf.iterations)
+        iterations.extend(hf.solve.column_iterations)
         return hf
 
     monkeypatch.setattr(cell, "homogenize", counted)

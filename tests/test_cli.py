@@ -254,8 +254,9 @@ def test_exit_codes(tmp_path, phases_file):
 
 
 def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
-    # force an unreachable tolerance and a tiny iteration budget
+    # force an unreachable tolerance and a tiny iteration budget: pcg stalls
     import platehom.fem3d as fem3d
+    import platehom.plate2d as plate2d
 
     orig = fem3d.pcg
 
@@ -271,6 +272,10 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
               "--phases", phases_file, "--gamma", "1.0",
               "--out", str(tmp_path / "z")])
     assert rc == 2
+    monkeypatch.setattr(plate2d, "pcg", crippled)
+    prob = _plate_problem(tmp_path, 8, ["left"])
+    assert run(["plate-solve", "--problem", prob,
+                "--out", str(tmp_path / "p")]) == 2
 
 
 def _homogenize_checkerboard(tmp_path, phases_file, out="z"):
@@ -347,6 +352,45 @@ def test_manifests_record_operator_size(tmp_path, phases_file):
     assert record["ndof"] == 3 * 8 * 9 * 5                # left column clamped
     assert record["nnz"] == nnz([2] + [3] * 6 + [2], [2] + [3] * 7 + [2],
                                 [2, 3, 3, 3, 2])
+
+
+def _solver_records(tmp_path, phases_file, command):
+    """The manifest ``solver`` records of a small run of ``command``."""
+    out = tmp_path / "out"
+    if command == "plate-solve":
+        argv = ["--problem", _plate_problem(tmp_path, 8, ["left"])]
+    elif command == "gclosure-sample":
+        argv = ["--phases", phases_file, "--theta", "0.5,0.5",
+                "--generators", "laminate:x1", "--gammas", "1.0",
+                "--res", "4,4,4"]
+    else:
+        domain = "plate" if command == "theorem1" else "cell"
+        run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+             "--fractions", "0.5,0.5", "--res", "4,4,4", "--domain", domain,
+             "--out", str(tmp_path / "m")])
+        argv = ["--micro", str(tmp_path / "m" / "micro.json"),
+                "--phases", phases_file]
+        argv += {"homogenize": ["--gamma", "1.0"],
+                 "gamma-sweep": ["--gammas", "0.5,1.0"],
+                 "theorem1": ["--h", "0.25", "--f", "0,0,1",
+                              "--clamped", "left"]}[command]
+    assert run([command, *argv, "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())["solver"]
+
+
+@pytest.mark.parametrize("command", ["homogenize", "gamma-sweep",
+                                     "gclosure-sample", "theorem1",
+                                     "plate-solve"])
+def test_every_solver_record_holds_size_and_iterations(tmp_path, phases_file,
+                                                        command):
+    records = _solver_records(tmp_path, phases_file, command)
+    assert records
+    for rec in records:
+        assert {"ndof", "nnz", "preconditioner", "iterations"} <= set(rec)
+        assert rec["ndof"] > 0 and rec["nnz"] >= rec["ndof"]
+    if command == "plate-solve":
+        # w1, w2 and v at the 8 x 9 nodes off the clamped left edge
+        assert records[0]["ndof"] == 3 * 8 * 9
 
 
 def test_config_file_merging(tmp_path, phases_file):

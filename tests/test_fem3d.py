@@ -209,7 +209,7 @@ def test_solve_zero_rhs():
     grid = uniform_grid(3, 3, 3)
     op = assemble(grid, {1: isotropic_hooke(1.0, 1.0)}, scale=1.0)
     u, info = cell_pcg(op, np.zeros(op.ndof))
-    assert info.converged and info.iterations == 0
+    assert info.iterations == 0
     assert_allclose(u, 0.0)
 
 
@@ -221,7 +221,6 @@ def test_solve_manufactured_solution():
     u_star = op.project(rng.standard_normal(op.ndof))
     rhs = op.k @ u_star
     u, info = cell_pcg(op, rhs, tol=1e-12)
-    assert info.converged
     assert np.linalg.norm(u - u_star) < 1e-8 * np.linalg.norm(u_star)
 
 
@@ -233,7 +232,6 @@ def test_pcg_block_jacobi_agrees():
     b = rng.standard_normal(op.ndof)
     xa, ia = pcg(op.k, b, jacobi(op.k), tol=1e-12)
     xb, ib = pcg(op.k, b, fem3d._block_jacobi(op.block_diagonal), tol=1e-12)
-    assert ia.converged and ib.converged
     assert np.linalg.norm(xa - xb) < 1e-8 * np.linalg.norm(xa)
     assert ib.iterations <= ia.iterations
 
@@ -248,7 +246,7 @@ def test_indefinite_operator_rejected():
             jacobi(k), tol=1e-12)
 
 
-def test_solve_reports_iteration_cap_without_raising():
+def test_pcg_raises_at_iteration_cap():
     # two phases: on a uniform cell the FFT preconditioner is the exact
     # inverse and one iteration converges
     grid = make_laminate("x1", [0.5, 0.5], (4, 4, 4))
@@ -256,10 +254,8 @@ def test_solve_reports_iteration_cap_without_raising():
                          2: isotropic_hooke(10.0, 10.0)}, scale=1.0)
     rng = np.random.default_rng(0)
     rhs = op.project(rng.standard_normal(op.ndof))
-    u, info = cell_pcg(op, rhs, tol=1e-14, max_iter=2)
-    assert not info.converged
-    assert info.iterations == 2
-    assert info.residual > 0
+    with pytest.raises(fem3d.SolverError, match="after 2 iterations"):
+        cell_pcg(op, rhs, tol=1e-14, max_iter=2)
 
 
 def test_clamped_zero_force_zero_solution():
@@ -333,7 +329,6 @@ def test_laminate_minimum_gamma_rescaling_invariance():
         op = assemble(grid, phases, scale=gamma)
         gmat, e0, = fem3d.corrector_loads(op)
         u, info = cell_pcg(op, -gmat[:, 0], tol=1e-12)
-        assert info.converged
         minima[gamma] = 0.5 * (e0[0, 0] + 2 * gmat[:, 0] @ u + u @ (op.k @ u))
     assert_allclose(minima[0.5], minima[2.0], rtol=1e-9)
 
@@ -347,7 +342,6 @@ def test_refinement_monotonicity_of_minimum():
         op = assemble(grid, phases, scale=1.0)
         gmat, e0 = fem3d.corrector_loads(op)
         u, info = cell_pcg(op, -gmat[:, 3], tol=1e-12)
-        assert info.converged
         vals.append(0.5 * (e0[3, 3] + 2 * gmat[:, 3] @ u + u @ (op.k @ u)))
     assert vals[1] <= vals[0] + 1e-12
 
@@ -375,7 +369,6 @@ def test_clamped_pcg_matches_direct_solve():
     op = assemble(grid, phases, scale=0.2, mode="plate", clamped=("left",))
     ell = body_load(op, (0.3, -0.1, 1.0))
     u_cg, info = pcg(op.k, ell, fem3d._block_jacobi(op.block_diagonal), tol=1e-13)
-    assert info.converged
     u_direct = spla.spsolve(op.k.tocsc(), ell)
     assert np.linalg.norm(u_cg - u_direct) < 1e-10 * np.linalg.norm(u_direct)
 
@@ -522,7 +515,7 @@ def test_block_pcg_zero_column_and_columnwise_projection():
     assert info.column_iterations[1] == 0 and info.column_residuals[1] == 0.0
     assert np.all(x[:, 1] == 0.0)
     assert info.iterations == sum(info.column_iterations)
-    assert info.converged and max(info.column_residuals) <= 1e-12
+    assert max(info.column_residuals) <= 1e-12
     for j in (0, 2):
         for c in range(3):
             assert abs(x[c::3, j].mean()) < 1e-12

@@ -314,8 +314,7 @@ def test_kronecker_assembly_matches_element_loop(mx, my, clamped):
     assert_allclose(ell, ell_ref, rtol=1e-14, atol=1e-14 * abs(ell_ref).max())
     w = rng.standard_normal((mx + 1, my + 1, 2))
     v = rng.standard_normal((mx + 1, my + 1))
-    sol = PlateSolution(w=w, v=v, energy=0.0, load_value=0.0, iterations=0,
-                        residual=0.0, energy_error=0.0, preconditioner={})
+    sol = PlateSolution(w=w, v=v, energy=0.0, load_value=0.0, solve=None)
     want = _loop_cell_strains(prob, w, v)
     assert_allclose(cell_strains(prob, sol), want, rtol=0,
                     atol=1e-13 * abs(want).max())
@@ -335,8 +334,7 @@ def test_cell_strains_of_quadratic_deflections(clamped):
 
     def strains(v):
         sol = PlateSolution(w=np.zeros((6, 5, 2)), v=v, energy=0.0,
-                            load_value=0.0, iterations=0, residual=0.0,
-                            energy_error=0.0, preconditioner={})
+                            load_value=0.0, solve=None)
         return cell_strains(prob, sol)
 
     z = strains(x * y)
@@ -382,16 +380,16 @@ def test_odd_strip_solves_with_banded_cholesky():
     # 10 along y, so x runs fastest; the v block's band is 3 * 8 + 1
     sol = minimize_plate(strip(9))
     assert sol.energy < 0.0
-    assert sol.iterations <= 3
-    assert sol.energy_error <= 1e-12
-    assert sol.preconditioner == {"name": "banded-cholesky", "layout": "split",
-                                  "bandwidth": 25}
+    assert sol.solve.iterations <= 3
+    assert sol.solve.energy_error <= 1e-12
+    assert sol.solve.preconditioner == {"name": "banded-cholesky",
+                                        "layout": "split", "bandwidth": 25}
 
 
 def test_banded_cholesky_cantilever_converges_in_few_iterations():
     sol = minimize_plate(cantilever(mx=16, my=16))
-    assert sol.iterations <= 3
-    assert sol.energy_error <= 1e-12
+    assert sol.solve.iterations <= 3
+    assert sol.solve.energy_error <= 1e-12
 
 
 @pytest.mark.parametrize("mx,my", [(12, 5), (5, 12)])
