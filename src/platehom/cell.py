@@ -71,7 +71,7 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
     """Compute the homogenized plate form of a periodic cell at given gamma.
 
     The six corrector problems are one block CG solve, preconditioned by the
-    FFT inverse of a homogeneous reference medium.
+    in-plane Fourier inverse of a homogeneous reference medium.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

@@ -203,8 +203,9 @@ def cmd_gamma_sweep(args) -> int:
         json.dump(doc, f, indent=1)
     _write_manifest(outdir, "gamma-sweep", {"gammas": gammas, "tol": args.tol},
                     [args.micro, args.phases],
-                    solver=[{"gamma": f.gamma, **f.solve.record()}
-                            for f in result.forms if f])
+                    solver=[{"gamma": g, **f.solve.record()} if f
+                            else {"gamma": g, "error": result.errors[g]}
+                            for g, f in zip(result.gammas, result.forms)])
     return 0
 
 
@@ -290,8 +291,9 @@ def cmd_gclosure_sample(args) -> int:
                     {"theta": theta, "generators": args.generators,
                      "res": list(res)}, [args.phases],
                     solver=[{"generator": e.generator, "gamma": e.gamma,
-                             **e.form.solve.record()}
-                            for e in samples.entries if e.form])
+                             **(e.form.solve.record() if e.form
+                                else {"error": e.error})}
+                            for e in samples.entries])
     return 0
 
 

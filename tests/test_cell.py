@@ -315,7 +315,7 @@ def test_forms_match_pinned_lu_anisotropic_phase():
 
 
 def test_reference_preconditioner_iterations_gamma_independent():
-    # seeded 16^3 random two-phase cell, contrast 10: the FFT reference
+    # seeded 16^3 random two-phase cell, contrast 10: the Fourier reference
     # medium keeps every corrector at <= 40 iterations for every gamma
     # (Jacobi CG took 157-1800 per corrector on such a cell)
     rng = np.random.default_rng(5)

@@ -278,6 +278,50 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
                 "--out", str(tmp_path / "p")]) == 2
 
 
+def test_failed_solves_keep_their_manifest_slot(tmp_path, phases_file,
+                                               monkeypatch):
+    # the second solve of each command stalls, as in
+    # test_solver_failure_exit_code; its record holds the error in place of
+    # the solve, so the list still lines up with the gammas and samples
+    import platehom.fem3d as fem3d
+
+    orig = fem3d.pcg
+    calls = []
+
+    def second_crippled(k, b, precond, tol=1e-10, max_iter=None, project=None):
+        calls.append(1)
+        if len(calls) == 2:
+            return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
+                        project=project)
+        return orig(k, b, precond=precond, tol=tol, max_iter=max_iter,
+                    project=project)
+
+    monkeypatch.setattr(fem3d, "pcg", second_crippled)
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+         "--fractions", "0.5,0.5", "--res", "4,4,4", "--out", str(m)])
+    out = tmp_path / "g"
+    assert run(["gamma-sweep", "--micro", str(m / "micro.json"),
+                "--phases", phases_file, "--gammas", "0.5,1.0,2.0",
+                "--out", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert [r["gamma"] for r in solver] == [0.5, 1.0, 2.0]
+    assert [("error" in r) for r in solver] == [False, True, False]
+    assert set(solver[1]) == {"gamma", "error"}
+    assert "stalled" in solver[1]["error"]
+
+    calls.clear()
+    out = tmp_path / "s"
+    assert run(["gclosure-sample", "--phases", phases_file,
+                "--theta", "0.5,0.5", "--generators", "laminate:x1,laminate:90",
+                "--gammas", "1.0", "--res", "4,4,4", "--out", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert [r["generator"] for r in solver] == ["laminate:x1", "laminate:90"]
+    assert "iterations" in solver[0]
+    assert set(solver[1]) == {"generator", "gamma", "error"}
+    assert "stalled" in solver[1]["error"]
+
+
 def _homogenize_checkerboard(tmp_path, phases_file, out="z"):
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "checkerboard", "--period", "2",

@@ -33,7 +33,7 @@ def jacobi(k):
 
 
 def cell_pcg(op, b, **kw):
-    """CG on a cell operator as ``cell.homogenize`` runs it: the FFT
+    """CG on a cell operator as ``cell.homogenize`` runs it: the Fourier
     reference preconditioner, the translations projected out."""
     return pcg(op.k, b, fem3d.ReferencePreconditioner(op), project=op.project,
                **kw)
@@ -247,7 +247,7 @@ def test_indefinite_operator_rejected():
 
 
 def test_pcg_raises_at_iteration_cap():
-    # two phases: on a uniform cell the FFT preconditioner is the exact
+    # two phases: on a uniform cell the reference preconditioner is the exact
     # inverse and one iteration converges
     grid = make_laminate("x1", [0.5, 0.5], (4, 4, 4))
     op = assemble(grid, {1: isotropic_hooke(1.0, 1.0),
@@ -436,6 +436,35 @@ def test_lattice_loads_match_element_loop(shape, mode, clamped):
                               g_ref.reshape(op.lattice + (18,))[inner])
 
 
+# cells of one or two nodes along x or y: entries of K and K^T that differ,
+# by rounding, on the STENCIL_CASES inputs, and of those above the diagonal
+# the ones where K is the larger; the counts pin the corner-pair order in
+# which ``assemble`` sums the aliased offsets (swapping the a and b loops
+# transposes K and swaps the two halves)
+ALIASED_ASYMMETRY = {(1, 3, 4): (144, 34), (2, 2, 2): (256, 57),
+                     (4, 2, 2): (138, 30)}
+
+
+@pytest.mark.parametrize("shape, mode, clamped",
+                         STENCIL_CASES + [((16, 16, 16), "cell", ())])
+def test_stencil_k_is_bitwise_symmetric(shape, mode, clamped):
+    # pcg multiplies a block by K's CSC view, K^T: it sums each row in the
+    # order K @ X does, so the two agree bitwise when K does
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
+    op = assemble(random_grid(shape, mode, seed=sum(shape)), phases, scale=0.3,
+                  mode=mode, clamped=clamped)
+    asym = (op.k != op.k.T).nnz
+    if shape in ALIASED_ASYMMETRY:
+        upper = sp.triu(op.k - op.k.T, 1)
+        assert (asym, (upper > 0).nnz) == ALIASED_ASYMMETRY[shape]
+        d = np.abs(upper).max()
+        assert d <= 4 * np.finfo(float).eps * np.abs(op.k.data).max()
+        return
+    assert asym == 0
+    x = np.random.default_rng(1).standard_normal((op.ndof, 6))
+    assert np.array_equal(op.k.T @ x, op.k @ x)
+
+
 def test_stencil_pattern_is_shared_and_read_only():
     phases = {1: isotropic_hooke(1.0, 1.0)}
     grid = uniform_grid(4, 3, 2, domain="plate")
@@ -471,7 +500,7 @@ def test_assembly_peak_memory_is_a_small_multiple_of_k():
 
 
 # ---------------------------------------------------------------------------
-# FFT reference-medium preconditioner and block CG
+# reference-medium preconditioner and block CG
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
@@ -488,6 +517,32 @@ def test_reference_symbol_inverts_homogeneous_cell(gamma):
     pv = op.project(v)
     assert np.abs(m(op.k @ v) - pv).max() < 1e-10 * np.abs(pv).max()
     assert np.abs(m(op.k @ v[:, 0]) - pv[:, 0]).max() < 1e-10 * np.abs(pv).max()
+
+
+def fft_reference_apply(m, r):
+    """The preconditioner's apply through numpy's FFT: rfft2 over (y, x),
+    the per-wavenumber inverses, irfft2."""
+    nz1, ny, nx = m.shape
+    rh = np.fft.rfft2(r.reshape(nz1, ny, nx, 3, -1), axes=(1, 2))
+    rh = rh.transpose(1, 2, 0, 3, 4).reshape(ny, nx // 2 + 1, 3 * nz1, -1)
+    zh = (m.inv @ rh).reshape(ny, nx // 2 + 1, nz1, 3, -1)
+    z = np.fft.irfft2(zh.transpose(2, 0, 1, 3, 4), s=(ny, nx), axes=(1, 2))
+    return z.reshape(r.shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 2), (5, 4, 3), (8, 8, 8)])
+def test_reference_dft_matrices_match_fft(shape):
+    # in-plane sizes of one, two, odd and even nodes, nx != ny: the zero and
+    # Nyquist bins, the sine rows' sign and the axes all show
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    op = assemble(random_grid(shape, "cell", seed=sum(shape)), phases, scale=0.5)
+    m = fem3d.ReferencePreconditioner(op)
+    r = np.random.default_rng(4).standard_normal((op.ndof, 6))
+    for rr in (r, r[:, 0]):
+        ref = fft_reference_apply(m, rr)
+        z = m(rr)
+        assert z.shape == rr.shape
+        assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_reference_tensor_log_euclidean_mean():
