@@ -46,11 +46,8 @@ class HomogenizedForm:
         return self.form.a
 
 
-def evaluate(form, m1, m2) -> float:
-    """Q(M1, M2) = z.Az; accepts a PlateForm or a HomogenizedForm."""
-    if isinstance(form, HomogenizedForm):
-        form = form.form
-    return evaluate_form(form, m1, m2)
+# Q(M1, M2) = z.Az of a PlateForm or a HomogenizedForm: both carry ``a``
+evaluate = evaluate_form
 
 
 def _form_matrix(e0, gmat, u, ku) -> np.ndarray:
@@ -81,8 +78,10 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
                         allow_soft=allow_soft)
     gmat, e0 = fem3d.corrector_loads(op)
     precond = fem3d.ReferencePreconditioner(op)
-    u, info = fem3d.pcg(op.k, -gmat, precond=precond, tol=tol,
-                        project=op.project)
+    # the translations stay out: the loads and correctors are projected
+    # here, every search direction by the preconditioner
+    u, info = fem3d.pcg(op.k, op.project(-gmat), precond=precond, tol=tol)
+    u = op.project(u)
     info.preconditioner = precond.describe()
     a = _form_matrix(e0, gmat, u, op.k @ u)
     ids = sorted(int(p) for p in grid.phase_ids())
@@ -150,7 +149,7 @@ def check_bounds(form, alpha: float, beta: float, voigt: PlateForm | None = None
     With non-coercive (soft) phases pass alpha <= 0: the coercivity check is
     skipped with a warning, mirroring the bound's precondition.
     """
-    a = form.a if not isinstance(form, HomogenizedForm) else form.form.a
+    a = form.a
     eig = np.linalg.eigvalsh(a)
     check_coercivity = alpha > 0.0
     if not check_coercivity:

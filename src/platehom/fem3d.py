@@ -8,9 +8,10 @@ mesh serves every scale.
 
 Dof layout is node-major with interleaved components (ux, uy, uz per node).
 Cell mode identifies the x=0/x=1 and y=0/y=1 node planes (periodic in-plane,
-natural top/bottom) and its operator kernel is the three translations,
-handled by mean-projection inside CG. Plate mode eliminates all components
-on the clamped edge planes.
+natural top/bottom) and its operator kernel is the three translations:
+``Operator.project`` removes them from the cell's loads and correctors, and
+the reference preconditioner keeps them out of every CG search direction.
+Plate mode eliminates all components on the clamped edge planes.
 
 On a voxel grid each node couples to at most its 27 lattice neighbours, in
 full 3x3 blocks, so K's sparsity pattern depends on the shape, the mode and
@@ -435,7 +436,7 @@ class ReferencePreconditioner:
 
 
 # ---------------------------------------------------------------------------
-# preconditioned conjugate gradients with kernel projection
+# preconditioned conjugate gradients
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -444,12 +445,20 @@ class SolveInfo:
 
     ndof: int                # size of K
     nnz: int                 # stored entries of K
-    iterations: int          # iterations, summed over the columns
-    residual: float          # largest relative residual ||r|| / ||b||
     column_iterations: tuple[int, ...]
-    column_residuals: tuple[float, ...]
+    column_residuals: tuple[float, ...]  # relative residuals ||r|| / ||b||
     preconditioner: dict | None = None  # its describe(), set by the caller
     energy_error: float | None = None   # |r.M^-1 r| / |l.u|, set by the caller
+
+    @property
+    def iterations(self) -> int:
+        """Iterations, summed over the columns."""
+        return sum(self.column_iterations)
+
+    @property
+    def residual(self) -> float:
+        """The largest relative residual of a column."""
+        return max(self.column_residuals)
 
     def record(self) -> dict:
         """The solve's entry in a run manifest: ndof, nnz, preconditioner,
@@ -596,8 +605,7 @@ class PlatePreconditioner:
 
 
 def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
-        max_iter: int | None = None,
-        project=None) -> tuple[np.ndarray, SolveInfo]:
+        max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
     ``precond`` is a callable applying the preconditioner to an (n, m)
@@ -608,23 +616,16 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     symmetric: a product with two or more columns goes through ``k.T``, the
     CSC view of K's arrays, whose multi-vector kernel is faster than CSR's;
     it sums each row in the order ``k @ p`` does, so the two agree bitwise
-    when K is bitwise symmetric. If ``project`` is given it must be the
-    orthogonal projector onto the complement of the operator kernel; it is
-    applied to the right-hand side, to K p, to the preconditioned residual
-    and to the result. Raises ``SolverError`` when the operator is not
-    positive definite on the search space, and when a column stalls: it
+    when K is bitwise symmetric. A singular K, such as a cell operator,
+    needs ``b`` and the preconditioner's range orthogonal to its kernel:
+    every search direction, and so the result, then stays off the kernel
+    with no projection here. Raises ``SolverError`` when the operator is
+    not positive definite on the search space, and when a column stalls: it
     stops at ``max_iter`` with its residual above ``tol``.
     """
     n = k.shape[0]
     if max_iter is None:
         max_iter = max(200, int(50 * np.sqrt(n)))
-
-    def precondition(res_block):
-        z = precond(res_block)
-        return z if project is None else project(z)
-
-    if project is not None:
-        b = project(b)
     # column-wise products and norms go through np.vecdot, which rounds a
     # single column exactly as the 1-D dot product and norm do
     r = np.array(b.reshape(n, -1), dtype=float)
@@ -638,7 +639,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     cols = np.arange(ncol)
     kt = k.T                                   # O(1): the same arrays
     x = np.zeros((n, ncol))
-    z = precondition(r)
+    z = precond(r)
     p = z.copy()
     rz = np.vecdot(r, z, axis=0)
     it = 0
@@ -653,8 +654,6 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
             if not cols.size:
                 break
         ap = (kt if p.shape[1] > 1 else k) @ p
-        if project is not None:
-            ap = project(ap)
         pap = np.vecdot(p, ap, axis=0)
         if (pap <= 0.0).any():
             j = int(np.argmin(pap))
@@ -666,7 +665,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
         x += alpha * p
         r -= alpha * ap
         it += 1
-        z = precondition(r)
+        z = precond(r)
         rz_new = np.vecdot(r, z, axis=0)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -677,11 +676,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
             f"CG column {j} stalled at residual {res[j]:.3e} "
             f"after {its[j]} iterations"
         )
-    if project is not None:
-        out = project(out)
-    info = SolveInfo(ndof=n, nnz=k.nnz, iterations=int(its.sum()),
-                     residual=float(res.max()),
-                     column_iterations=tuple(its.tolist()),
+    info = SolveInfo(ndof=n, nnz=k.nnz, column_iterations=tuple(its.tolist()),
                      column_residuals=tuple(res.tolist()))
     return (out[:, 0] if b.ndim == 1 else out), info
 

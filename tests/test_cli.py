@@ -260,9 +260,8 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
 
     orig = fem3d.pcg
 
-    def crippled(k, b, precond, tol=1e-10, max_iter=None, project=None):
-        return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
-                    project=project)
+    def crippled(k, b, precond, tol=1e-10, max_iter=None):
+        return orig(k, b, precond=precond, tol=1e-30, max_iter=1)
 
     monkeypatch.setattr(fem3d, "pcg", crippled)
     m = tmp_path / "m"
@@ -288,13 +287,11 @@ def test_failed_solves_keep_their_manifest_slot(tmp_path, phases_file,
     orig = fem3d.pcg
     calls = []
 
-    def second_crippled(k, b, precond, tol=1e-10, max_iter=None, project=None):
+    def second_crippled(k, b, precond, tol=1e-10, max_iter=None):
         calls.append(1)
         if len(calls) == 2:
-            return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
-                        project=project)
-        return orig(k, b, precond=precond, tol=tol, max_iter=max_iter,
-                    project=project)
+            return orig(k, b, precond=precond, tol=1e-30, max_iter=1)
+        return orig(k, b, precond=precond, tol=tol, max_iter=max_iter)
 
     monkeypatch.setattr(fem3d, "pcg", second_crippled)
     m = tmp_path / "m"
