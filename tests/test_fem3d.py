@@ -476,28 +476,104 @@ def test_stencil_pattern_is_shared_and_read_only():
         a.k.indices[0] = 1
 
 
+def traced(fn):
+    """fn() with the bytes it holds at its return and at its peak, as
+    traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return (out, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
 def test_assembly_peak_memory_is_a_small_multiple_of_k():
     # the fill holds its 27 block arrays and K's values, about 1.5 times
     # K's bytes; an assembly from every element's triplets peaks at 6.6
-    grid = random_grid((16, 16, 4), "plate")
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(4.0, 4.0)}
 
-    def traced_peak():
-        tracemalloc.start()
-        try:
-            op = assemble(grid, phases, scale=0.0625, mode="plate",
-                          clamped=("left",))
-            return op, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def build(shape):
+        return assemble(random_grid(shape, "plate"), phases, scale=0.0625,
+                        mode="plate", clamped=("left",))
 
     fem3d._stencil.cache_clear()
-    op, cold = traced_peak()
-    k_bytes = op.k.data.nbytes + op.k.indices.nbytes + op.k.indptr.nbytes
+    op, _, cold = traced(lambda: build((16, 16, 4)))
+    k_bytes = csr_bytes(op.k)
     del op
-    _, warm = traced_peak()
+    _, _, warm = traced(lambda: build((16, 16, 4)))
     assert cold <= 3.0 * k_bytes
     assert warm <= 2.0 * k_bytes
+
+    # the element product of a clamped solve keeps its corner map A and
+    # A^T next to K: 0.075 of K's bytes on the benchmark's 32x32x8 plate,
+    # the product's set-up peaks at 0.12
+    op = build((32, 32, 8))
+    k_bytes = csr_bytes(op.k)
+    product, held, peak = traced(lambda: fem3d.ElementProduct(op))
+    assert csr_bytes(product.a) + csr_bytes(product.at) <= held <= 0.1 * k_bytes
+    assert peak <= 0.2 * k_bytes
+
+
+ELEMENT_PRODUCT_CASES = [case for case in STENCIL_CASES if case[1] == "plate"]
+
+
+@pytest.mark.parametrize("shape, mode, clamped", ELEMENT_PRODUCT_CASES + [
+    ((7, 5, 4), "plate", ("bottom",)),
+    ((6, 6, 3), "cell", ())])
+def test_element_product_matches_k(shape, mode, clamped):
+    # three phases in random voxels, one of them without any stiffness: A
+    # orders the elements by tensor, so a wrong tensor bound shows; nx != ny
+    # catches swapped axes and the cell case the in-plane wrap
+    n = int(np.prod(shape))
+    data = np.random.default_rng(n).integers(1, 4, n).astype(np.int32)
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0),
+              3: soft_hooke(0.0)}
+    op = assemble(VoxelGrid(*shape, data, mode), phases, scale=0.3, mode=mode,
+                  clamped=clamped, allow_soft=True)
+    product = fem3d.ElementProduct(op)
+    assert product.a.shape == (8 * n, op.ndof // 3)
+    rng = np.random.default_rng(2)
+    for p in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 3))):
+        kp = op.k @ p
+        got = product(p)
+        assert got.shape == p.shape
+        assert np.abs(got - kp).max() <= 1e-14 * np.abs(kp).max()
+
+
+def test_clamped_solve_on_element_product_keeps_counts_and_energies():
+    # the benchmark's thin plate: 32x32x8 x3 laminate, contrast 10, left
+    # edge clamped. Every K product of solve_clamped goes through the
+    # element product; a pcg on K's CSR product takes the same iterations
+    # and finds the same minimizer. The two products are two roundings of
+    # one operator: K sums the element stiffnesses into its entries, which
+    # at h = 1/16 moves 0.5 u.K u - l.u by 9e-10 relative, so each
+    # comparison evaluates both minimizers with one product
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    grid = make_laminate("x3", [0.5, 0.5], (32, 32, 8), domain="plate")
+    f = (0.0, 0.0, 1.0)
+    for h, count in ((0.25, 118), (0.125, 89), (0.0625, 113)):
+        op, u, energy, info = solve_clamped(grid, phases, h, f, ("left",),
+                                            tol=1e-11)
+        ell = body_load(op, f)
+        ref, ref_info = pcg(op.k, ell, fem3d.PlatePreconditioner(op), tol=1e-11)
+        assert info.iterations == ref_info.iterations == count
+        product = fem3d.ElementProduct(op)
+        assert energy == 0.5 * u @ product(u) - ell @ u
+        for apply in (product, op.k.dot):
+            e, e_ref = (0.5 * v @ apply(v) - ell @ v for v in (u, ref))
+            assert abs(e - e_ref) <= 1e-10 * abs(e_ref)
+
+
+def test_project_needs_a_cell_operator():
+    op = assemble(uniform_grid(2, 2, 2, domain="plate"),
+                  {1: isotropic_hooke(1.0, 1.0)}, scale=0.5, mode="plate",
+                  clamped=("left",))
+    with pytest.raises(ValueError, match="cell operator"):
+        op.project(np.zeros(op.ndof))
 
 
 # ---------------------------------------------------------------------------
