@@ -37,12 +37,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import _EMBED, HookeTensor3
 from .microstructure import VoxelGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 GAUSS = 1.0 / np.sqrt(3.0)
 EDGES = ("left", "right", "bottom", "top")
@@ -160,9 +163,6 @@ class Operator:
         nodes = x.reshape(-1, 3, *x.shape[1:])
         return (nodes - nodes.mean(axis=0)).reshape(x.shape)
 
-    def energy(self, u: np.ndarray) -> float:
-        return float(0.5 * u @ (self.k @ u))
-
 
 @dataclass(frozen=True)
 class _Stencil:
@@ -269,6 +269,8 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     corner a (a slice of the node lattice, rolled in-plane in cell mode);
     one gather through the cached pattern gives K's CSR values.
     """
+    import scipy.sparse as sp
+
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     mode = mode or grid.domain
@@ -344,6 +346,8 @@ class ElementProduct:
     """
 
     def __init__(self, op: Operator):
+        import scipy.sparse as sp
+
         nx, ny, nz = op.grid.shape
         _, nyl, nxl = op.lattice
         node = np.full(op.rows.size, -1, dtype=np.int32)
@@ -570,7 +574,9 @@ class BandedCholesky:
     """
 
     def __init__(self, k: sp.csr_matrix, order: np.ndarray, what: str = "matrix"):
-        # imported here: it adds about 0.08 s and 8 MB to every program start
+        # scipy.sparse and scipy.linalg are imported where they are used, so
+        # that a command that builds no matrix does not pay for them at start
+        import scipy.sparse as sp
         from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
         self.order = order
@@ -595,17 +601,17 @@ class BandedCholesky:
 
 
 def _block_jacobi(blocks: np.ndarray):
-    """3x3 block-Jacobi smoother from K's (nnode, 3, 3) diagonal blocks."""
+    """3x3 block-Jacobi smoother from K's (nnode, 3, 3) diagonal blocks: the
+    product with the block-diagonal BSR matrix of their inverses."""
+    import scipy.sparse as sp
+
     nb = blocks.shape[0]
     # a node that touches only zero-stiffness elements (a ``soft_hooke(0)``
     # phase, accepted with allow_soft) has a zero block: invert it as I
     sing = np.abs(np.linalg.det(blocks)) < 1e-300
     inv = np.linalg.inv(np.where(sing[:, None, None], np.eye(3), blocks))
-
-    def apply(r):
-        return np.einsum("nij,njc->nic", inv, r.reshape(nb, 3, -1)).reshape(r.shape)
-
-    return apply
+    return sp.bsr_matrix((inv, np.arange(nb), np.arange(nb + 1)),
+                         shape=(3 * nb, 3 * nb)).dot
 
 
 class PlatePreconditioner:
@@ -634,6 +640,8 @@ class PlatePreconditioner:
     def __init__(self, op: Operator):
         if op.mode != "plate":
             raise ValueError("the two-level preconditioner needs a plate operator")
+        import scipy.sparse as sp
+
         nz = op.grid.shape[2]
         free = op.rows.reshape(op.lattice)[0]
         ncol = int(free.sum())                                   # bottom layer

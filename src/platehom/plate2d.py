@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import SQRT2
 from .fem3d import (EDGES, BandedCholesky, SolveInfo, SolverError,
@@ -138,6 +137,8 @@ class _StrainOperators:
     """
 
     def __init__(self, mx: int, my: int, clamped: tuple[str, ...]):
+        import scipy.sparse as sp
+
         node_free = np.ones((my + 1, mx + 1), dtype=bool)   # [j, i]
         node_free[:, 0] &= "left" not in clamped
         node_free[:, mx] &= "right" not in clamped
@@ -193,6 +194,8 @@ def assemble_plate(problem: PlateProblem):
 
     K = sum_g 2 w_g B_g^T blockdiag(A_c) B_g over the 2x2 Gauss points,
     summed in closed form (see ``_StrainOperators``)."""
+    import scipy.sparse as sp
+
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
     ops = _curvature_stencils(mx, my, tuple(problem.clamped))

@@ -164,11 +164,21 @@ def test_theorem1_command(tmp_path, phases_file):
         assert 0.0 <= r["energy_error"] <= 1e-9
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    platehom."""
+    import platehom
+
+    src = str(Path(platehom.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
     # both factorizations are banded Cholesky from scipy.linalg; importing
     # scipy.sparse.linalg would add time and memory to every run
-    import platehom
-
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "laminate", "--axis", "x3",
          "--fractions", "0.5,0.5", "--res", "4,4,2", "--domain", "plate",
@@ -183,12 +193,20 @@ def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
     code = ("import sys\nfrom platehom.cli import main\n"
             + "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
             + "print('scipy.sparse.linalg' in sys.modules)")
-    src = str(Path(platehom.__file__).parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.split()[-1] == "False"
+    assert _fresh_stdout(code).split()[-1] == "False"
+
+
+def test_commands_that_solve_nothing_leave_scipy_solvers_unloaded(tmp_path):
+    # scipy.sparse (with the numpy.f2py and numpy.testing it pulls in) and
+    # scipy.linalg load with the first assembly or factor, not at start-up
+    argv = ["gen-micro", "--kind", "random", "--seed", "1", "--res", "4,4,2",
+            "--out", str(tmp_path / "m")]
+    code = ("import sys\nimport platehom\nfrom platehom.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "try:\n    main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg')"
+            " if m in sys.modules))")
+    assert _fresh_stdout(code).splitlines()[-1] == "[]"
 
 
 def test_griso_command(tmp_path):
