@@ -16,9 +16,13 @@ Plate mode eliminates all components on the clamped edge planes.
 On a voxel grid each node couples to at most its 27 lattice neighbours, in
 full 3x3 blocks, so K's sparsity pattern depends on the shape, the mode and
 the clamped edges only. ``assemble`` builds that pattern once (``_stencil``,
-the last one cached) and fills K by adding every local corner pair's 3x3
-element blocks into 27 per-offset node arrays, which one gather moves into
-CSR order: no triplets, no sort and no duplicate summation.
+the last one cached) and fills K with dense products: a table W holds each
+tensor's 3x3 blocks between local corner a and every corner b at their
+stencil offset, a 0/1 indicator marks the nodes that are corner a of an
+element of tensor t, and one GEMM per node plane, indicator times W, gives
+that plane's 27 blocks per node, which one gather moves into CSR order: no
+triplets, no sort and no duplicate summation. It holds K's values and one
+node plane of blocks, about 1.1 times K's bytes at its peak.
 
 Assembly, loads and field maps share the stencil's node lattice and one
 corner scatter, ``_scatter_corner``: the values of local corner a of every
@@ -73,26 +77,25 @@ def _local_corners() -> np.ndarray:
     return out
 
 
-def _b_at(point, jac: np.ndarray) -> np.ndarray:
-    """6x24 Mandel strain-displacement matrix at a reference point."""
-    corners = 2.0 * _local_corners() - 1.0
-    xi, eta, zeta = point
+def _b_at(points: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """(n, 6, 24) Mandel strain-displacement matrices at n reference points."""
+    xa, ya, za = (2.0 * _local_corners() - 1.0).T           # (8,) each
+    xi, eta, zeta = (points[:, i, None] for i in range(3))  # (n, 1) each
     s2 = np.sqrt(2.0)
-    b = np.zeros((6, 24))
-    for a, (xa, ya, za) in enumerate(corners):
-        dx = xa * (1 + ya * eta) * (1 + za * zeta) / 8.0 * jac[0]
-        dy = ya * (1 + xa * xi) * (1 + za * zeta) / 8.0 * jac[1]
-        dz = za * (1 + xa * xi) * (1 + ya * eta) / 8.0 * jac[2]
-        b[0, 3 * a + 0] = dx
-        b[1, 3 * a + 1] = dy
-        b[2, 3 * a + 2] = dz
-        b[3, 3 * a + 1] = dz / s2
-        b[3, 3 * a + 2] = dy / s2
-        b[4, 3 * a + 0] = dz / s2
-        b[4, 3 * a + 2] = dx / s2
-        b[5, 3 * a + 0] = dy / s2
-        b[5, 3 * a + 1] = dx / s2
-    return b
+    dx = xa * (1 + ya * eta) * (1 + za * zeta) / 8.0 * jac[0]
+    dy = ya * (1 + xa * xi) * (1 + za * zeta) / 8.0 * jac[1]
+    dz = za * (1 + xa * xi) * (1 + ya * eta) / 8.0 * jac[2]
+    b = np.zeros((len(points), 6, 8, 3))
+    b[:, 0, :, 0] = dx
+    b[:, 1, :, 1] = dy
+    b[:, 2, :, 2] = dz
+    b[:, 3, :, 1] = dz / s2
+    b[:, 3, :, 2] = dy / s2
+    b[:, 4, :, 0] = dz / s2
+    b[:, 4, :, 2] = dx / s2
+    b[:, 5, :, 0] = dy / s2
+    b[:, 5, :, 1] = dx / s2
+    return b.reshape(-1, 6, 24)
 
 
 def element_kit(hx: float, hy: float, hz: float, scale: float,
@@ -109,13 +112,16 @@ def element_kit(hx: float, hy: float, hz: float, scale: float,
     """
     corners = 2.0 * _local_corners() - 1.0  # (+-1)^3
     gps = GAUSS * corners                   # 2x2x2 Gauss points, same ordering
-    bmat = np.zeros((8, 6, 24))
     jac = np.array([2.0 / hx, 2.0 / hy, 2.0 / (hz * scale)])
-    for g, (xi, eta, zeta) in enumerate(gps):
-        bmat[g] = _b_at((xi, eta, zeta), jac)
-        if ans_shear:
-            bmat[g, 3, :] = _b_at((xi, 0.0, zeta), jac)[3, :]
-            bmat[g, 4, :] = _b_at((0.0, eta, zeta), jac)[4, :]
+    if ans_shear:
+        # the Gauss points, then them on eta = 0 (e23) and on xi = 0 (e13)
+        points = np.concatenate((gps, gps * [1.0, 0.0, 1.0],
+                                 gps * [0.0, 1.0, 1.0]))
+        bmat, b23, b13 = _b_at(points, jac).reshape(3, 8, 6, 24)
+        bmat[:, 3] = b23[:, 3]
+        bmat[:, 4] = b13[:, 4]
+    else:
+        bmat = _b_at(gps, jac)
     zeta_frac = (gps[:, 2] + 1.0) / 2.0
     return ElementKit(b=bmat, wdet=hx * hy * hz / 8.0, zeta_frac=zeta_frac,
                       hz=hz)
@@ -169,10 +175,12 @@ class _Stencil:
     """K's sparsity pattern on one voxel node lattice; its arrays are
     read-only, because every operator on the lattice shares them.
 
-    The stencil layout is 27 per-offset arrays of 3x3 node blocks over the
-    node lattice (z, y, x; x fastest, the flat node order). Offset
-    (dx, dy, dz) in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1,
-    and its block at node n is K's block between n and n + (dx, dy, dz).
+    The stencil layout of one node plane holds 27 3x3 blocks per node, node
+    after node (y, x; x fastest, the flat node order). Offset (dx, dy, dz)
+    in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1, and its
+    block at node n is K's block between n and n + (dx, dy, dz). K's rows
+    run plane after plane, so each plane's CSR values are one slice of
+    them, ``planes[z]:planes[z + 1]``.
     """
 
     lattice: tuple[int, int, int]  # (nz + 1, ny', nx') nodes
@@ -180,7 +188,8 @@ class _Stencil:
     rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
     indptr: np.ndarray    # (ndof + 1,) int32
     indices: np.ndarray   # (nnz,) int32, increasing within each row
-    gather: np.ndarray    # (nnz,) int32: flat layout entry of each CSR value
+    gather: np.ndarray    # (nnz,) int32: each CSR value's entry in its plane's layout
+    planes: np.ndarray    # (nz + 2,) start of each node plane's CSR values
 
 
 @functools.lru_cache(maxsize=1)
@@ -232,16 +241,19 @@ def _stencil(shape: tuple[int, int, int], mode: str,
                              (nbr.shape[0], 3, 27, 3))
     indices = np.broadcast_to(3 * nbr[:, None, :, None] + comp, stored.shape)
     indices = indices[stored]
-    layout = (order.astype(np.int32) * rows.size
-              + np.flatnonzero(rows).astype(np.int32)[:, None])
+    plane = lattice[1] * lattice[2]
+    layout = (27 * (np.flatnonzero(rows) % plane).astype(np.int32)[:, None]
+              + order.astype(np.int32))
     gather = (3 * layout[:, None, :, None] + comp[:, None, None]) * 3 + comp
     gather = gather[stored]
     indptr = np.zeros(3 * count.size + 1, dtype=np.int32)
     np.cumsum(np.repeat(3 * count, 3), out=indptr[1:])
-    for a in (offset, rows, indptr, indices, gather):
+    planes = indptr[3 * np.concatenate(
+        ([0], np.cumsum(rows.reshape(lattice[0], -1).sum(axis=1))))]
+    for a in (offset, rows, indptr, indices, gather, planes):
         a.flags.writeable = False
     return _Stencil(lattice=lattice, offset=offset, rows=rows, indptr=indptr,
-                    indices=indices, gather=gather)
+                    indices=indices, gather=gather, planes=planes)
 
 
 def _scatter_corner(target: np.ndarray, vals: np.ndarray, a: int,
@@ -264,10 +276,11 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
 
     ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires a
     nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
-    Each local corner pair (a, b) adds its 3x3 block of the element
-    stiffnesses, per element, to the stencil offset c_b - c_a at the node of
-    corner a (a slice of the node lattice, rolled in-plane in cell mode);
-    one gather through the cached pattern gives K's CSR values.
+    The 3x3 block of each local corner pair (a, b) of each element goes to
+    the stencil offset c_b - c_a at the node of corner a: one GEMM per node
+    plane sums them, from the plane's corner indicator and the table of
+    every tensor's blocks, and one gather through the cached pattern moves
+    the sums into K's CSR values.
     """
     import scipy.sparse as sp
 
@@ -310,17 +323,35 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     ndof = 3 * int(stencil.rows.sum())
 
     kes = np.stack([element_stiffness(kit, t) for t in tensors])
-    # (a, b, tensor, 3, 3): each pair's blocks contiguous, for a fast take
-    pair = np.ascontiguousarray(kes.reshape(-1, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
-    elem_tensor = tensor_of_elem.reshape(nz, ny, nx)
-    blocks = np.zeros((27,) + stencil.lattice + (3, 3))
+    ntens = len(tensors)
+    # w[a, t]: tensor t's blocks between local corner a and each corner b,
+    # at the stencil offset of b seen from a; aliased offsets add up in
+    # ascending b
+    w = np.zeros((8, ntens, 27, 3, 3))
+    np.add.at(w, (np.arange(8)[:, None], slice(None), stencil.offset),
+              kes.reshape(ntens, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
+    # hit[n, a, t] = 1 where node n is corner a of an element of tensor t
+    hit = np.zeros(stencil.lattice + (8, ntens))
+    one_hot = (tensor_of_elem.reshape(nz, ny, nx, 1)
+               == np.arange(ntens)).astype(float)
     for a in range(8):
-        for b in range(8):
-            _scatter_corner(blocks[stencil.offset[a, b]],
-                           pair[a, b][elem_tensor], a, mode)
-    block_diagonal = blocks[13].reshape(-1, 3, 3)[stencil.rows]
-    k = sp.csr_matrix((blocks.reshape(-1)[stencil.gather], stencil.indices,
-                       stencil.indptr), shape=(ndof, ndof))
+        _scatter_corner(hit[..., a, :], one_hot, a, mode)
+    hit = hit.reshape(stencil.lattice[0], -1, 8 * ntens)
+    w = w.reshape(8 * ntens, -1)
+    rows = stencil.rows.reshape(stencil.lattice[0], -1)
+    data = np.empty(stencil.indices.size)
+    diagonal = []
+    for z, (lo, hi) in enumerate(zip(stencil.planes[:-1], stencil.planes[1:])):
+        # one GEMM sums each node's blocks over its corners a, in ascending
+        # a, as adding the corner pairs one after another would
+        layout = hit[z] @ w
+        # "clip" writes straight into data: the default "raise" buffers out,
+        # and the pattern's indices are in range by construction
+        np.take(layout, stencil.gather[lo:hi], out=data[lo:hi], mode="clip")
+        diagonal.append(layout.reshape(-1, 27, 3, 3)[rows[z], 13])
+    block_diagonal = np.concatenate(diagonal)
+    k = sp.csr_matrix((data, stencil.indices, stencil.indptr),
+                      shape=(ndof, ndof))
 
     return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit,
                     tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
@@ -406,6 +437,17 @@ def reference_tensor(tensors: list[HookeTensor3]) -> HookeTensor3:
     return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T)
 
 
+def _layer_symbol(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """(ny, nx//2+1, 2, 3, 2, 3) symbol of one element layer between its two
+    node planes, from the (8, 3, 8, 3) element stiffness and the in-plane
+    phase factor (ny, nx//2+1, 8, 8) of each local corner pair (a, b)."""
+    # the element block of each corner pair, placed at the node planes
+    # (z, w) of its two corners: a product by 0 or 1, so exact
+    plane = np.eye(2)[_local_corners()[:, 2].astype(int)]      # (a, z-plane)
+    table = np.einsum("acbd,az,bw->abzcwd", ke, plane, plane)
+    return np.einsum("abzcwd,yxab->yxzcwd", table, phase)
+
+
 class ReferencePreconditioner:
     """Inverse of the cell operator of one homogeneous reference tensor.
 
@@ -446,9 +488,7 @@ class ReferencePreconditioner:
         dxy = corner[None, :, :2] - corner[:, None, :2]            # (a, b, 2)
         phase = np.exp(1j * (ty[:, None, None, None] * dxy[..., 1]
                              + tx[None, :, None, None] * dxy[..., 0]))
-        plane = np.eye(2)[corner[:, 2]]                            # (a, z-plane)
-        layer = np.einsum("acbd,yxab,az,bw->yxzcwd", ke, phase, plane, plane)
-        layer = layer.reshape(ny, nx // 2 + 1, 6, 6)
+        layer = _layer_symbol(ke, phase).reshape(ny, nx // 2 + 1, 6, 6)
         m = 3 * (nz + 1)
         khat = np.zeros((ny, nx // 2 + 1, m, m), dtype=complex)
         for k in range(nz):
@@ -791,7 +831,6 @@ def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     integrals of eps . C eps."""
     kit = op.kit
     nz = op.grid.shape[2]
-    ntens = len(op.tensors)
 
     # load vectors at the 8 gauss points for each layer: (nz, 8, 6, 6)
     z0 = -0.5 + np.arange(nz) * kit.hz
@@ -801,13 +840,11 @@ def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
         eps[:, :, :, a] = _EMBED[:, a]
         eps[:, :, :, 3 + a] = x3[:, :, None] * _EMBED[:, a]
 
-    g_tab = np.zeros((ntens, nz, 24, 6))
-    e0_tab = np.zeros((ntens, nz, 6, 6))
-    for t, hooke in enumerate(op.tensors):
-        for g in range(8):
-            ce = np.einsum("ij,kjl->kil", hooke.c, eps[:, g])     # (nz, 6, 6)
-            g_tab[t] += kit.wdet * np.einsum("ia,kil->kal", kit.b[g], ce)
-            e0_tab[t] += kit.wdet * np.einsum("kia,kil->kal", eps[:, g], ce)
+    # (tensor, layer, gp, 6, 6) stresses, one product per table over all
+    # tensors, layers and Gauss points, then the Gauss sum in gp order
+    ce = np.stack([t.c for t in op.tensors])[:, None, None] @ eps
+    g_tab = (kit.wdet * (kit.b.transpose(0, 2, 1) @ ce)).sum(axis=2)
+    e0_tab = (kit.wdet * (eps.transpose(0, 1, 3, 2) @ ce)).sum(axis=2)
     return g_tab, e0_tab
 
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from platehom import fem3d
-from platehom.algebra import HookeTensor3, isotropic_hooke, soft_hooke
+from platehom.algebra import _EMBED, HookeTensor3, isotropic_hooke, soft_hooke
 from platehom.fem3d import (assemble, body_load, element_kit,
                             element_stiffness, expand_field, pcg,
                             restrict_field, solve_clamped)
@@ -157,6 +157,52 @@ def test_element_matches_scalar_quadrature_oracle():
             ko[i, j] = ko[j, i] = eij - singles[i] - singles[j]
     # energy = 0.5 u.K u, and the polarization above returns K directly
     assert np.max(np.abs(ke - ko)) < 1e-13 * np.max(np.abs(ko))
+
+
+def loop_b_at(point, jac):
+    """6x24 Mandel strain-displacement matrix at one reference point, corner
+    after corner."""
+    corners = 2.0 * fem3d._local_corners() - 1.0
+    xi, eta, zeta = point
+    s2 = np.sqrt(2.0)
+    b = np.zeros((6, 24))
+    for a, (xa, ya, za) in enumerate(corners):
+        dx = xa * (1 + ya * eta) * (1 + za * zeta) / 8.0 * jac[0]
+        dy = ya * (1 + xa * xi) * (1 + za * zeta) / 8.0 * jac[1]
+        dz = za * (1 + xa * xi) * (1 + ya * eta) / 8.0 * jac[2]
+        b[0, 3 * a + 0] = dx
+        b[1, 3 * a + 1] = dy
+        b[2, 3 * a + 2] = dz
+        b[3, 3 * a + 1] = dz / s2
+        b[3, 3 * a + 2] = dy / s2
+        b[4, 3 * a + 0] = dz / s2
+        b[4, 3 * a + 2] = dx / s2
+        b[5, 3 * a + 0] = dy / s2
+        b[5, 3 * a + 1] = dx / s2
+    return b
+
+
+def loop_element_b(hx, hy, hz, scale, ans_shear):
+    """(8, 6, 24) strain-displacement matrices of ``element_kit``, Gauss
+    point after Gauss point: the reference for its vectorized pass."""
+    gps = fem3d.GAUSS * (2.0 * fem3d._local_corners() - 1.0)
+    jac = np.array([2.0 / hx, 2.0 / hy, 2.0 / (hz * scale)])
+    bmat = np.zeros((8, 6, 24))
+    for g, (xi, eta, zeta) in enumerate(gps):
+        bmat[g] = loop_b_at((xi, eta, zeta), jac)
+        if ans_shear:
+            bmat[g, 3, :] = loop_b_at((xi, 0.0, zeta), jac)[3, :]
+            bmat[g, 4, :] = loop_b_at((0.0, eta, zeta), jac)[4, :]
+    return bmat
+
+
+@pytest.mark.parametrize("ans_shear", [False, True])
+@pytest.mark.parametrize("sizes", [(1 / 8, 1 / 8, 1 / 8, 1.0),
+                                   (1 / 5, 1 / 7, 1 / 3, 0.4),
+                                   (1 / 32, 1 / 32, 1 / 8, 0.0625)])
+def test_element_kit_matches_corner_loop(sizes, ans_shear):
+    kit = element_kit(*sizes, ans_shear=ans_shear)
+    assert np.array_equal(kit.b, loop_element_b(*sizes, ans_shear))
 
 
 def test_scale_one_equals_unscaled_assembly():
@@ -403,6 +449,83 @@ def test_stencil_assembly_matches_triplets(shape, mode, clamped):
     assert np.abs(op.k.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
+def block_fill_stiffness(op):
+    """K (CSR) and its diagonal node blocks as the 64 local corner pairs
+    fill them, pair after pair, into 27 per-offset arrays of 3x3 node
+    blocks over the node lattice, moved into CSR by scipy: the reference
+    for the corner-indicator GEMMs. Without aliased offsets each node
+    block sums its corners a in ascending order, starting from zero."""
+    nx, ny, nz = op.grid.shape
+    corner = fem3d._local_corners().astype(int)
+    d = corner[None, :, :] - corner[:, None, :]                  # (a, b, xyz)
+    offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + d[..., 0] + 1
+    kes = np.stack([element_stiffness(op.kit, t) for t in op.tensors])
+    pair = kes.reshape(-1, 8, 3, 8, 3)
+    elem_tensor = op.tensor_of_elem.reshape(nz, ny, nx)
+    blocks = np.zeros((27,) + op.lattice + (3, 3))
+    for a in range(8):
+        ax, ay, az = corner[a]
+        for b in range(8):
+            vals = pair[:, a, :, b][elem_tensor]
+            target = blocks[offset[a, b]]
+            if op.mode == "cell":
+                target[az:az + nz] += np.roll(vals, (ay, ax), axis=(1, 2))
+            else:
+                target[az:az + nz, ay:ay + ny, ax:ax + nx] += vals
+
+    node = np.full(op.rows.size, -1)
+    node[op.rows] = np.arange(op.ndof // 3)
+    node = node.reshape(op.lattice)
+    at = np.indices(op.lattice)
+    size = np.array(op.lattice)[:, None, None, None]
+    comp = np.arange(3)
+    rows, cols, vals = [], [], []
+    for o in range(27):
+        step = np.array([o // 9 - 1, o // 3 % 3 - 1, o % 3 - 1])
+        nbr = at + step[:, None, None, None]
+        if op.mode == "cell":
+            nbr[1:] %= size[1:]
+        inside = np.all((nbr >= 0) & (nbr < size), axis=0)
+        m = np.where(inside, node[tuple(np.where(inside, nbr, 0))], -1)
+        keep = (node >= 0) & (m >= 0)
+        rows.append(np.broadcast_to(3 * node[keep][:, None, None] + comp[:, None],
+                                    (keep.sum(), 3, 3)).ravel())
+        cols.append(np.broadcast_to(3 * m[keep][:, None, None] + comp,
+                                    (keep.sum(), 3, 3)).ravel())
+        vals.append(blocks[o][keep].ravel())
+    k = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(op.ndof, op.ndof))
+    k.sort_indices()
+    return k, blocks[13].reshape(-1, 3, 3)[op.rows]
+
+
+THREE_PHASES = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0),
+                3: soft_hooke(0.0)}
+
+
+@pytest.mark.parametrize("shape, mode, clamped, nphase", [
+    case + (2,) for case in STENCIL_CASES
+    if case[1] == "plate" or min(case[0][:2]) >= 3] + [
+    ((16, 16, 16), "cell", (), 2), ((8, 8, 8), "cell", (), 1),
+    ((32, 32, 8), "plate", ("left", "bottom"), 3)])
+def test_stencil_assembly_matches_block_fill_bitwise(shape, mode, clamped,
+                                                     nphase):
+    # the GEMM of a node plane adds the exact zeros of the other tensors'
+    # columns and sums over (a, t) in ascending a, so on a lattice without
+    # aliased offsets K's values are the pair-by-pair fill's, bit for bit
+    n = int(np.prod(shape))
+    data = np.random.default_rng(n).integers(1, nphase + 1, n).astype(np.int32)
+    phases = {p: THREE_PHASES[p] for p in range(1, nphase + 1)}
+    op = assemble(VoxelGrid(*shape, data, mode), phases, scale=0.3, mode=mode,
+                  clamped=clamped, allow_soft=True)
+    ref, diagonal = block_fill_stiffness(op)
+    assert np.array_equal(op.k.indptr, ref.indptr)
+    assert np.array_equal(op.k.indices, ref.indices)
+    assert np.array_equal(op.k.data, ref.data)
+    assert np.array_equal(op.block_diagonal, diagonal)
+
+
 @pytest.mark.parametrize("shape, mode, clamped",
                          [STENCIL_CASES[0], STENCIL_CASES[1], STENCIL_CASES[5]])
 def test_block_diagonal_is_ks_diagonal_blocks(shape, mode, clamped):
@@ -438,12 +561,50 @@ def test_lattice_loads_match_element_loop(shape, mode, clamped):
                               g_ref.reshape(op.lattice + (18,))[inner])
 
 
+def loop_load_tables(op):
+    """``_load_tables`` as 48 small einsums, tensor after tensor and Gauss
+    point after Gauss point: the reference for its batched products."""
+    kit = op.kit
+    nz = op.grid.shape[2]
+    x3 = (-0.5 + np.arange(nz) * kit.hz)[:, None] + kit.zeta_frac * kit.hz
+    eps = np.zeros((nz, 8, 6, 6))
+    for a in range(3):
+        eps[:, :, :, a] = _EMBED[:, a]
+        eps[:, :, :, 3 + a] = x3[:, :, None] * _EMBED[:, a]
+    g_tab = np.zeros((len(op.tensors), nz, 24, 6))
+    e0_tab = np.zeros((len(op.tensors), nz, 6, 6))
+    for t, hooke in enumerate(op.tensors):
+        for g in range(8):
+            ce = np.einsum("ij,kjl->kil", hooke.c, eps[:, g])
+            g_tab[t] += kit.wdet * np.einsum("ia,kil->kal", kit.b[g], ce)
+            e0_tab[t] += kit.wdet * np.einsum("kia,kil->kal", eps[:, g], ce)
+    return g_tab, e0_tab
+
+
+@pytest.mark.parametrize("shape, mode, nphase", [
+    ((8, 8, 8), "cell", 2), ((5, 4, 3), "cell", 1), ((4, 4, 16), "cell", 3),
+    ((6, 6, 3), "plate", 2), ((32, 32, 8), "plate", 3)])
+def test_load_tables_match_einsum_loop(shape, mode, nphase):
+    n = int(np.prod(shape))
+    data = np.random.default_rng(n).integers(1, nphase + 1, n).astype(np.int32)
+    phases = {p: THREE_PHASES[p] for p in range(1, nphase + 1)}
+    for scale in (0.0625, 1.0, 10.0):
+        op = assemble(VoxelGrid(*shape, data, mode), phases, scale=scale,
+                      mode=mode, clamped=("left",) if mode == "plate" else (),
+                      allow_soft=True)
+        for got, ref in zip(fem3d._load_tables(op), loop_load_tables(op)):
+            assert np.array_equal(got, ref)
+
+
 # cells of one or two nodes along x or y: entries of K and K^T that differ,
 # by rounding, on the STENCIL_CASES inputs, and of those above the diagonal
-# the ones where K is the larger; the counts pin the corner-pair order in
-# which ``assemble`` sums the aliased offsets (swapping the a and b loops
-# transposes K and swaps the two halves)
-ALIASED_ASYMMETRY = {(1, 3, 4): (144, 34), (2, 2, 2): (256, 57),
+# the ones where K is the larger; the counts pin the order in which
+# ``assemble`` sums the aliased offsets: each corner a's pairs first, in
+# ascending b, into its row of the table W, then the corners a, ascending,
+# in the GEMM (W's blocks with the a and b roles swapped read (132, 36) on
+# the first cell, the corners summed in descending a (266, 61) and
+# (118, 33) on the other two)
+ALIASED_ASYMMETRY = {(1, 3, 4): (132, 24), (2, 2, 2): (256, 57),
                      (4, 2, 2): (138, 30)}
 
 
@@ -493,8 +654,10 @@ def csr_bytes(m):
 
 
 def test_assembly_peak_memory_is_a_small_multiple_of_k():
-    # the fill holds its 27 block arrays and K's values, about 1.5 times
-    # K's bytes; an assembly from every element's triplets peaks at 6.6
+    # the fill holds K's values, the corner indicator and one node plane's
+    # 27 blocks per node: 1.13 times K's bytes warm, where 27 block arrays
+    # over the whole lattice peaked at 1.61; an assembly from every
+    # element's triplets peaks at 6.6
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(4.0, 4.0)}
 
     def build(shape):
@@ -507,7 +670,7 @@ def test_assembly_peak_memory_is_a_small_multiple_of_k():
     del op
     _, _, warm = traced(lambda: build((16, 16, 4)))
     assert cold <= 3.0 * k_bytes
-    assert warm <= 2.0 * k_bytes
+    assert warm <= 1.4 * k_bytes
 
     # the element product of a clamped solve keeps its corner map A and
     # A^T next to K: 0.075 of K's bytes on the benchmark's 32x32x8 plate,
@@ -621,6 +784,23 @@ def test_reference_dft_matrices_match_fft(shape):
         z = m(rr)
         assert z.shape == rr.shape
         assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def einsum_layer_symbol(ke, phase):
+    """The layer symbol as one four-operand einsum over the element
+    stiffness, the phase factors and both corners' z-plane selectors: the
+    reference for the plane-folded table."""
+    plane = np.eye(2)[fem3d._local_corners()[:, 2].astype(int)]
+    return np.einsum("acbd,yxab,az,bw->yxzcwd", ke, phase, plane, plane)
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (8, 8, 8), (16, 16, 16)])
+def test_reference_symbol_matches_four_operand_einsum(shape, monkeypatch):
+    phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
+    op = assemble(random_grid(shape, "cell", seed=sum(shape)), phases, scale=0.5)
+    inv = fem3d.ReferencePreconditioner(op).inv
+    monkeypatch.setattr(fem3d, "_layer_symbol", einsum_layer_symbol)
+    assert np.array_equal(fem3d.ReferencePreconditioner(op).inv, inv)
 
 
 def test_reference_tensor_log_euclidean_mean():
