@@ -97,6 +97,9 @@ def _outdir(args) -> str:
 
 def _apply_config(parser: "_Parser", argv: list[str]) -> list[str]:
     """Install config-file values as parser defaults; explicit flags win."""
+    # argparse also takes the one-token spelling --config=PATH
+    argv = [part for arg in argv for part in (
+        arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -172,12 +175,12 @@ def cmd_homogenize(args) -> int:
                                 voigt=cell.voigt_form(grid, phases))
         with open(os.path.join(outdir, "bounds.json"), "w") as f:
             json.dump(rep.__dict__, f, indent=1)
-        if not rep.passed:
-            return 3
     _write_manifest(outdir, "homogenize",
                     {"gamma": args.gamma, "tol": args.tol},
                     [args.micro, args.phases],
                     solver=[{"gamma": hf.gamma, **hf.solve.record()}])
+    if args.check and not rep.passed:
+        return 3
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem3d, plate2d
+from . import cell, fem3d, plate2d
 from .algebra import HookeTensor3, PlateForm
 from .microstructure import VoxelGrid
 
@@ -314,7 +314,7 @@ def dump_harness_csv(result: HarnessResult, path) -> None:
 
 def dump_harness_summary(result: HarnessResult, path) -> None:
     doc = {
-        "basis": "mandel-pair-v1",
+        "basis": cell.BASIS_TAG,
         "gap_monotone": result.gap_monotone,
         "corrector_monotone": result.corrector_monotone,
         "final_gap": result.final_gap,

@@ -15,19 +15,19 @@ Plate mode eliminates all components on the clamped edge planes.
 
 On a voxel grid each node couples to at most its 27 lattice neighbours, in
 full 3x3 blocks, so K's sparsity pattern depends on the shape, the mode and
-the clamped edges only. ``assemble`` builds that pattern once (``_stencil``,
-the last one cached) and fills K with dense products: a table W holds each
-tensor's 3x3 blocks between local corner a and every corner b at their
-stencil offset, a 0/1 indicator marks the nodes that are corner a of an
-element of tensor t, and one GEMM per node plane, indicator times W, gives
-that plane's 27 blocks per node, which one gather moves into CSR order: no
-triplets, no sort and no duplicate summation. It holds K's values and one
-node plane of blocks, about 1.1 times K's bytes at its peak.
-
-Assembly, loads and field maps share the stencil's node lattice and one
-corner scatter, ``_scatter_corner``: the values of local corner a of every
-element land on a slice of the lattice, rolled in-plane in cell mode. The
-stencil's ``rows`` pick the nodes that carry dofs out of the lattice.
+the clamped edges only. ``_stencil`` builds that pattern once (the last one
+cached) together with the one corner map of the lattice, ``corners``: the
+lattice node of local corner a of every element, wrapped in-plane in cell
+mode. The neighbour table, the assembly's corner indicator, the corner sums
+of loads and the element product all index it. ``assemble`` fills K with
+dense products: a table W holds each tensor's 3x3 blocks between local
+corner a and every corner b at their stencil offset, a 0/1 indicator marks
+the nodes that are corner a of an element of tensor t, and one GEMM per
+node plane, indicator times W, gives that plane's 27 blocks per node, which
+one gather moves into CSR order: no triplets, no sort and no duplicate
+summation. It holds K's values and one node plane of blocks, about 1.1
+times K's bytes at its peak. K is the one store of its values: the
+stencil's ``diagonal`` positions read its diagonal node blocks out of them.
 
 A voxel operator has one 24x24 element stiffness per tensor, so K also
 applies element by element (``ElementProduct``): a sparse corner map
@@ -141,8 +141,8 @@ class Operator:
 
     ``k`` acts on the reduced dof vector (periodic dofs in cell mode, free
     dofs in plate mode); the quadratic energy of a field u is 0.5 u.K u.
-    The reduced dofs are those of the ``rows`` nodes of the node lattice, in
-    flat order, three per node.
+    The reduced dofs are those of the stencil's ``rows`` nodes of the node
+    lattice, in flat order, three per node.
     """
 
     k: sp.csr_matrix
@@ -153,11 +153,14 @@ class Operator:
     tensors: list[HookeTensor3]
     tensor_of_elem: np.ndarray  # (nelem,) index into tensors
     ndof: int
-    block_diagonal: np.ndarray  # (ndof // 3, 3, 3) K's diagonal node blocks
-    lattice: tuple[int, int, int]  # the stencil's (nz + 1, ny', nx') nodes
-    rows: np.ndarray            # (nnode,) nodes with dofs (all on a cell)
+    stencil: _Stencil           # K's pattern and the node lattice
     kes: np.ndarray             # (ntens, 24, 24) element stiffness per tensor
     clamped: tuple[str, ...] = ()
+
+    @property
+    def block_diagonal(self) -> np.ndarray:
+        """(ndof // 3, 3, 3) K's diagonal node blocks, read from its values."""
+        return self.k.data[self.stencil.diagonal]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Remove the translation kernel of a cell operator: a 2-D ``x``
@@ -172,32 +175,52 @@ class Operator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """K's sparsity pattern on one voxel node lattice; its arrays are
-    read-only, because every operator on the lattice shares them.
+    """K's sparsity pattern on one voxel node lattice, and the lattice's one
+    corner map; its arrays are read-only, because every operator on the
+    lattice shares them. ``corners[a]`` is the node of local corner a of
+    every element, wrapped in-plane on a cell; no node is corner a twice.
 
     The stencil layout of one node plane holds 27 3x3 blocks per node, node
     after node (y, x; x fastest, the flat node order). Offset (dx, dy, dz)
     in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1, and its
     block at node n is K's block between n and n + (dx, dy, dz). K's rows
     run plane after plane, so each plane's CSR values are one slice of
-    them, ``planes[z]:planes[z + 1]``.
+    them, ``planes[z]:planes[z + 1]``. ``diagonal`` holds the positions in
+    K's CSR values of each row node's own 3x3 block, offset 13.
     """
 
     lattice: tuple[int, int, int]  # (nz + 1, ny', nx') nodes
+    corners: np.ndarray   # (8, nz, ny, nx) int32 lattice node of each corner
     offset: np.ndarray    # (8, 8) offset of local corner b seen from corner a
     rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
     indptr: np.ndarray    # (ndof + 1,) int32
     indices: np.ndarray   # (nnz,) int32, increasing within each row
     gather: np.ndarray    # (nnz,) int32: each CSR value's entry in its plane's layout
     planes: np.ndarray    # (nz + 2,) start of each node plane's CSR values
+    diagonal: np.ndarray  # (ndof // 3, 3, 3) int32 CSR positions of K's diagonal
+
+
+def free_nodes(ny: int, nx: int, clamped: tuple[str, ...]) -> np.ndarray:
+    """(ny, nx) mask of the nodes of a node rectangle, x fastest, that the
+    ``clamped`` edges leave free: "left" and "right" are its first and last
+    columns (x), "bottom" and "top" its first and last rows (y). Raises
+    ``ValueError`` on an edge name not in ``EDGES``."""
+    bad = [e for e in clamped if e not in EDGES]
+    if bad:
+        raise ValueError(f"unknown edge names {bad}")
+    free = np.ones((ny, nx), dtype=bool)
+    for edge, line in zip(EDGES, (np.s_[:, 0], np.s_[:, -1], np.s_[0], np.s_[-1])):
+        if edge in clamped:
+            free[line] = False
+    return free
 
 
 @functools.lru_cache(maxsize=1)
 def _stencil(shape: tuple[int, int, int], mode: str,
              clamped: tuple[str, ...]) -> _Stencil:
     """The stencil pattern of the last grid shape, mode and clamped edges
-    (in ``EDGES`` order), so that operators on one grid at several scales
-    build it once. One pattern only: it is two thirds of K's size."""
+    (sorted), so that operators on one grid at several scales build it
+    once. One pattern only: it is two thirds of K's size."""
     nx, ny, nz = shape
     corner = _local_corners().astype(np.int64)
     d = corner[None, :, :] - corner[:, None, :]         # (a, b, xyz)
@@ -211,26 +234,21 @@ def _stencil(shape: tuple[int, int, int], mode: str,
     else:
         lattice = (nz + 1, ny + 1, nx + 1)
     offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + (d[..., 0] + 1)
+    _, nyl, nxl = lattice
+    ez, ey, ex = np.ogrid[:nz, :ny, :nx]
+    corners = np.stack([((ez + az) * nyl + (ey + ay) % nyl) * nxl
+                        + (ex + ax) % nxl
+                        for ax, ay, az in corner]).astype(np.int32)
 
-    rows = np.ones(lattice, dtype=bool)
-    for edge, plane in (("left", np.s_[:, :, 0]), ("right", np.s_[:, :, -1]),
-                        ("bottom", np.s_[:, 0, :]), ("top", np.s_[:, -1, :])):
-        if edge in clamped:
-            rows[plane] = False
-    node = np.where(rows, np.cumsum(rows).reshape(lattice) - 1, -1)
-    # one more node on each side: wrapped in-plane in cell mode, -1 (none)
-    # elsewhere
-    inplane = ((0, 0), (1, 1), (1, 1))
-    node = (np.pad(node, inplane, mode="wrap") if mode == "cell"
-            else np.pad(node, inplane, constant_values=-1))
-    node = np.pad(node, ((1, 1), (0, 0), (0, 0)), constant_values=-1)
-    nbr = np.full((27,) + lattice, -1, dtype=np.int64)
-    for o in np.unique(offset):
-        z, y, x = o // 9, o // 3 % 3, o % 3
-        nbr[o] = node[z:z + lattice[0], y:y + lattice[1], x:x + lattice[2]]
+    rows = np.broadcast_to(free_nodes(nyl, nxl, clamped), lattice).ravel()
+    node = np.where(rows, np.cumsum(rows) - 1, -1)
+    # nbr[o, n]: the node at offset o from node n, -1 where there is none;
+    # every two neighbouring nodes are corners a and b of some element
+    nbr = np.full((27, rows.size), -1, dtype=np.int64)
+    flat = corners.reshape(8, -1)
+    nbr[offset[:, :, None], flat[:, None]] = node[flat]
 
-    rows = rows.ravel()
-    nbr = nbr.reshape(27, -1).T[rows]                   # (nrow, 27)
+    nbr = nbr.T[rows]                                   # (nrow, 27)
     count = (nbr >= 0).sum(axis=1)
     # each row's neighbours by increasing node id, missing ones last
     order = np.argsort(np.where(nbr >= 0, nbr, nbr.size), axis=1)
@@ -241,7 +259,7 @@ def _stencil(shape: tuple[int, int, int], mode: str,
                              (nbr.shape[0], 3, 27, 3))
     indices = np.broadcast_to(3 * nbr[:, None, :, None] + comp, stored.shape)
     indices = indices[stored]
-    plane = lattice[1] * lattice[2]
+    plane = nyl * nxl
     layout = (27 * (np.flatnonzero(rows) % plane).astype(np.int32)[:, None]
               + order.astype(np.int32))
     gather = (3 * layout[:, None, :, None] + comp[:, None, None]) * 3 + comp
@@ -250,23 +268,14 @@ def _stencil(shape: tuple[int, int, int], mode: str,
     np.cumsum(np.repeat(3 * count, 3), out=indptr[1:])
     planes = indptr[3 * np.concatenate(
         ([0], np.cumsum(rows.reshape(lattice[0], -1).sum(axis=1))))]
-    for a in (offset, rows, indptr, indices, gather, planes):
+    # a row node's own block starts at its own rank among its neighbours
+    rank = np.argmax(order == 13, axis=1).astype(np.int32)
+    diagonal = indptr[:-1].reshape(-1, 3, 1) + 3 * rank[:, None, None] + comp
+    for a in (corners, offset, rows, indptr, indices, gather, planes, diagonal):
         a.flags.writeable = False
-    return _Stencil(lattice=lattice, offset=offset, rows=rows, indptr=indptr,
-                    indices=indices, gather=gather, planes=planes)
-
-
-def _scatter_corner(target: np.ndarray, vals: np.ndarray, a: int,
-                   mode: str) -> None:
-    """Add per-element values (nz, ny, nx, ...) at local corner ``a`` into
-    the node-lattice array ``target``: a slice of it, with the values
-    rolled in-plane onto the periodic nodes in cell mode."""
-    ax, ay, az = a & 1, (a >> 1) & 1, a >> 2
-    nz, ny, nx = vals.shape[:3]
-    if mode == "cell":
-        target[az:az + nz] += np.roll(vals, (ay, ax), axis=(1, 2))
-    else:
-        target[az:az + nz, ay:ay + ny, ax:ax + nx] += vals
+    return _Stencil(lattice=lattice, corners=corners, offset=offset,
+                    rows=rows, indptr=indptr, indices=indices, gather=gather,
+                    planes=planes, diagonal=diagonal)
 
 
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
@@ -278,9 +287,10 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
     The 3x3 block of each local corner pair (a, b) of each element goes to
     the stencil offset c_b - c_a at the node of corner a: one GEMM per node
-    plane sums them, from the plane's corner indicator and the table of
-    every tensor's blocks, and one gather through the cached pattern moves
-    the sums into K's CSR values.
+    plane sums them, from the plane's corner indicator (set through the
+    stencil's ``corners``) and the table of every tensor's blocks, and one
+    gather through the cached pattern moves the sums into K's CSR values,
+    their one store: ``block_diagonal`` reads them at ``diagonal``.
     """
     import scipy.sparse as sp
 
@@ -308,18 +318,12 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, scale,
                       ans_shear=(mode == "plate"))
 
-    if mode == "cell":
-        stencil = _stencil(grid.shape, mode, ())
-    elif mode == "plate":
-        if not clamped:
-            raise ValueError("plate mode requires at least one clamped edge")
-        bad = [e for e in clamped if e not in EDGES]
-        if bad:
-            raise ValueError(f"unknown edge names {bad}")
-        stencil = _stencil(grid.shape, mode,
-                           tuple(e for e in EDGES if e in clamped))
-    else:
+    if mode not in ("cell", "plate"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "plate" and not clamped:
+        raise ValueError("plate mode requires at least one clamped edge")
+    stencil = _stencil(grid.shape, mode,
+                       tuple(sorted(set(clamped))) if mode == "plate" else ())
     ndof = 3 * int(stencil.rows.sum())
 
     kes = np.stack([element_stiffness(kit, t) for t in tensors])
@@ -331,32 +335,25 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     np.add.at(w, (np.arange(8)[:, None], slice(None), stencil.offset),
               kes.reshape(ntens, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
     # hit[n, a, t] = 1 where node n is corner a of an element of tensor t
-    hit = np.zeros(stencil.lattice + (8, ntens))
-    one_hot = (tensor_of_elem.reshape(nz, ny, nx, 1)
-               == np.arange(ntens)).astype(float)
-    for a in range(8):
-        _scatter_corner(hit[..., a, :], one_hot, a, mode)
+    hit = np.zeros((stencil.rows.size, 8, ntens))
+    hit[stencil.corners.reshape(8, -1), np.arange(8)[:, None],
+        tensor_of_elem] = 1.0
     hit = hit.reshape(stencil.lattice[0], -1, 8 * ntens)
     w = w.reshape(8 * ntens, -1)
-    rows = stencil.rows.reshape(stencil.lattice[0], -1)
     data = np.empty(stencil.indices.size)
-    diagonal = []
     for z, (lo, hi) in enumerate(zip(stencil.planes[:-1], stencil.planes[1:])):
         # one GEMM sums each node's blocks over its corners a, in ascending
-        # a, as adding the corner pairs one after another would
-        layout = hit[z] @ w
-        # "clip" writes straight into data: the default "raise" buffers out,
-        # and the pattern's indices are in range by construction
-        np.take(layout, stencil.gather[lo:hi], out=data[lo:hi], mode="clip")
-        diagonal.append(layout.reshape(-1, 27, 3, 3)[rows[z], 13])
-    block_diagonal = np.concatenate(diagonal)
+        # a, as adding the corner pairs one after another would; "clip"
+        # writes straight into data: the default "raise" buffers out, and
+        # the pattern's indices are in range by construction
+        np.take(hit[z] @ w, stencil.gather[lo:hi], out=data[lo:hi],
+                mode="clip")
     k = sp.csr_matrix((data, stencil.indices, stencil.indptr),
                       shape=(ndof, ndof))
 
     return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit,
                     tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
-                    block_diagonal=block_diagonal, lattice=stencil.lattice,
-                    rows=stencil.rows, kes=kes, clamped=tuple(clamped))
+                    stencil=stencil, kes=kes, clamped=tuple(clamped))
 
 
 class ElementProduct:
@@ -373,24 +370,18 @@ class ElementProduct:
     it applies the element stiffnesses as stored, without the rounding of
     their sums into K's entries. A and A^T store one entry per element
     corner, under a tenth of K's bytes on a 32x32x8 plate, so a single
-    column goes about twice as fast as through K's CSR arrays.
+    column goes about twice as fast as through K's CSR arrays. A reads its
+    nodes from the stencil's corner map, ``corners``.
     """
 
     def __init__(self, op: Operator):
         import scipy.sparse as sp
 
-        nx, ny, nz = op.grid.shape
-        _, nyl, nxl = op.lattice
-        node = np.full(op.rows.size, -1, dtype=np.int32)
-        node[op.rows] = np.arange(op.ndof // 3, dtype=np.int32)
+        rows = op.stencil.rows
+        node = np.full(rows.size, -1, dtype=np.int32)
+        node[rows] = np.arange(op.ndof // 3, dtype=np.int32)
         order = np.argsort(op.tensor_of_elem, kind="stable")
-        z, y, x = np.unravel_index(order, (nz, ny, nx))
-        corner = _local_corners().astype(np.int64)
-        # the lattice node of each element corner, wrapped in-plane on a cell
-        lz = z[:, None] + corner[:, 2]
-        ly = (y[:, None] + corner[:, 1]) % nyl
-        lx = (x[:, None] + corner[:, 0]) % nxl
-        col = node[((lz * nyl + ly) * nxl + lx).ravel()]
+        col = node[op.stencil.corners.reshape(8, -1).T[order]].ravel()
         keep = col >= 0
         indptr = np.zeros(col.size + 1, dtype=np.int32)
         np.cumsum(keep, out=indptr[1:])
@@ -683,7 +674,7 @@ class PlatePreconditioner:
         import scipy.sparse as sp
 
         nz = op.grid.shape[2]
-        free = op.rows.reshape(op.lattice)[0]
+        free = op.stencil.rows.reshape(op.stencil.lattice)[0]
         ncol = int(free.sum())                                   # bottom layer
         # free nodes are numbered in flat order and every layer has the same
         # free columns, so layer k's node of coarse column c is k * ncol + c
@@ -814,15 +805,17 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
 def _corner_sum(op: Operator, vals: np.ndarray) -> np.ndarray:
     """Reduced dof array of per-element corner values (nz, ny, nx, 8, 3, ...).
 
-    Each node sums its corners from 7 down to 0: the order in which a loop
-    over the elements in flat order meets them, so away from a periodic
-    wrap the sums round exactly as that loop's.
+    Each lattice node adds the values of the elements it is a corner of,
+    through the stencil's corner map, corner after corner from 7 down to 0:
+    the order in which a loop over the elements in flat order meets them,
+    so away from a periodic wrap the sums round exactly as that loop's. A
+    node is corner a of one element at most, so no ``+=`` repeats an index.
     """
-    full = np.zeros(op.lattice + vals.shape[4:])
+    stencil = op.stencil
+    full = np.zeros((stencil.rows.size,) + vals.shape[4:])
     for a in range(7, -1, -1):
-        _scatter_corner(full, vals[:, :, :, a], a, op.mode)
-    return full.reshape(-1, *vals.shape[4:])[op.rows].reshape(
-        op.ndof, *vals.shape[5:])
+        full[stencil.corners[a]] += vals[:, :, :, a]
+    return full[stencil.rows].reshape(op.ndof, *vals.shape[5:])
 
 
 def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -910,9 +903,9 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
 def expand_field(op: Operator, u: np.ndarray) -> np.ndarray:
     """Reduced dof vector -> full nodal field (nx+1, ny+1, nz+1, 3); a cell's
     x = 1 and y = 1 node planes repeat its x = 0 and y = 0 ones."""
-    full = np.zeros((op.rows.size, 3))
-    full[op.rows] = u.reshape(-1, 3)
-    full = full.reshape(op.lattice + (3,))
+    full = np.zeros((op.stencil.rows.size, 3))
+    full[op.stencil.rows] = u.reshape(-1, 3)
+    full = full.reshape(op.stencil.lattice + (3,))
     if op.mode == "cell":
         full = np.pad(full, ((0, 0), (0, 1), (0, 1), (0, 0)), mode="wrap")
     return full.transpose(2, 1, 0, 3)
@@ -920,9 +913,9 @@ def expand_field(op: Operator, u: np.ndarray) -> np.ndarray:
 
 def restrict_field(op: Operator, field: np.ndarray) -> np.ndarray:
     """Full nodal field -> reduced dof vector (inverse of expand on its range)."""
-    _, ny, nx = op.lattice
+    _, ny, nx = op.stencil.lattice
     nodes = field[:nx, :ny].transpose(2, 1, 0, 3).reshape(-1, 3)
-    return nodes[op.rows].ravel()
+    return nodes[op.stencil.rows].ravel()
 
 
 # ---------------------------------------------------------------------------

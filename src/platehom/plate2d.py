@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SQRT2
-from .fem3d import (EDGES, BandedCholesky, SolveInfo, SolverError,
-                    band_order, energy_error, pcg)
+from .fem3d import (BandedCholesky, SolveInfo, SolverError, band_order,
+                    energy_error, free_nodes, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 
@@ -52,9 +52,7 @@ class PlateProblem:
             raise ValueError("plate grid must be at least 2x2")
         if not self.clamped:
             raise ValueError("clamped edge set must be nonempty")
-        bad = [e for e in self.clamped if e not in EDGES]
-        if bad:
-            raise ValueError(f"unknown edge names {bad}")
+        free_nodes(self.my + 1, self.mx + 1, self.clamped)  # checks the names
         forms = np.array(self.forms, dtype=float)
         if forms.shape == (6, 6):
             forms = np.broadcast_to(forms, (self.mx, self.my, 6, 6)).copy()
@@ -139,12 +137,7 @@ class _StrainOperators:
     def __init__(self, mx: int, my: int, clamped: tuple[str, ...]):
         import scipy.sparse as sp
 
-        node_free = np.ones((my + 1, mx + 1), dtype=bool)   # [j, i]
-        node_free[:, 0] &= "left" not in clamped
-        node_free[:, mx] &= "right" not in clamped
-        node_free[0, :] &= "bottom" not in clamped
-        node_free[my, :] &= "top" not in clamped
-        self.flat_free = node_free.ravel()
+        self.flat_free = free_nodes(my + 1, mx + 1, clamped).ravel()  # [j, i]
         self.dof_free = np.concatenate([np.repeat(self.flat_free, 2),
                                         self.flat_free])
 

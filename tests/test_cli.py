@@ -470,6 +470,72 @@ def test_config_file_merging(tmp_path, phases_file):
     assert run(["--config", str(conf), "check"]) == 1
 
 
+def test_config_file_with_equals_spelling(tmp_path, phases_file):
+    # argparse takes --config=PATH as well as --config PATH; both must
+    # install the file's values
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "checkerboard", "--period", "2",
+         "--res", "4,4,4", "--out", str(m)])
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tol": 1e-3}))
+    for spelling in (["--config", str(conf)], [f"--config={conf}"]):
+        out = tmp_path / f"h{len(spelling)}"
+        assert run(spelling + ["homogenize", "--micro", str(m / "micro.json"),
+                               "--phases", phases_file, "--gamma", "1.0",
+                               "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["tol"] == 1e-3
+
+
+def test_failed_bounds_check_keeps_its_manifest(tmp_path, phases_file,
+                                                monkeypatch):
+    import dataclasses
+
+    from platehom import cell
+
+    orig = cell.check_bounds
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(orig(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(cell, "check_bounds", failing)
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "checkerboard", "--period", "2",
+         "--res", "4,4,4", "--out", str(m)])
+    out = tmp_path / "hom"
+    assert run(["homogenize", "--micro", str(m / "micro.json"),
+                "--phases", phases_file, "--gamma", "1.0", "--check",
+                "--out", str(out)]) == 3
+    assert json.loads((out / "bounds.json").read_text())["passed"] is False
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "homogenize"
+
+
+def test_unknown_edge_name_is_rejected(tmp_path, phases_file):
+    # one fem3d helper checks the edge names of the 3D plate, the limit
+    # plate and the theorem1 command
+    from platehom import fem3d, plate2d
+    from platehom.algebra import isotropic_hooke
+    from platehom.microstructure import VoxelGrid
+
+    with pytest.raises(ValueError, match="unknown edge names"):
+        fem3d.free_nodes(3, 3, ("left", "west"))
+    grid = VoxelGrid(4, 4, 2, np.ones(32, dtype=np.int32), "plate")
+    with pytest.raises(ValueError, match="unknown edge names"):
+        fem3d.assemble(grid, {1: isotropic_hooke(1.0, 1.0)}, scale=0.5,
+                       mode="plate", clamped=("west",))
+    with pytest.raises(ValueError, match="unknown edge names"):
+        plate2d.PlateProblem(mx=4, my=4, forms=np.eye(6),
+                             forces=np.zeros(3), clamped=("left", "west"))
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+         "--fractions", "0.5,0.5", "--res", "4,4,2", "--domain", "plate",
+         "--out", str(m)])
+    assert run(["theorem1", "--micro", str(m / "micro.json"),
+                "--phases", phases_file, "--h", "0.25", "--clamped", "west",
+                "--out", str(tmp_path / "t1")]) == 1
+
+
 def test_homogenize_artifact_byte_identical(tmp_path, phases_file):
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "checkerboard", "--period", "2",

@@ -449,6 +449,22 @@ def test_stencil_assembly_matches_triplets(shape, mode, clamped):
     assert np.abs(op.k.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
+@pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES)
+def test_stencil_corners_match_element_loop(shape, mode, clamped):
+    # the stencil's one corner map, taken to the reduced nodes, numbers
+    # every element's corners as the element loop does, on the aliased
+    # cells (one or two nodes along x or y) and on the clamped plates
+    op = assemble(uniform_grid(*shape, domain=mode),
+                  {1: isotropic_hooke(1.0, 1.0)}, scale=0.3, mode=mode,
+                  clamped=clamped)
+    nx, ny, nz = shape
+    assert op.stencil.corners.shape == (8, nz, ny, nx)
+    node = np.full(op.stencil.rows.size, -1)
+    node[op.stencil.rows] = np.arange(op.ndof // 3)
+    assert np.array_equal(node[op.stencil.corners.reshape(8, -1)].T,
+                          element_dofs(op)[:, ::3] // 3)
+
+
 def block_fill_stiffness(op):
     """K (CSR) and its diagonal node blocks as the 64 local corner pairs
     fill them, pair after pair, into 27 per-offset arrays of 3x3 node
@@ -462,7 +478,7 @@ def block_fill_stiffness(op):
     kes = np.stack([element_stiffness(op.kit, t) for t in op.tensors])
     pair = kes.reshape(-1, 8, 3, 8, 3)
     elem_tensor = op.tensor_of_elem.reshape(nz, ny, nx)
-    blocks = np.zeros((27,) + op.lattice + (3, 3))
+    blocks = np.zeros((27,) + op.stencil.lattice + (3, 3))
     for a in range(8):
         ax, ay, az = corner[a]
         for b in range(8):
@@ -473,11 +489,11 @@ def block_fill_stiffness(op):
             else:
                 target[az:az + nz, ay:ay + ny, ax:ax + nx] += vals
 
-    node = np.full(op.rows.size, -1)
-    node[op.rows] = np.arange(op.ndof // 3)
-    node = node.reshape(op.lattice)
-    at = np.indices(op.lattice)
-    size = np.array(op.lattice)[:, None, None, None]
+    node = np.full(op.stencil.rows.size, -1)
+    node[op.stencil.rows] = np.arange(op.ndof // 3)
+    node = node.reshape(op.stencil.lattice)
+    at = np.indices(op.stencil.lattice)
+    size = np.array(op.stencil.lattice)[:, None, None, None]
     comp = np.arange(3)
     rows, cols, vals = [], [], []
     for o in range(27):
@@ -497,7 +513,7 @@ def block_fill_stiffness(op):
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(op.ndof, op.ndof))
     k.sort_indices()
-    return k, blocks[13].reshape(-1, 3, 3)[op.rows]
+    return k, blocks[13].reshape(-1, 3, 3)[op.stencil.rows]
 
 
 THREE_PHASES = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0),
@@ -557,8 +573,8 @@ def test_lattice_loads_match_element_loop(shape, mode, clamped):
     else:
         assert np.all(np.abs(gmat - g_ref) <= 7 * np.finfo(float).eps * g_abs)
         inner = np.s_[:, 1:, 1:]
-        assert np.array_equal(gmat.reshape(op.lattice + (18,))[inner],
-                              g_ref.reshape(op.lattice + (18,))[inner])
+        assert np.array_equal(gmat.reshape(op.stencil.lattice + (18,))[inner],
+                              g_ref.reshape(op.stencil.lattice + (18,))[inner])
 
 
 def loop_load_tables(op):
