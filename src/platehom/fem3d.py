@@ -13,28 +13,31 @@ natural top/bottom) and its operator kernel is the three translations:
 the reference preconditioner keeps them out of every CG search direction.
 Plate mode eliminates all components on the clamped edge planes.
 
-On a voxel grid each node couples to at most its 27 lattice neighbours, in
-full 3x3 blocks, so K's sparsity pattern depends on the shape, the mode and
-the clamped edges only. ``_stencil`` builds that pattern once (the last one
-cached) together with the one corner map of the lattice, ``corners``: the
-lattice node of local corner a of every element, wrapped in-plane in cell
-mode. The neighbour table, the assembly's corner indicator, the corner sums
-of loads and the element product all index it. ``assemble`` fills K with
-dense products: a table W holds each tensor's 3x3 blocks between local
-corner a and every corner b at their stencil offset, a 0/1 indicator marks
-the nodes that are corner a of an element of tensor t, and one GEMM per
-node plane, indicator times W, gives that plane's 27 blocks per node, which
-one gather moves into CSR order: no triplets, no sort and no duplicate
-summation. It holds K's values and one node plane of blocks, about 1.1
-times K's bytes at its peak. K is the one store of its values: the
-stencil's ``diagonal`` positions read its diagonal node blocks out of them.
+``_stencil`` builds the lattice record of a grid shape, mode and clamped
+edges once (the last one cached): the one corner map of the lattice,
+``corners``, the lattice node of local corner a of every element, wrapped
+in-plane in cell mode, and the nodes that carry dofs. The assembly's corner
+indicator, the corner sums of loads, the smoother's blocks and the element
+product all index it.
 
-A voxel operator has one 24x24 element stiffness per tensor, so K also
-applies element by element (``ElementProduct``): a sparse corner map
-gathers every element's dofs, one GEMM per tensor multiplies them, and
-its transpose scatters the results back. Clamped solves multiply by K
-that way, one column at a time; cell solves multiply six-column blocks by
-K's CSC view, where the element product gains nothing.
+A voxel operator has one 24x24 element stiffness per tensor, so K applies
+element by element (``ElementProduct``): a sparse corner map gathers every
+element's dofs, one GEMM per tensor multiplies them, and its transpose
+scatters the results back. A clamped plate's operator is only that: it
+has no assembled K. Its preconditioner reads what it needs from the
+element stiffnesses too: the smoother's diagonal node blocks corner by
+corner, and the coarse operator from one table per (tensor, layer).
+
+A cell operator keeps an assembled CSR K: its solves multiply six-column
+blocks by K's CSC view, where the element product gains nothing. On a
+voxel grid each node couples to at most its 27 lattice neighbours, in full
+3x3 blocks, so in cell mode the stencil also holds K's sparsity pattern.
+``assemble`` fills K with dense products: a table W holds each tensor's
+3x3 blocks between local corner a and every corner b at their stencil
+offset, a 0/1 corner indicator marks the nodes that are corner a of an
+element of tensor t, and one GEMM per node plane, indicator times W, gives
+that plane's 27 blocks per node, which one gather moves into CSR order: no
+triplets, no sort and no duplicate summation.
 """
 
 from __future__ import annotations
@@ -137,15 +140,17 @@ def element_stiffness(kit: ElementKit, hooke: HookeTensor3) -> np.ndarray:
 
 @dataclass
 class Operator:
-    """Assembled stiffness with its dof bookkeeping.
+    """Stiffness operator with its dof bookkeeping.
 
     ``k`` acts on the reduced dof vector (periodic dofs in cell mode, free
     dofs in plate mode); the quadratic energy of a field u is 0.5 u.K u.
-    The reduced dofs are those of the stencil's ``rows`` nodes of the node
+    It is the assembled CSR K of a cell and the ``ElementProduct`` of a
+    plate; both multiply as ``k @ p``, and ``k.T @ p`` for a block. The
+    reduced dofs are those of the stencil's ``rows`` nodes of the node
     lattice, in flat order, three per node.
     """
 
-    k: sp.csr_matrix
+    k: sp.csr_matrix | ElementProduct
     mode: str
     scale: float
     grid: VoxelGrid
@@ -153,14 +158,9 @@ class Operator:
     tensors: list[HookeTensor3]
     tensor_of_elem: np.ndarray  # (nelem,) index into tensors
     ndof: int
-    stencil: _Stencil           # K's pattern and the node lattice
+    stencil: _Stencil           # the node lattice (and a cell K's pattern)
     kes: np.ndarray             # (ntens, 24, 24) element stiffness per tensor
     clamped: tuple[str, ...] = ()
-
-    @property
-    def block_diagonal(self) -> np.ndarray:
-        """(ndof // 3, 3, 3) K's diagonal node blocks, read from its values."""
-        return self.k.data[self.stencil.diagonal]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Remove the translation kernel of a cell operator: a 2-D ``x``
@@ -175,29 +175,51 @@ class Operator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """K's sparsity pattern on one voxel node lattice, and the lattice's one
-    corner map; its arrays are read-only, because every operator on the
-    lattice shares them. ``corners[a]`` is the node of local corner a of
-    every element, wrapped in-plane on a cell; no node is corner a twice.
+    """One voxel node lattice: its corner map and dof nodes, and in cell
+    mode K's sparsity pattern; its arrays are read-only, because every
+    operator on the lattice shares them. ``corners[a]`` is the node of
+    local corner a of every element, wrapped in-plane on a cell; no node is
+    corner a twice. A plate has no assembled K, so its pattern fields are
+    None.
 
     The stencil layout of one node plane holds 27 3x3 blocks per node, node
     after node (y, x; x fastest, the flat node order). Offset (dx, dy, dz)
     in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1, and its
     block at node n is K's block between n and n + (dx, dy, dz). K's rows
     run plane after plane, so each plane's CSR values are one slice of
-    them, ``planes[z]:planes[z + 1]``. ``diagonal`` holds the positions in
-    K's CSR values of each row node's own 3x3 block, offset 13.
+    them, ``planes[z]:planes[z + 1]``.
     """
 
     lattice: tuple[int, int, int]  # (nz + 1, ny', nx') nodes
     corners: np.ndarray   # (8, nz, ny, nx) int32 lattice node of each corner
-    offset: np.ndarray    # (8, 8) offset of local corner b seen from corner a
     rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
-    indptr: np.ndarray    # (ndof + 1,) int32
-    indices: np.ndarray   # (nnz,) int32, increasing within each row
-    gather: np.ndarray    # (nnz,) int32: each CSR value's entry in its plane's layout
-    planes: np.ndarray    # (nz + 2,) start of each node plane's CSR values
-    diagonal: np.ndarray  # (ndof // 3, 3, 3) int32 CSR positions of K's diagonal
+    # K's pattern, cell mode only
+    offset: np.ndarray | None = None   # (8, 8) offset of corner b seen from a
+    indptr: np.ndarray | None = None   # (ndof + 1,) int32
+    indices: np.ndarray | None = None  # (nnz,) int32, increasing within each row
+    gather: np.ndarray | None = None   # (nnz,) int32 layout entry of each value
+    planes: np.ndarray | None = None   # (nz + 2,) start of each node plane's values
+
+    @functools.cached_property
+    def corner_sum(self) -> sp.csr_matrix:
+        """(nrow, 8 nelem) 0/1 map that adds onto each dof node the values
+        of the element corners it is: column 8 e + a is corner a of element
+        e, in flat order, and each row lists its corners from a = 7 down to
+        0. Built from ``corners`` on first use and kept with the stencil."""
+        import scipy.sparse as sp
+
+        nelem = self.corners[0].size
+        corner = np.arange(8, dtype=np.int32)[:, None]
+        # the inverse corner map, column 7 - a holding corner a
+        inverse = np.full((self.rows.size, 8), -1, dtype=np.int32)
+        inverse[self.corners.reshape(8, -1), 7 - corner] = (
+            8 * np.arange(nelem, dtype=np.int32) + corner)
+        inverse = inverse[self.rows]
+        keep = inverse >= 0
+        indptr = np.zeros(inverse.shape[0] + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((np.ones(indptr[-1]), inverse[keep], indptr),
+                             shape=(inverse.shape[0], 8 * nelem))
 
 
 def free_nodes(ny: int, nx: int, clamped: tuple[str, ...]) -> np.ndarray:
@@ -218,29 +240,30 @@ def free_nodes(ny: int, nx: int, clamped: tuple[str, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _stencil(shape: tuple[int, int, int], mode: str,
              clamped: tuple[str, ...]) -> _Stencil:
-    """The stencil pattern of the last grid shape, mode and clamped edges
+    """The lattice record of the last grid shape, mode and clamped edges
     (sorted), so that operators on one grid at several scales build it
-    once. One pattern only: it is two thirds of K's size."""
+    once; in cell mode with K's pattern, two thirds of K's size."""
     nx, ny, nz = shape
     corner = _local_corners().astype(np.int64)
-    d = corner[None, :, :] - corner[:, None, :]         # (a, b, xyz)
-    if mode == "cell":
-        lattice = (nz + 1, ny, nx)
-        # on a periodic axis of one or two nodes, offsets that reach the
-        # same node share one slot, d mod n
-        for axis, n in ((0, nx), (1, ny)):
-            if n <= 2:
-                d[..., axis] %= n
-    else:
-        lattice = (nz + 1, ny + 1, nx + 1)
-    offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + (d[..., 0] + 1)
+    lattice = (nz + 1, ny, nx) if mode == "cell" else (nz + 1, ny + 1, nx + 1)
     _, nyl, nxl = lattice
     ez, ey, ex = np.ogrid[:nz, :ny, :nx]
     corners = np.stack([((ez + az) * nyl + (ey + ay) % nyl) * nxl
                         + (ex + ax) % nxl
                         for ax, ay, az in corner]).astype(np.int32)
-
     rows = np.broadcast_to(free_nodes(nyl, nxl, clamped), lattice).ravel()
+    for a in (corners, rows):
+        a.flags.writeable = False
+    if mode != "cell":
+        return _Stencil(lattice=lattice, corners=corners, rows=rows)
+
+    d = corner[None, :, :] - corner[:, None, :]         # (a, b, xyz)
+    # on a periodic axis of one or two nodes, offsets that reach the same
+    # node share one slot, d mod n
+    for axis, n in ((0, nx), (1, ny)):
+        if n <= 2:
+            d[..., axis] %= n
+    offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + (d[..., 0] + 1)
     node = np.where(rows, np.cumsum(rows) - 1, -1)
     # nbr[o, n]: the node at offset o from node n, -1 where there is none;
     # every two neighbouring nodes are corners a and b of some element
@@ -268,14 +291,11 @@ def _stencil(shape: tuple[int, int, int], mode: str,
     np.cumsum(np.repeat(3 * count, 3), out=indptr[1:])
     planes = indptr[3 * np.concatenate(
         ([0], np.cumsum(rows.reshape(lattice[0], -1).sum(axis=1))))]
-    # a row node's own block starts at its own rank among its neighbours
-    rank = np.argmax(order == 13, axis=1).astype(np.int32)
-    diagonal = indptr[:-1].reshape(-1, 3, 1) + 3 * rank[:, None, None] + comp
-    for a in (corners, offset, rows, indptr, indices, gather, planes, diagonal):
+    for a in (offset, indptr, indices, gather, planes):
         a.flags.writeable = False
-    return _Stencil(lattice=lattice, corners=corners, offset=offset,
-                    rows=rows, indptr=indptr, indices=indices, gather=gather,
-                    planes=planes, diagonal=diagonal)
+    return _Stencil(lattice=lattice, corners=corners, rows=rows,
+                    offset=offset, indptr=indptr, indices=indices,
+                    gather=gather, planes=planes)
 
 
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
@@ -284,13 +304,14 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     """Assemble the scaled-gradient stiffness operator for a voxel grid.
 
     ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires a
-    nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
-    The 3x3 block of each local corner pair (a, b) of each element goes to
-    the stencil offset c_b - c_a at the node of corner a: one GEMM per node
-    plane sums them, from the plane's corner indicator (set through the
-    stencil's ``corners``) and the table of every tensor's blocks, and one
-    gather through the cached pattern moves the sums into K's CSR values,
-    their one store: ``block_diagonal`` reads them at ``diagonal``.
+    nonempty set of clamped edges from {"left", "right", "bottom", "top"},
+    and gives an operator without an assembled K: its ``k`` is the
+    operator's ``ElementProduct``. In cell mode the 3x3 block of each local
+    corner pair (a, b) of each element goes to the stencil offset c_b - c_a
+    at the node of corner a: one GEMM per node plane sums them, from the
+    plane's corner indicator and the table of every tensor's blocks, and
+    one gather through the cached pattern moves the sums into K's CSR
+    values.
     """
     import scipy.sparse as sp
 
@@ -325,8 +346,14 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     stencil = _stencil(grid.shape, mode,
                        tuple(sorted(set(clamped))) if mode == "plate" else ())
     ndof = 3 * int(stencil.rows.sum())
-
     kes = np.stack([element_stiffness(kit, t) for t in tensors])
+    op = Operator(k=None, mode=mode, scale=scale, grid=grid, kit=kit,
+                  tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
+                  stencil=stencil, kes=kes, clamped=tuple(clamped))
+    if mode == "plate":
+        op.k = ElementProduct(op)
+        return op
+
     ntens = len(tensors)
     # w[a, t]: tensor t's blocks between local corner a and each corner b,
     # at the stencil offset of b seen from a; aliased offsets add up in
@@ -348,16 +375,14 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
         # the pattern's indices are in range by construction
         np.take(hit[z] @ w, stencil.gather[lo:hi], out=data[lo:hi],
                 mode="clip")
-    k = sp.csr_matrix((data, stencil.indices, stencil.indptr),
-                      shape=(ndof, ndof))
-
-    return Operator(k=k, mode=mode, scale=scale, grid=grid, kit=kit,
-                    tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
-                    stencil=stencil, kes=kes, clamped=tuple(clamped))
+    op.k = sp.csr_matrix((data, stencil.indices, stencil.indptr),
+                         shape=(ndof, ndof))
+    return op
 
 
 class ElementProduct:
-    """K p element by element, through the operator's element stiffnesses.
+    """K p element by element, through the operator's element stiffnesses:
+    a plate operator's ``k``, and the product every clamped solve uses.
 
     A sparse 0/1 corner map A, (8 nelem, nnode), picks the node of each
     element corner; its rows run over the elements ordered by tensor (flat
@@ -366,12 +391,11 @@ class ElementProduct:
     24 dofs in a row, one GEMM per tensor multiplies its elements' rows by
     that tensor's symmetric element stiffness, and A^T adds the corner
     results back onto the nodes. ``p`` is one field or an (ndof, m) block,
-    and the result has its shape. It agrees with ``op.k @ p`` to rounding:
-    it applies the element stiffnesses as stored, without the rounding of
-    their sums into K's entries. A and A^T store one entry per element
-    corner, under a tenth of K's bytes on a 32x32x8 plate, so a single
-    column goes about twice as fast as through K's CSR arrays. A reads its
-    nodes from the stencil's corner map, ``corners``.
+    and the result has its shape. It multiplies as a sparse K does, ``k @
+    p``, and is its own transpose, ``T``. ``shape`` is K's; ``nnz`` and
+    ``indices`` are those of A, one int32 column index per free element
+    corner, under a tenth of a CSR K's entries. A reads its nodes from the
+    stencil's corner map, ``corners``.
     """
 
     def __init__(self, op: Operator):
@@ -389,10 +413,18 @@ class ElementProduct:
                                shape=(col.size, op.ndof // 3))
         self.at = self.a.T.tocsr()
         self.kes = op.kes
+        self.shape = (op.ndof, op.ndof)
+        self.nnz = self.a.nnz
+        self.indices = self.a.indices
         # elements [bounds[t], bounds[t + 1]) of A's order carry tensor t
         self.bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(op.tensor_of_elem,
                                         minlength=len(op.tensors)))))
+
+    @property
+    def T(self) -> ElementProduct:
+        """K^T = K: the product itself."""
+        return self
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         g = self.a @ p.reshape(self.a.shape[1], -1)      # (8 nelem, 3 m)
@@ -405,6 +437,8 @@ class ElementProduct:
             np.matmul(rows[lo:hi], ke, out=u[lo:hi])
         u = u.reshape(-1, m, 24).transpose(0, 2, 1).reshape(g.shape)
         return (self.at @ u).reshape(p.shape)
+
+    __matmul__ = __call__
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +576,7 @@ class SolveInfo:
     """What a CG solve did; a 2-D right-hand side sums over its columns."""
 
     ndof: int                # size of K
-    nnz: int                 # stored entries of K
+    nnz: int                 # k.nnz: a CSR K's entries, an ElementProduct's corners
     column_iterations: tuple[int, ...]
     column_residuals: tuple[float, ...]  # relative residuals ||r|| / ||b||
     preconditioner: dict | None = None  # its describe(), set by the caller
@@ -594,34 +628,45 @@ def band_order(ny: int, nx: int) -> np.ndarray:
 
 
 class BandedCholesky:
-    """Banded Cholesky factor of a sparse symmetric positive definite matrix
-    K, stored in a given dof order.
+    """Banded Cholesky factor of a symmetric positive definite matrix K,
+    stored in a given dof order.
 
-    ``order`` lists K's dofs in band order. The lower band of
-    K[order][:, order], ``bandwidth`` sub-diagonals, is built in Fortran
-    order and factored in place by LAPACK; ``solve`` takes and returns
-    vectors in K's own order. A K that is not positive definite in working
-    precision raises ``SolverError``, naming it ``what``.
+    ``order`` lists K's dofs in band order. ``band`` is the lower band of
+    K[order][:, order] in LAPACK's lower storage, band[i - j, j] holding
+    entry (i, j) of its ``bandwidth`` sub-diagonals, in Fortran order; LAPACK
+    factors it in place. ``from_sparse`` builds it from a sparse K.
+    ``solve`` takes and returns vectors in K's own order. A K that is not
+    positive definite in working precision raises ``SolverError``, naming
+    it ``what``.
     """
 
-    def __init__(self, k: sp.csr_matrix, order: np.ndarray, what: str = "matrix"):
-        # scipy.sparse and scipy.linalg are imported where they are used, so
-        # that a command that builds no matrix does not pay for them at start
-        import scipy.sparse as sp
+    def __init__(self, band: np.ndarray, order: np.ndarray,
+                 what: str = "matrix"):
+        # scipy.linalg is imported where it is used, so that a command that
+        # builds no matrix does not pay for it at start
         from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
         self.order = order
-        low = sp.tril(k[order][:, order], format="coo")
-        self.bandwidth = int((low.row - low.col).max())
-        band = np.zeros((self.bandwidth + 1, k.shape[0]), order="F")
-        band[low.row - low.col, low.col] = low.data
-        del low
+        self.bandwidth = band.shape[0] - 1
         try:
             self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
                                         check_finite=False)
         except LinAlgError as exc:
             raise SolverError(f"{what} is not positive definite: {exc}") from exc
         self._cho_solve = cho_solve_banded
+
+    @classmethod
+    def from_sparse(cls, k: sp.csr_matrix, order: np.ndarray,
+                    what: str = "matrix") -> BandedCholesky:
+        """The factor of a sparse K, its band as wide as K's pattern."""
+        import scipy.sparse as sp
+
+        low = sp.tril(k[order][:, order], format="coo")
+        band = np.zeros((int((low.row - low.col).max()) + 1, k.shape[0]),
+                        order="F")
+        band[low.row - low.col, low.col] = low.data
+        del low
+        return cls(band, order, what)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """K^-1 y for one vector or an (n, m) block of them."""
@@ -645,6 +690,74 @@ def _block_jacobi(blocks: np.ndarray):
                          shape=(3 * nb, 3 * nb)).dot
 
 
+def _diagonal_blocks(op: Operator) -> np.ndarray:
+    """(ndof // 3, 3, 3) K's diagonal node blocks of a plate operator, from
+    its element stiffnesses: from zero, each node adds the diagonal element
+    block kes[t, 3a:3a+3, 3a:3a+3] of the corners a it is, in ascending a,
+    as adding K's corner pairs one after another would, so the blocks are
+    K's bit for bit. A node is corner a of one element at most, so no
+    ``+=`` repeats an index."""
+    ntens = len(op.tensors)
+    corner = np.arange(8)
+    table = op.kes.reshape(ntens, 8, 3, 8, 3)[:, corner, :, corner]  # (a, t)
+    blocks = np.zeros((op.stencil.rows.size, 3, 3))
+    for a in range(8):
+        blocks[op.stencil.corners[a].ravel()] += table[a, op.tensor_of_elem]
+    return blocks[op.stencil.rows]
+
+
+# the five coarse fields of a free node column, hat + r ^ x3 e3: the
+# displacement component each moves, its weight at x3 = 0 and per unit x3
+_COARSE_FIELDS = ((0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0),  # translations
+                  (1, 0.0, -1.0), (0, 0.0, 1.0))      # u2 -= x3 r1, u1 += x3 r2
+
+
+def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
+    """Lower band of a plate's coarse operator Kc = P^T K P, in ``order``
+    (see ``BandedCholesky``), from element tables.
+
+    P_k, (24, 20), maps an element's dofs in layer k to the 5 coarse fields
+    (``_COARSE_FIELDS``) of its 4 node columns q = ax + 2 ay, at the
+    layer's two node-plane z values. It builds one table P_k^T K_e P_k per
+    (tensor, layer), sums each in-plane element position's layers by a
+    one-hot GEMM, drops the dofs of clamped columns and adds the 20x20
+    blocks into the band by one ``bincount``. An element's 20 coarse dofs
+    couple each other only, so the band is as wide as the widest element's
+    spread of positions.
+    """
+    nx, ny, nz = op.grid.shape
+    ntens = len(op.tensors)
+    z = np.linspace(-0.5, 0.5, nz + 1)
+    pk = np.zeros((nz, 8, 3, 4, 5))
+    for a, (ax, ay, az) in enumerate(_local_corners().astype(int)):
+        for j, (c, w0, w1) in enumerate(_COARSE_FIELDS):
+            pk[:, a, c, ax + 2 * ay, j] = w0 + w1 * z[az:az + nz]
+    pk = pk.reshape(nz, 24, 20)
+    tables = pk.transpose(0, 2, 1) @ op.kes[:, None] @ pk   # (ntens, nz, 20, 20)
+    # layers[e, (t, k)] = 1 where layer k of in-plane element e has tensor t
+    index = op.tensor_of_elem.reshape(nz, -1) * nz + np.arange(nz)[:, None]
+    layers = np.zeros((nx * ny, ntens * nz))
+    layers[np.arange(nx * ny), index] = 1.0
+    tables = (layers @ tables.reshape(ntens * nz, 400)).reshape(-1, 20, 20)
+
+    free = op.stencil.rows.reshape(op.stencil.lattice)[0]
+    column = np.where(free, np.cumsum(free).reshape(free.shape) - 1, -1)
+    quad = np.stack([column[ay:ay + ny, ax:ax + nx].ravel()
+                     for ay in (0, 1) for ax in (0, 1)], axis=1)
+    pos = np.empty(order.size, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    pe = np.where(quad[:, :, None] >= 0,
+                  pos[5 * quad[:, :, None] + np.arange(5)], -1).reshape(-1, 20)
+    width = int((pe.max(axis=1)
+                 - np.where(pe >= 0, pe, order.size).min(axis=1)).max()) + 1
+    # entry (i, j) of the lower triangle sits at band[i - j, j]: flat
+    # position j * width + i - j of the Fortran-ordered band
+    lower = (pe[:, :, None] >= pe[:, None, :]) & (pe[:, None, :] >= 0)
+    flat = (pe[:, None, :] * (width - 1) + pe[:, :, None])[lower]
+    return np.bincount(flat, tables[lower],
+                       minlength=width * order.size).reshape(-1, width).T
+
+
 class PlatePreconditioner:
     """Two-level additive preconditioner M = BJ + P Kc^-1 P^T for a clamped
     plate operator (two-level additive Schwarz; Toselli & Widlund 2005,
@@ -656,7 +769,9 @@ class PlatePreconditioner:
     rotation components, u1 += x3 r2 and u2 -= x3 r1, the sign convention of
     ``convergence.GrisoParts.elementary``. These fields are the near-kernel
     that makes the scaled operator ill-conditioned as h -> 0; the coarse
-    operator Kc = P^T K P is factored once.
+    operator Kc = P^T K P is factored once. The plate has no assembled K:
+    the smoother's blocks (``_diagonal_blocks``) and Kc (``_coarse_band``)
+    both come from the element stiffnesses.
 
     ``p`` numbers the coarse columns in flat order, x fastest. Kc couples
     neighbouring columns only, so with the faster index running along the
@@ -681,19 +796,21 @@ class PlatePreconditioner:
         node = np.arange(nz + 1)[:, None] * ncol + np.arange(ncol)[None, :]
         z = np.broadcast_to(np.linspace(-0.5, 0.5, nz + 1)[:, None], node.shape)
         col = np.broadcast_to(5 * np.arange(ncol)[None, :], node.shape)
-        rows = np.concatenate([3 * node + c for c in (0, 1, 2, 1, 0)], axis=None)
+        rows = np.concatenate([3 * node + c for c, _, _ in _COARSE_FIELDS],
+                              axis=None)
         cols = np.concatenate([col + j for j in range(5)], axis=None)
-        vals = np.concatenate([np.ones((3,) + node.shape), [-z, z]], axis=None)
+        vals = np.concatenate([w0 + w1 * z for _, w0, w1 in _COARSE_FIELDS],
+                              axis=None)
         self.p = sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, 5 * ncol))
         self.p.eliminate_zeros()
         self.pt = self.p.T.tocsr()
         # the free columns fill a rectangle, numbered x fastest
         ny_free = int(free.any(axis=1).sum())
         columns = band_order(ny_free, ncol // ny_free)
-        self.coarse = BandedCholesky(self.pt @ (op.k @ self.p),
-                                     (5 * columns[:, None] + np.arange(5)).ravel(),
+        order = (5 * columns[:, None] + np.arange(5)).ravel()
+        self.coarse = BandedCholesky(_coarse_band(op, order), order,
                                      "coarse plate operator")
-        self.smoother = _block_jacobi(op.block_diagonal)
+        self.smoother = _block_jacobi(_diagonal_blocks(op))
 
     def describe(self) -> dict:
         """Name, smoother, coarse dof count, coarse solver and its bandwidth."""
@@ -706,29 +823,28 @@ class PlatePreconditioner:
         return self.smoother(r) + self.p @ self.coarse.solve(self.pt @ r)
 
 
-def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
-        max_iter: int | None = None,
-        product=None) -> tuple[np.ndarray, SolveInfo]:
+def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
+        max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
-    ``precond`` is a callable applying the preconditioner to an (n, m)
-    block, such as a preconditioner object. A 2-D ``b`` is solved
-    column by column with column-wise step lengths, one product with K per
-    iteration for all unconverged columns; a column stops once its relative
-    residual reaches ``tol`` or after ``max_iter`` iterations. ``product``,
-    a callable applying K to an (n, m) block such as an ``ElementProduct``,
-    replaces the sparse product; ``k`` then only sizes the solve and its
-    record. Without it ``k`` must be symmetric: a product with two or more
-    columns goes through ``k.T``, the CSC view of K's arrays, whose
-    multi-vector kernel is faster than CSR's; it sums each row in the order
-    ``k @ p`` does, so the two agree bitwise when K is bitwise symmetric.
-    The column updates work in place, through one work block that shrinks
-    when columns leave. A singular K, such as a cell operator,
-    needs ``b`` and the preconditioner's range orthogonal to its kernel:
-    every search direction, and so the result, then stays off the kernel
-    with no projection here. Raises ``SolverError`` when the operator is
-    not positive definite on the search space, and when a column stalls: it
-    stops at ``max_iter`` with its residual above ``tol``.
+    ``k`` is a symmetric K that multiplies as ``k @ p``: a CSR matrix, or an
+    ``ElementProduct``. ``precond`` is a callable applying the
+    preconditioner to an (n, m) block, such as a preconditioner object. A
+    2-D ``b`` is solved column by column with column-wise step lengths, one
+    product with K per iteration for all unconverged columns; a column stops
+    once its relative residual reaches ``tol`` or after ``max_iter``
+    iterations. A product with two or more columns goes through ``k.T``:
+    for a CSR K the CSC view of its arrays, whose multi-vector kernel is
+    faster than CSR's; it sums each row in the order ``k @ p`` does, so the
+    two agree bitwise when K is bitwise symmetric. An ``ElementProduct`` is
+    its own transpose. The column updates work in place, through one work
+    block that shrinks when columns leave. A singular K, such as a cell
+    operator, needs ``b`` and the preconditioner's range orthogonal to its
+    kernel: every search direction, and so the result, then stays off the
+    kernel with no projection here. Raises ``SolverError`` when the
+    operator is not positive definite on the search space, and when a
+    column stalls: it stops at ``max_iter`` with its residual above ``tol``.
+    The returned ``SolveInfo`` records ``k.nnz``.
     """
     n = k.shape[0]
     if max_iter is None:
@@ -744,12 +860,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
     # x, r, p and rz hold the columns still iterating, ``cols``; a column
     # leaves them once it converges or reaches max_iter
     cols = np.arange(ncol)
-    if product is None:
-        kt = k.T                               # O(1): the same arrays
-
-        def product(p):
-            return (kt if p.shape[1] > 1 else k) @ p
-
+    kt = k.T                                   # O(1): the same arrays
     x = np.zeros((n, ncol))
     work = np.empty((n, ncol))
     z = precond(r)
@@ -767,7 +878,7 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
             if not cols.size:
                 break
             work = np.empty_like(x)
-        ap = product(p)
+        ap = (kt if p.shape[1] > 1 else k) @ p
         pap = np.vecdot(p, ap, axis=0)
         if (pap <= 0.0).any():
             j = int(np.argmin(pap))
@@ -805,17 +916,15 @@ def pcg(k: sp.csr_matrix, b: np.ndarray, precond, tol: float = 1e-10,
 def _corner_sum(op: Operator, vals: np.ndarray) -> np.ndarray:
     """Reduced dof array of per-element corner values (nz, ny, nx, 8, 3, ...).
 
-    Each lattice node adds the values of the elements it is a corner of,
-    through the stencil's corner map, corner after corner from 7 down to 0:
-    the order in which a loop over the elements in flat order meets them,
-    so away from a periodic wrap the sums round exactly as that loop's. A
-    node is corner a of one element at most, so no ``+=`` repeats an index.
+    Each dof node adds the values of the elements it is a corner of, by one
+    sparse product with the stencil's ``corner_sum`` map: from zero, corner
+    after corner from 7 down to 0, the order in which a loop over the
+    elements in flat order meets them, so away from a periodic wrap the
+    sums round exactly as that loop's.
     """
-    stencil = op.stencil
-    full = np.zeros((stencil.rows.size,) + vals.shape[4:])
-    for a in range(7, -1, -1):
-        full[stencil.corners[a]] += vals[:, :, :, a]
-    return full[stencil.rows].reshape(op.ndof, *vals.shape[5:])
+    m = int(np.prod(vals.shape[4:]))
+    return (op.stencil.corner_sum @ vals.reshape(-1, m)).reshape(
+        op.ndof, *vals.shape[5:])
 
 
 def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -877,7 +986,7 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
                   allow_soft: bool = False):
     """Minimize the force-loaded scaled energy over the clamped plate, by CG
     with the two-level ``PlatePreconditioner``. Every product with K, in CG
-    and after it, goes through the operator's ``ElementProduct``.
+    and after it, goes through the operator's ``ElementProduct``, its ``k``.
 
     Returns (operator, free-dof minimizer, energy value, solver info); the
     energy is the discrete functional value 0.5 u.K u - l.u. The info
@@ -891,10 +1000,9 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
                   allow_soft=allow_soft)
     ell = body_load(op, f)
     precond = PlatePreconditioner(op)
-    product = ElementProduct(op)
-    u, info = pcg(op.k, ell, precond=precond, tol=tol, product=product)
+    u, info = pcg(op.k, ell, precond=precond, tol=tol)
     info.preconditioner = precond.describe()
-    ku = product(u)
+    ku = op.k @ u
     info.energy_error = energy_error(ell, u, ku, precond)
     energy = float(0.5 * u @ ku - ell @ u)
     return op, u, energy, info

@@ -247,7 +247,7 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     """
     k, ell, dof_free, flat_free = assemble_plate(problem)
     layout, order = band_layout(problem, flat_free)
-    factor = BandedCholesky(k, order, "plate operator")
+    factor = BandedCholesky.from_sparse(k, order, "plate operator")
     u, info = pcg(k, ell, precond=factor.solve, tol=tol)
     info.preconditioner = {"name": "banded-cholesky", "layout": layout,
                            "bandwidth": factor.bandwidth}

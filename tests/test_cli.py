@@ -391,8 +391,9 @@ def test_manifest_records_solver(tmp_path, phases_file):
 
 
 def test_manifests_record_operator_size(tmp_path, phases_file):
-    # a node couples to its neighbours in 3x3 blocks, and the neighbour
-    # count factors by axis: 3 per axis, 2 at an end of a non-periodic one
+    # a cell node couples to its neighbours in 3x3 blocks, and the
+    # neighbour count factors by axis: 3 per axis, 2 at an end of a
+    # non-periodic one
     def nnz(*counts):
         return 9 * int(np.prod([sum(c) for c in counts]))
 
@@ -409,8 +410,10 @@ def test_manifests_record_operator_size(tmp_path, phases_file):
                 "--clamped", "left", "--out", str(tmp_path / "t")]) == 0
     (record,) = json.loads((tmp_path / "t" / "manifest.json").read_text())["solver"]
     assert record["ndof"] == 3 * 8 * 9 * 5                # left column clamped
-    assert record["nnz"] == nnz([2] + [3] * 6 + [2], [2] + [3] * 7 + [2],
-                                [2, 3, 3, 3, 2])
+    # a plate has no assembled K: its element product records one corner
+    # map entry per free element corner, 8 per element less the 4 that each
+    # element of the first x layer has on the clamped edge
+    assert record["nnz"] == 8 * (8 * 8 * 4) - 4 * (8 * 4)
 
 
 def _solver_records(tmp_path, phases_file, command):

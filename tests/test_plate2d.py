@@ -403,7 +403,7 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
     k, _, _, flat_free = assemble_plate(prob)
     layout, order = band_layout(prob, flat_free)
-    factor = BandedCholesky(k, order)
+    factor = BandedCholesky.from_sparse(k, order)
     free = flat_free.reshape(my + 1, mx + 1)
     n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
     assert layout == ("interleaved" if coupled else "split")
