@@ -16,28 +16,18 @@ Plate mode eliminates all components on the clamped edge planes.
 ``_stencil`` builds the lattice record of a grid shape, mode and clamped
 edges once (the last one cached): the one corner map of the lattice,
 ``corners``, the lattice node of local corner a of every element, wrapped
-in-plane in cell mode, and the nodes that carry dofs. The assembly's corner
-indicator, the corner sums of loads, the smoother's blocks and the element
-product all index it.
+in-plane in cell mode, and the nodes that carry dofs. The corner sums of
+loads, the smoother's blocks and the element product all index it.
 
 A voxel operator has one 24x24 element stiffness per tensor, so K applies
-element by element (``ElementProduct``): a sparse corner map gathers every
-element's dofs, one GEMM per tensor multiplies them, and its transpose
-scatters the results back. A clamped plate's operator is only that: it
-has no assembled K. Its preconditioner reads what it needs from the
-element stiffnesses too: the smoother's diagonal node blocks corner by
-corner, and the coarse operator from one table per (tensor, layer).
-
-A cell operator keeps an assembled CSR K: its solves multiply six-column
-blocks by K's CSC view, where the element product gains nothing. On a
-voxel grid each node couples to at most its 27 lattice neighbours, in full
-3x3 blocks, so in cell mode the stencil also holds K's sparsity pattern.
-``assemble`` fills K with dense products: a table W holds each tensor's
-3x3 blocks between local corner a and every corner b at their stencil
-offset, a 0/1 corner indicator marks the nodes that are corner a of an
-element of tensor t, and one GEMM per node plane, indicator times W, gives
-that plane's 27 blocks per node, which one gather moves into CSR order: no
-triplets, no sort and no duplicate summation.
+element by element (``ElementProduct``): a corner index gathers every
+element's dofs, one GEMM per tensor multiplies them, and a sparse corner
+map scatters the results back. No operator has an assembled K: a cell's
+and a clamped plate's ``k`` are their element products. A plate's
+preconditioner reads what it needs from the element stiffnesses too: the
+smoother's diagonal node blocks corner by corner, and the coarse operator
+from one table per (tensor, layer); a cell's reference preconditioner
+needs only the element stiffness of its reference tensor.
 """
 
 from __future__ import annotations
@@ -144,13 +134,13 @@ class Operator:
 
     ``k`` acts on the reduced dof vector (periodic dofs in cell mode, free
     dofs in plate mode); the quadratic energy of a field u is 0.5 u.K u.
-    It is the assembled CSR K of a cell and the ``ElementProduct`` of a
-    plate; both multiply as ``k @ p``, and ``k.T @ p`` for a block. The
-    reduced dofs are those of the stencil's ``rows`` nodes of the node
-    lattice, in flat order, three per node.
+    It is the operator's ``ElementProduct`` in both modes, and multiplies
+    one field or a block of them as ``k @ p``. The reduced dofs are those
+    of the stencil's ``rows`` nodes of the node lattice, in flat order,
+    three per node.
     """
 
-    k: sp.csr_matrix | ElementProduct
+    k: ElementProduct
     mode: str
     scale: float
     grid: VoxelGrid
@@ -158,7 +148,7 @@ class Operator:
     tensors: list[HookeTensor3]
     tensor_of_elem: np.ndarray  # (nelem,) index into tensors
     ndof: int
-    stencil: _Stencil           # the node lattice (and a cell K's pattern)
+    stencil: _Stencil           # the node lattice
     kes: np.ndarray             # (ntens, 24, 24) element stiffness per tensor
     clamped: tuple[str, ...] = ()
 
@@ -175,30 +165,15 @@ class Operator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """One voxel node lattice: its corner map and dof nodes, and in cell
-    mode K's sparsity pattern; its arrays are read-only, because every
-    operator on the lattice shares them. ``corners[a]`` is the node of
-    local corner a of every element, wrapped in-plane on a cell; no node is
-    corner a twice. A plate has no assembled K, so its pattern fields are
-    None.
-
-    The stencil layout of one node plane holds 27 3x3 blocks per node, node
-    after node (y, x; x fastest, the flat node order). Offset (dx, dy, dz)
-    in {-1, 0, 1}^3 has index 9 (dz + 1) + 3 (dy + 1) + dx + 1, and its
-    block at node n is K's block between n and n + (dx, dy, dz). K's rows
-    run plane after plane, so each plane's CSR values are one slice of
-    them, ``planes[z]:planes[z + 1]``.
+    """One voxel node lattice: its corner map and dof nodes; its arrays are
+    read-only, because every operator on the lattice shares them.
+    ``corners[a]`` is the node of local corner a of every element, wrapped
+    in-plane on a cell; no node is corner a twice.
     """
 
     lattice: tuple[int, int, int]  # (nz + 1, ny', nx') nodes
     corners: np.ndarray   # (8, nz, ny, nx) int32 lattice node of each corner
     rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
-    # K's pattern, cell mode only
-    offset: np.ndarray | None = None   # (8, 8) offset of corner b seen from a
-    indptr: np.ndarray | None = None   # (ndof + 1,) int32
-    indices: np.ndarray | None = None  # (nnz,) int32, increasing within each row
-    gather: np.ndarray | None = None   # (nnz,) int32 layout entry of each value
-    planes: np.ndarray | None = None   # (nz + 2,) start of each node plane's values
 
     @functools.cached_property
     def corner_sum(self) -> sp.csr_matrix:
@@ -242,60 +217,19 @@ def _stencil(shape: tuple[int, int, int], mode: str,
              clamped: tuple[str, ...]) -> _Stencil:
     """The lattice record of the last grid shape, mode and clamped edges
     (sorted), so that operators on one grid at several scales build it
-    once; in cell mode with K's pattern, two thirds of K's size."""
+    once."""
     nx, ny, nz = shape
-    corner = _local_corners().astype(np.int64)
     lattice = (nz + 1, ny, nx) if mode == "cell" else (nz + 1, ny + 1, nx + 1)
     _, nyl, nxl = lattice
     ez, ey, ex = np.ogrid[:nz, :ny, :nx]
     corners = np.stack([((ez + az) * nyl + (ey + ay) % nyl) * nxl
                         + (ex + ax) % nxl
-                        for ax, ay, az in corner]).astype(np.int32)
+                        for ax, ay, az in _local_corners().astype(np.int64)]
+                       ).astype(np.int32)
     rows = np.broadcast_to(free_nodes(nyl, nxl, clamped), lattice).ravel()
     for a in (corners, rows):
         a.flags.writeable = False
-    if mode != "cell":
-        return _Stencil(lattice=lattice, corners=corners, rows=rows)
-
-    d = corner[None, :, :] - corner[:, None, :]         # (a, b, xyz)
-    # on a periodic axis of one or two nodes, offsets that reach the same
-    # node share one slot, d mod n
-    for axis, n in ((0, nx), (1, ny)):
-        if n <= 2:
-            d[..., axis] %= n
-    offset = 9 * (d[..., 2] + 1) + 3 * (d[..., 1] + 1) + (d[..., 0] + 1)
-    node = np.where(rows, np.cumsum(rows) - 1, -1)
-    # nbr[o, n]: the node at offset o from node n, -1 where there is none;
-    # every two neighbouring nodes are corners a and b of some element
-    nbr = np.full((27, rows.size), -1, dtype=np.int64)
-    flat = corners.reshape(8, -1)
-    nbr[offset[:, :, None], flat[:, None]] = node[flat]
-
-    nbr = nbr.T[rows]                                   # (nrow, 27)
-    count = (nbr >= 0).sum(axis=1)
-    # each row's neighbours by increasing node id, missing ones last
-    order = np.argsort(np.where(nbr >= 0, nbr, nbr.size), axis=1)
-    nbr = np.take_along_axis(nbr, order, axis=1).astype(np.int32)
-    # CSR order within a row node: row component, neighbour, column component
-    comp = np.arange(3, dtype=np.int32)
-    stored = np.broadcast_to((np.arange(27) < count[:, None])[:, None, :, None],
-                             (nbr.shape[0], 3, 27, 3))
-    indices = np.broadcast_to(3 * nbr[:, None, :, None] + comp, stored.shape)
-    indices = indices[stored]
-    plane = nyl * nxl
-    layout = (27 * (np.flatnonzero(rows) % plane).astype(np.int32)[:, None]
-              + order.astype(np.int32))
-    gather = (3 * layout[:, None, :, None] + comp[:, None, None]) * 3 + comp
-    gather = gather[stored]
-    indptr = np.zeros(3 * count.size + 1, dtype=np.int32)
-    np.cumsum(np.repeat(3 * count, 3), out=indptr[1:])
-    planes = indptr[3 * np.concatenate(
-        ([0], np.cumsum(rows.reshape(lattice[0], -1).sum(axis=1))))]
-    for a in (offset, indptr, indices, gather, planes):
-        a.flags.writeable = False
-    return _Stencil(lattice=lattice, corners=corners, rows=rows,
-                    offset=offset, indptr=indptr, indices=indices,
-                    gather=gather, planes=planes)
+    return _Stencil(lattice=lattice, corners=corners, rows=rows)
 
 
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
@@ -304,17 +238,10 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     """Assemble the scaled-gradient stiffness operator for a voxel grid.
 
     ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires a
-    nonempty set of clamped edges from {"left", "right", "bottom", "top"},
-    and gives an operator without an assembled K: its ``k`` is the
-    operator's ``ElementProduct``. In cell mode the 3x3 block of each local
-    corner pair (a, b) of each element goes to the stencil offset c_b - c_a
-    at the node of corner a: one GEMM per node plane sums them, from the
-    plane's corner indicator and the table of every tensor's blocks, and
-    one gather through the cached pattern moves the sums into K's CSR
-    values.
+    nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
+    No K is assembled: the operator's ``k`` is its ``ElementProduct``,
+    built from the element stiffness of each tensor.
     """
-    import scipy.sparse as sp
-
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     mode = mode or grid.domain
@@ -350,93 +277,67 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     op = Operator(k=None, mode=mode, scale=scale, grid=grid, kit=kit,
                   tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
                   stencil=stencil, kes=kes, clamped=tuple(clamped))
-    if mode == "plate":
-        op.k = ElementProduct(op)
-        return op
-
-    ntens = len(tensors)
-    # w[a, t]: tensor t's blocks between local corner a and each corner b,
-    # at the stencil offset of b seen from a; aliased offsets add up in
-    # ascending b
-    w = np.zeros((8, ntens, 27, 3, 3))
-    np.add.at(w, (np.arange(8)[:, None], slice(None), stencil.offset),
-              kes.reshape(ntens, 8, 3, 8, 3).transpose(1, 3, 0, 2, 4))
-    # hit[n, a, t] = 1 where node n is corner a of an element of tensor t
-    hit = np.zeros((stencil.rows.size, 8, ntens))
-    hit[stencil.corners.reshape(8, -1), np.arange(8)[:, None],
-        tensor_of_elem] = 1.0
-    hit = hit.reshape(stencil.lattice[0], -1, 8 * ntens)
-    w = w.reshape(8 * ntens, -1)
-    data = np.empty(stencil.indices.size)
-    for z, (lo, hi) in enumerate(zip(stencil.planes[:-1], stencil.planes[1:])):
-        # one GEMM sums each node's blocks over its corners a, in ascending
-        # a, as adding the corner pairs one after another would; "clip"
-        # writes straight into data: the default "raise" buffers out, and
-        # the pattern's indices are in range by construction
-        np.take(hit[z] @ w, stencil.gather[lo:hi], out=data[lo:hi],
-                mode="clip")
-    op.k = sp.csr_matrix((data, stencil.indices, stencil.indptr),
-                         shape=(ndof, ndof))
+    op.k = ElementProduct(op)
     return op
 
 
 class ElementProduct:
     """K p element by element, through the operator's element stiffnesses:
-    a plate operator's ``k``, and the product every clamped solve uses.
+    an operator's ``k``, and the product every solve uses.
 
-    A sparse 0/1 corner map A, (8 nelem, nnode), picks the node of each
-    element corner; its rows run over the elements ordered by tensor (flat
-    order within one), eight corners each, and a clamped corner's row is
-    empty. K p = A^T diag(K_e) A p: the gather A p lines up every element's
-    24 dofs in a row, one GEMM per tensor multiplies its elements' rows by
-    that tensor's symmetric element stiffness, and A^T adds the corner
-    results back onto the nodes. ``p`` is one field or an (ndof, m) block,
-    and the result has its shape. It multiplies as a sparse K does, ``k @
-    p``, and is its own transpose, ``T``. ``shape`` is K's; ``nnz`` and
-    ``indices`` are those of A, one int32 column index per free element
-    corner, under a tenth of a CSR K's entries. A reads its nodes from the
+    ``dofs``, (24 nelem,), lists the reduced dof of each element corner and
+    component; it runs over the elements ordered by tensor (flat order
+    within one), eight corners of three components each, and a clamped
+    corner reads the three zeros past the last dof. K p = A^T diag(K_e) A p,
+    with A the 0/1 map that ``dofs`` indexes: the gather A p lines up every
+    element's 24 dofs in a row, one GEMM per tensor multiplies its
+    elements' rows by that tensor's symmetric element stiffness, and one
+    ``bincount`` over ``dofs``, A^T, adds the results back onto the dofs,
+    each dof's corners in ``dofs`` order. ``p`` is one field or an (ndof,
+    m) block, and the result has its shape; a block is multiplied one
+    column at a time, with no transposes of the element rows.
+
+    It multiplies as a sparse K does, ``k @ p``. ``shape`` is K's; ``nnz``
+    counts the free element corners, under a tenth of a CSR K's entries,
+    and ``indices`` is ``dofs``. ``dofs`` reads its nodes from the
     stencil's corner map, ``corners``.
     """
 
     def __init__(self, op: Operator):
-        import scipy.sparse as sp
-
         rows = op.stencil.rows
-        node = np.full(rows.size, -1, dtype=np.int32)
-        node[rows] = np.arange(op.ndof // 3, dtype=np.int32)
+        nnode = op.ndof // 3
+        node = np.full(rows.size, nnode)
+        node[rows] = np.arange(nnode)
         order = np.argsort(op.tensor_of_elem, kind="stable")
-        col = node[op.stencil.corners.reshape(8, -1).T[order]].ravel()
-        keep = col >= 0
-        indptr = np.zeros(col.size + 1, dtype=np.int32)
-        np.cumsum(keep, out=indptr[1:])
-        self.a = sp.csr_matrix((np.ones(indptr[-1]), col[keep], indptr),
-                               shape=(col.size, op.ndof // 3))
-        self.at = self.a.T.tocsr()
+        col = node[op.stencil.corners.reshape(8, -1).T[order]]
+        self.nnz = int((col < nnode).sum())
+        self.dofs = self.indices = (3 * col[..., None] + np.arange(3)).ravel()
         self.kes = op.kes
         self.shape = (op.ndof, op.ndof)
-        self.nnz = self.a.nnz
-        self.indices = self.a.indices
-        # elements [bounds[t], bounds[t + 1]) of A's order carry tensor t
+        # elements [bounds[t], bounds[t + 1]) of the gather's order carry
+        # tensor t
         self.bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(op.tensor_of_elem,
                                         minlength=len(op.tensors)))))
 
-    @property
-    def T(self) -> ElementProduct:
-        """K^T = K: the product itself."""
-        return self
-
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        g = self.a @ p.reshape(self.a.shape[1], -1)      # (8 nelem, 3 m)
-        m = g.shape[1] // 3
-        # one row of 24 corner dofs per element and column
-        rows = g.reshape(-1, 24, m).transpose(0, 2, 1).reshape(-1, 24)
+        n = self.shape[0]
+        m = p.size // n
+        # one row per column, its dofs then the three zeros of clamped corners
+        x = np.zeros((m, n + 3))
+        x[:, :n] = p.reshape(n, m).T
+        out = np.empty((n, m))
+        g = np.empty(self.dofs.size)
+        rows = g.reshape(-1, 24)                  # one row per element
         u = np.empty_like(rows)
-        for ke, lo, hi in zip(self.kes, m * self.bounds[:-1],
-                              m * self.bounds[1:]):
-            np.matmul(rows[lo:hi], ke, out=u[lo:hi])
-        u = u.reshape(-1, m, 24).transpose(0, 2, 1).reshape(g.shape)
-        return (self.at @ u).reshape(p.shape)
+        for j in range(m):
+            # "clip" gathers straight into g, where "raise" would buffer;
+            # every index is in range by construction
+            np.take(x[j], self.dofs, out=g, mode="clip")
+            for ke, lo, hi in zip(self.kes, self.bounds[:-1], self.bounds[1:]):
+                np.matmul(rows[lo:hi], ke, out=u[lo:hi])
+            out[:, j] = np.bincount(self.dofs, u.ravel(), minlength=n + 3)[:n]
+        return out.reshape(p.shape)
 
     __matmul__ = __call__
 
@@ -466,11 +367,11 @@ def _layer_symbol(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """(ny, nx//2+1, 2, 3, 2, 3) symbol of one element layer between its two
     node planes, from the (8, 3, 8, 3) element stiffness and the in-plane
     phase factor (ny, nx//2+1, 8, 8) of each local corner pair (a, b)."""
-    # the element block of each corner pair, placed at the node planes
-    # (z, w) of its two corners: a product by 0 or 1, so exact
-    plane = np.eye(2)[_local_corners()[:, 2].astype(int)]      # (a, z-plane)
-    table = np.einsum("acbd,az,bw->abzcwd", ke, plane, plane)
-    return np.einsum("abzcwd,yxab->yxzcwd", table, phase)
+    # corner a = 4 z + a' lies on node plane z, so the pairs between planes
+    # z and w are one 4x4 block of (a, b): each plane pair sums its own
+    ny, nk = phase.shape[:2]
+    return np.einsum("zacwbd,yxzawb->yxzcwd", ke.reshape(2, 4, 3, 2, 4, 3),
+                     phase.reshape(ny, nk, 2, 4, 2, 4))
 
 
 class ReferencePreconditioner:
@@ -576,7 +477,7 @@ class SolveInfo:
     """What a CG solve did; a 2-D right-hand side sums over its columns."""
 
     ndof: int                # size of K
-    nnz: int                 # k.nnz: a CSR K's entries, an ElementProduct's corners
+    nnz: int                 # k.nnz: an ElementProduct's free element corners
     column_iterations: tuple[int, ...]
     column_residuals: tuple[float, ...]  # relative residuals ||r|| / ||b||
     preconditioner: dict | None = None  # its describe(), set by the caller
@@ -827,21 +728,18 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
         max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
-    ``k`` is a symmetric K that multiplies as ``k @ p``: a CSR matrix, or an
-    ``ElementProduct``. ``precond`` is a callable applying the
-    preconditioner to an (n, m) block, such as a preconditioner object. A
-    2-D ``b`` is solved column by column with column-wise step lengths, one
-    product with K per iteration for all unconverged columns; a column stops
-    once its relative residual reaches ``tol`` or after ``max_iter``
-    iterations. A product with two or more columns goes through ``k.T``:
-    for a CSR K the CSC view of its arrays, whose multi-vector kernel is
-    faster than CSR's; it sums each row in the order ``k @ p`` does, so the
-    two agree bitwise when K is bitwise symmetric. An ``ElementProduct`` is
-    its own transpose. The column updates work in place, through one work
-    block that shrinks when columns leave. A singular K, such as a cell
-    operator, needs ``b`` and the preconditioner's range orthogonal to its
-    kernel: every search direction, and so the result, then stays off the
-    kernel with no projection here. Raises ``SolverError`` when the
+    ``k`` is a symmetric K that multiplies as ``k @ p``: an
+    ``ElementProduct``, or a sparse matrix. ``precond`` is a callable
+    applying the preconditioner to an (n, m) block, such as a
+    preconditioner object. A 2-D ``b`` is solved column by column with
+    column-wise step lengths, one product with K per iteration for all
+    unconverged columns; a column stops once its relative residual reaches
+    ``tol`` or after ``max_iter`` iterations. The column updates work in
+    place, through one work block that shrinks when columns leave. A
+    singular K, such as a cell operator, needs ``b`` and the
+    preconditioner's range orthogonal to its kernel: every search
+    direction, and so the result, then stays off the kernel with no
+    projection here. Raises ``SolverError`` when the
     operator is not positive definite on the search space, and when a
     column stalls: it stops at ``max_iter`` with its residual above ``tol``.
     The returned ``SolveInfo`` records ``k.nnz``.
@@ -860,7 +758,6 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
     # x, r, p and rz hold the columns still iterating, ``cols``; a column
     # leaves them once it converges or reaches max_iter
     cols = np.arange(ncol)
-    kt = k.T                                   # O(1): the same arrays
     x = np.zeros((n, ncol))
     work = np.empty((n, ncol))
     z = precond(r)
@@ -878,7 +775,7 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
             if not cols.size:
                 break
             work = np.empty_like(x)
-        ap = (kt if p.shape[1] > 1 else k) @ p
+        ap = k @ p
         pap = np.vecdot(p, ap, axis=0)
         if (pap <= 0.0).any():
             j = int(np.argmin(pap))

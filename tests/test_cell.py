@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from test_fem3d import block_fill_stiffness
 
 from platehom import cell
 from platehom.algebra import (isotropic_hooke, plane_stress_form,
@@ -258,8 +259,9 @@ def test_anisotropic_mandel6_phase_homogenizes():
 
 
 def test_homogenize_matches_dense_pseudoinverse():
-    # independent route through the singular system: dense pinv handles the
-    # translation kernel that the iterative path handles by projection
+    # independent route through the singular system: dense pinv of the
+    # test-side K handles the translation kernel that the iterative path
+    # handles by projection
     from platehom import fem3d
 
     phases = {1: H11, 2: H1010}
@@ -267,26 +269,27 @@ def test_homogenize_matches_dense_pseudoinverse():
     hf = homogenize(grid, phases, 0.7, tol=1e-13)
     op = fem3d.assemble(grid, phases, scale=0.7, mode="cell")
     gmat, e0 = fem3d.corrector_loads(op)
-    kd = op.k.toarray()
+    kd = block_fill_stiffness(op)[0].toarray()
     u = -np.linalg.pinv(kd) @ gmat
     a_dense = 0.5 * (e0 + gmat.T @ u + u.T @ gmat + u.T @ kd @ u)
     assert np.max(np.abs(hf.a - a_dense)) < 1e-12 * np.max(np.abs(a_dense))
 
 
 def _pinned_lu_form(grid, phases, gamma):
-    # independent route: sparse LU with node 0 pinned in place of the
-    # projection; the loads are orthogonal to the translations, so the
-    # pinning leaves the form unchanged
+    # independent route: sparse LU of the test-side K with node 0 pinned in
+    # place of the projection; the loads are orthogonal to the translations,
+    # so the pinning leaves the form unchanged
     import scipy.sparse.linalg as spla
 
     from platehom import fem3d
 
     op = fem3d.assemble(grid, phases, scale=gamma, mode="cell")
     gmat, e0 = fem3d.corrector_loads(op)
+    k = block_fill_stiffness(op)[0]
     keep = np.arange(3, op.ndof)
     u = np.zeros((op.ndof, 6))
-    u[keep] = spla.splu(op.k[keep][:, keep].tocsc()).solve(-gmat[keep])
-    a = 0.5 * (e0 + gmat.T @ u + u.T @ gmat + u.T @ (op.k @ u))
+    u[keep] = spla.splu(k[keep][:, keep].tocsc()).solve(-gmat[keep])
+    a = 0.5 * (e0 + gmat.T @ u + u.T @ gmat + u.T @ (k @ u))
     return 0.5 * (a + a.T)
 
 

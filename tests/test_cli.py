@@ -1,5 +1,6 @@
 """End-to-end command-line runs in temporary directories."""
 
+import copy
 import json
 import os
 import subprocess
@@ -347,14 +348,16 @@ def _homogenize_checkerboard(tmp_path, phases_file, out="z"):
 
 
 def test_indefinite_operator_exit_code(tmp_path, phases_file, monkeypatch):
-    # a CG breakdown (p.Ap <= 0) is a solver failure, not a usage error
+    # a CG breakdown (p.Ap <= 0) is a solver failure, not a usage error: the
+    # element product of negated element stiffnesses is -K
     import platehom.fem3d as fem3d
 
     orig = fem3d.assemble
 
     def negated(*args, **kwargs):
         op = orig(*args, **kwargs)
-        op.k = -op.k
+        op.k = copy.copy(op.k)
+        op.k.kes = -op.kes
         return op
 
     monkeypatch.setattr(fem3d, "assemble", negated)
@@ -391,16 +394,12 @@ def test_manifest_records_solver(tmp_path, phases_file):
 
 
 def test_manifests_record_operator_size(tmp_path, phases_file):
-    # a cell node couples to its neighbours in 3x3 blocks, and the
-    # neighbour count factors by axis: 3 per axis, 2 at an end of a
-    # non-periodic one
-    def nnz(*counts):
-        return 9 * int(np.prod([sum(c) for c in counts]))
-
+    # no operator assembles K: its element product records one corner map
+    # entry per free element corner, 8 per element of a cell
     assert _homogenize_checkerboard(tmp_path, phases_file, out="h") == 0
     (record,) = json.loads((tmp_path / "h" / "manifest.json").read_text())["solver"]
     assert record["ndof"] == 3 * 4 * 4 * 5                # periodic 4x4, 5 planes
-    assert record["nnz"] == nnz([3] * 4, [3] * 4, [2, 3, 3, 3, 2])
+    assert record["nnz"] == 8 * (4 * 4 * 4)
     m = tmp_path / "p"
     run(["gen-micro", "--kind", "laminate", "--axis", "x3",
          "--fractions", "0.5,0.5", "--res", "8,8,4", "--domain", "plate",
@@ -410,9 +409,8 @@ def test_manifests_record_operator_size(tmp_path, phases_file):
                 "--clamped", "left", "--out", str(tmp_path / "t")]) == 0
     (record,) = json.loads((tmp_path / "t" / "manifest.json").read_text())["solver"]
     assert record["ndof"] == 3 * 8 * 9 * 5                # left column clamped
-    # a plate has no assembled K: its element product records one corner
-    # map entry per free element corner, 8 per element less the 4 that each
-    # element of the first x layer has on the clamped edge
+    # a plate's element product: 8 per element less the 4 that each element
+    # of the first x layer has on the clamped edge
     assert record["nnz"] == 8 * (8 * 8 * 4) - 4 * (8 * 4)
 
 

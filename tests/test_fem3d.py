@@ -1,5 +1,6 @@
 """Scaled-gradient FEM: element oracle, kernels, solver, clamped plates."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -94,7 +95,8 @@ def element_loads(op, f):
 
 def triplet_stiffness(op):
     """K from COO triplets of every element's 24x24 stiffness, summed by
-    scipy's conversion to CSR: the reference for the stencil assembly."""
+    scipy's conversion to CSR: the reference for the element product and
+    the test-side block fill."""
     kes = np.stack([element_stiffness(op.kit, t) for t in op.tensors])
     index = element_dofs(op).astype(np.int32)
     vals = kes[op.tensor_of_elem]
@@ -107,9 +109,9 @@ def triplet_stiffness(op):
     return k
 
 
-def plate_k(op):
-    """The CSR K that a plate operator does not assemble, built test-side
-    by ``block_fill_stiffness``: the reference of the plate checks."""
+def csr_k(op):
+    """The CSR K that no operator assembles, built test-side by
+    ``block_fill_stiffness``: the reference of the product checks."""
     return block_fill_stiffness(op)[0]
 
 
@@ -284,7 +286,7 @@ def test_pcg_block_jacobi_agrees():
                   mode="plate", clamped=("left",))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(op.ndof)
-    xa, ia = pcg(op.k, b, jacobi(plate_k(op)), tol=1e-12)
+    xa, ia = pcg(op.k, b, jacobi(csr_k(op)), tol=1e-12)
     xb, ib = pcg(op.k, b, fem3d._block_jacobi(fem3d._diagonal_blocks(op)),
                  tol=1e-12)
     assert np.linalg.norm(xa - xb) < 1e-8 * np.linalg.norm(xa)
@@ -425,7 +427,7 @@ def test_clamped_pcg_matches_direct_solve():
     ell = body_load(op, (0.3, -0.1, 1.0))
     u_cg, info = pcg(op.k, ell,
                      fem3d._block_jacobi(fem3d._diagonal_blocks(op)), tol=1e-13)
-    u_direct = spla.spsolve(plate_k(op).tocsc(), ell)
+    u_direct = spla.spsolve(csr_k(op).tocsc(), ell)
     assert np.linalg.norm(u_cg - u_direct) < 1e-10 * np.linalg.norm(u_direct)
 
 
@@ -443,16 +445,18 @@ STENCIL_CASES = [((1, 3, 4), "cell", ()), ((2, 2, 2), "cell", ()),
 
 @pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES)
 def test_stencil_assembly_matches_triplets(shape, mode, clamped):
-    # cells of one or two nodes along x or y alias the +-1 offsets onto one
-    # node; the triplets sum those couplings in scipy's order, the stencil
-    # in corner-pair order, so the values agree to rounding only. A plate
-    # has no assembled K: there the test-side block fill, the reference of
-    # the plate checks, must be the triplets' K
+    # no operator assembles K: its element product, applied to every unit
+    # vector, is the triplets' K to rounding, also on the cells of one or
+    # two nodes along x or y, whose +-1 offsets alias onto one node. The
+    # test-side block fill, the reference of the other checks, is the
+    # triplets' K: the same pattern, and the values to rounding
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
     op = assemble(random_grid(shape, mode, seed=sum(shape)), phases, scale=0.3,
                   mode=mode, clamped=clamped)
     ref = triplet_stiffness(op)
-    k = op.k if mode == "cell" else plate_k(op)
+    dense = op.k @ np.eye(op.ndof)
+    assert np.abs(dense - ref.toarray()).max() <= 1e-15 * np.abs(ref.data).max()
+    k = csr_k(op)
     assert k.indptr.dtype == ref.indptr.dtype == np.int32
     assert k.indices.dtype == ref.indices.dtype == np.int32
     assert np.array_equal(k.indptr, ref.indptr)
@@ -480,8 +484,8 @@ def block_fill_stiffness(op):
     """K (CSR) and its diagonal node blocks as the 64 local corner pairs
     fill them, pair after pair, into 27 per-offset arrays of 3x3 node
     blocks over the node lattice, moved into CSR by scipy: the reference
-    for the corner-indicator GEMMs. Without aliased offsets each node
-    block sums its corners a in ascending order, starting from zero."""
+    K that no operator assembles. Without aliased offsets each node block
+    sums its corners a in ascending order, starting from zero."""
     nx, ny, nz = op.grid.shape
     corner = fem3d._local_corners().astype(int)
     d = corner[None, :, :] - corner[:, None, :]                  # (a, b, xyz)
@@ -538,23 +542,17 @@ THREE_PHASES = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0),
     ((32, 32, 8), "plate", ("left", "bottom"), 3)])
 def test_stencil_assembly_matches_block_fill_bitwise(shape, mode, clamped,
                                                      nphase):
-    # the GEMM of a node plane adds the exact zeros of the other tensors'
-    # columns and sums over (a, t) in ascending a, so on a lattice without
-    # aliased offsets K's values are the pair-by-pair fill's, bit for bit.
-    # A plate assembles no K; its smoother's diagonal blocks, added corner
-    # by corner in ascending a, are the fill's diagonal blocks bit for bit
+    # no operator assembles K; the diagonal node blocks that the element
+    # tables give, added corner by corner in ascending a, are the
+    # pair-by-pair fill's bit for bit, on a cell's wrapped lattice as on a
+    # clamped plate's (the plates' smoother reads them)
     n = int(np.prod(shape))
     data = np.random.default_rng(n).integers(1, nphase + 1, n).astype(np.int32)
     phases = {p: THREE_PHASES[p] for p in range(1, nphase + 1)}
     op = assemble(VoxelGrid(*shape, data, mode), phases, scale=0.3, mode=mode,
                   clamped=clamped, allow_soft=True)
-    ref, diagonal = block_fill_stiffness(op)
-    if mode == "plate":
-        assert np.array_equal(fem3d._diagonal_blocks(op), diagonal)
-        return
-    assert np.array_equal(op.k.indptr, ref.indptr)
-    assert np.array_equal(op.k.indices, ref.indices)
-    assert np.array_equal(op.k.data, ref.data)
+    _, diagonal = block_fill_stiffness(op)
+    assert np.array_equal(fem3d._diagonal_blocks(op), diagonal)
 
 
 # every plate of STENCIL_CASES, a 7x5x4 plate with its bottom edge clamped
@@ -578,7 +576,7 @@ def test_block_diagonal_is_ks_diagonal_blocks(shape, mode, clamped):
     # test-side K bit for bit: both add a node's corners in ascending a
     op = plate_case(shape, clamped)
     nb = op.ndof // 3
-    dense = plate_k(op).toarray().reshape(nb, 3, nb, 3)
+    dense = csr_k(op).toarray().reshape(nb, 3, nb, 3)
     assert np.array_equal(fem3d._diagonal_blocks(op),
                           dense[np.arange(nb), :, np.arange(nb), :])
 
@@ -624,7 +622,7 @@ def test_coarse_tables_match_ptkp(shape, mode, clamped):
     # flat order and in a random one; nothing lies outside the band
     op = plate_case(shape, clamped)
     p = coarse_basis(op)
-    kc = p.T @ (plate_k(op) @ p)
+    kc = p.T @ (csr_k(op) @ p)
     n = kc.shape[0]
     nx, ny, _ = shape
     free = free_columns(nx, ny, clamped)
@@ -694,61 +692,51 @@ def test_load_tables_match_einsum_loop(shape, mode, nphase):
             assert np.array_equal(got, ref)
 
 
-# cells of one or two nodes along x or y: entries of K and K^T that differ,
-# by rounding, on the STENCIL_CASES inputs, and of those above the diagonal
-# the ones where K is the larger; the counts pin the order in which
-# ``assemble`` sums the aliased offsets: each corner a's pairs first, in
-# ascending b, into its row of the table W, then the corners a, ascending,
-# in the GEMM (W's blocks with the a and b roles swapped read (132, 36) on
-# the first cell, the corners summed in descending a (266, 61) and
-# (118, 33) on the other two)
-ALIASED_ASYMMETRY = {(1, 3, 4): (132, 24), (2, 2, 2): (256, 57),
-                     (4, 2, 2): (138, 30)}
-
-
 @pytest.mark.parametrize("shape, mode, clamped",
                          STENCIL_CASES + [((16, 16, 16), "cell", ())])
 def test_stencil_k_is_bitwise_symmetric(shape, mode, clamped):
-    # pcg multiplies a block by K's CSC view, K^T: it sums each row in the
-    # order K @ X does, so the two agree bitwise when K does
+    # the element product applies element stiffnesses that are bitwise
+    # symmetric, and adds the elements that two nodes share in one order
+    # from either side, so (K e_j)_i is (K e_i)_j bit for bit. On a cell of
+    # one node along x an element's corners a and a ^ 1 are one node, whose
+    # unit vector puts two ones in the element's row: the GEMM sums the two
+    # rows of K_e, and the entries agree to rounding only. The 16^3 cell is
+    # probed on the 3x3x3 node block around one node
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0)}
     op = assemble(random_grid(shape, mode, seed=sum(shape)), phases, scale=0.3,
                   mode=mode, clamped=clamped)
-    x = np.random.default_rng(1).standard_normal((op.ndof, 6))
-    if mode == "plate":
-        # no assembled K: the element product is its own transpose, and
-        # applies element stiffnesses that are bitwise symmetric
-        assert op.k.T is op.k
-        assert np.array_equal(op.kes, op.kes.transpose(0, 2, 1))
-        assert np.array_equal(op.k.T @ x, op.k @ x)
-        return
-    asym = (op.k != op.k.T).nnz
-    if shape in ALIASED_ASYMMETRY:
-        upper = sp.triu(op.k - op.k.T, 1)
-        assert (asym, (upper > 0).nnz) == ALIASED_ASYMMETRY[shape]
-        d = np.abs(upper).max()
-        assert d <= 4 * np.finfo(float).eps * np.abs(op.k.data).max()
-        return
-    assert asym == 0
-    assert np.array_equal(op.k.T @ x, op.k @ x)
+    assert np.array_equal(op.kes, op.kes.transpose(0, 2, 1))
+    if op.ndof > 3000:
+        z, y, x = np.meshgrid(*[np.arange(7, 10)] * 3, indexing="ij")
+        node = ((z * shape[1] + y) * shape[0] + x).ravel()
+        dofs = (3 * node[:, None] + np.arange(3)).ravel()
+    else:
+        dofs = np.arange(op.ndof)
+    unit = np.zeros((op.ndof, dofs.size))
+    unit[dofs, np.arange(dofs.size)] = 1.0
+    block = (op.k @ unit)[dofs]
+    if shape[0] == 1:
+        assert np.abs(block - block.T).max() <= (np.finfo(float).eps
+                                                 * np.abs(block).max())
+    else:
+        assert np.array_equal(block, block.T)
 
 
 def test_stencil_pattern_is_shared_and_read_only():
-    # two cells at two scales share K's pattern; two plates whose clamped
-    # edges differ in order only share their lattice record
+    # two cells at two scales share one lattice record, and so do two
+    # plates whose clamped edges differ in order only; its arrays are
+    # read-only
     phases = {1: isotropic_hooke(1.0, 1.0)}
-    a = assemble(uniform_grid(4, 3, 2), phases, scale=0.5)
-    b = assemble(uniform_grid(4, 3, 2), phases, scale=0.25)
-    assert np.shares_memory(a.k.indices, b.k.indices)
-    with pytest.raises(ValueError, match="read-only"):
-        a.k.indices[0] = 1
+    cells = [assemble(uniform_grid(4, 3, 2), phases, scale=s)
+             for s in (0.5, 0.25)]
     grid = uniform_grid(4, 3, 2, domain="plate")
-    a = assemble(grid, phases, scale=0.5, mode="plate", clamped=("top", "left"))
-    b = assemble(grid, phases, scale=0.25, mode="plate", clamped=("left", "top"))
-    assert a.stencil is b.stencil
-    for array in (a.stencil.corners, a.stencil.rows):
-        with pytest.raises(ValueError, match="read-only"):
-            array.flat[0] = 1
+    plates = [assemble(grid, phases, scale=s, mode="plate", clamped=edges)
+              for s, edges in ((0.5, ("top", "left")), (0.25, ("left", "top")))]
+    for a, b in (cells, plates):
+        assert a.stencil is b.stencil
+        for array in (a.stencil.corners, a.stencil.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1
 
 
 def traced(fn):
@@ -769,32 +757,38 @@ def csr_bytes(m):
 PLATE_PHASES = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(4.0, 4.0)}
 
 
+def lattice_fields(stencil):
+    """The field names of a lattice record: no CSR pattern among them."""
+    return [f.name for f in dataclasses.fields(stencil)]
+
+
 def build_plate(shape):
     return assemble(random_grid(shape, "plate"), PLATE_PHASES, scale=0.0625,
                     mode="plate", clamped=("left",))
 
 
 def test_assembly_peak_memory_is_a_small_multiple_of_k():
-    # a cell's fill holds K's values, the corner indicator and one node
-    # plane's 27 blocks per node: about 1.1 times K's bytes warm; an
-    # assembly from every element's triplets peaks at 6.6
+    # a cell's assembly builds no K: cold (with its lattice record) and warm
+    # it holds about 0.08 and 0.07 of a CSR K's bytes and peaks at 0.17 and
+    # 0.16, where filling K held 1.36 cold and peaked at 1.72
     fem3d._stencil.cache_clear()
-    op, _, cold = traced(lambda: assemble(random_grid((16, 16, 4), "cell"),
-                                          PLATE_PHASES, scale=0.0625))
-    k_bytes = csr_bytes(op.k)
+    op, held_cold, cold = traced(lambda: assemble(
+        random_grid((16, 16, 4), "cell"), PLATE_PHASES, scale=0.0625))
+    k_bytes = csr_bytes(csr_k(op))
+    assert lattice_fields(op.stencil) == ["lattice", "corners", "rows"]
     del op
-    _, _, warm = traced(lambda: assemble(random_grid((16, 16, 4), "cell"),
-                                         PLATE_PHASES, scale=0.0625))
-    assert cold <= 3.0 * k_bytes
-    assert warm <= 1.4 * k_bytes
+    _, held_warm, warm = traced(lambda: assemble(
+        random_grid((16, 16, 4), "cell"), PLATE_PHASES, scale=0.0625))
+    assert max(held_cold, held_warm) <= 0.1 * k_bytes
+    assert max(cold, warm) <= 0.2 * k_bytes
 
-    # the element product of a clamped solve keeps its corner map A and
-    # A^T: 0.075 of a CSR K's bytes on the benchmark's 32x32x8 plate, the
-    # product's set-up peaks at 0.12
+    # the element product of a clamped solve keeps its gather index, one
+    # intp per element corner and component: 0.064 of a CSR K's bytes on
+    # the benchmark's 32x32x8 plate, and its set-up peaks at 0.12
     op = build_plate((32, 32, 8))
-    k_bytes = csr_bytes(plate_k(op))
+    k_bytes = csr_bytes(csr_k(op))
     product, held, peak = traced(lambda: fem3d.ElementProduct(op))
-    assert csr_bytes(product.a) + csr_bytes(product.at) <= held <= 0.1 * k_bytes
+    assert product.dofs.nbytes <= held <= 0.1 * k_bytes
     assert peak <= 0.2 * k_bytes
 
 
@@ -816,9 +810,8 @@ def test_plate_setup_peak_stays_under_k_bytes():
     assert isinstance(op.k, fem3d.ElementProduct)
     cached = fem3d._stencil((32, 32, 8), "plate", ("left",))
     assert cached is op.stencil and fem3d._stencil.cache_info().currsize == 1
-    assert all(getattr(cached, name) is None for name in
-               ("offset", "indptr", "indices", "gather", "planes"))
-    assert peak <= csr_bytes(plate_k(op))
+    assert lattice_fields(cached) == ["lattice", "corners", "rows"]
+    assert peak <= csr_bytes(csr_k(op))
 
 
 ELEMENT_PRODUCT_CASES = [case for case in STENCIL_CASES if case[1] == "plate"]
@@ -828,9 +821,10 @@ ELEMENT_PRODUCT_CASES = [case for case in STENCIL_CASES if case[1] == "plate"]
     ((7, 5, 4), "plate", ("bottom",)),
     ((6, 6, 3), "cell", ())])
 def test_element_product_matches_k(shape, mode, clamped):
-    # three phases in random voxels, one of them without any stiffness: A
-    # orders the elements by tensor, so a wrong tensor bound shows; nx != ny
-    # catches swapped axes and the cell case the in-plane wrap
+    # three phases in random voxels, one of them without any stiffness: the
+    # gather index orders the elements by tensor, so a wrong tensor bound
+    # shows; nx != ny catches swapped axes and the cell case the in-plane
+    # wrap. A block of columns is multiplied column by column
     n = int(np.prod(shape))
     data = np.random.default_rng(n).integers(1, 4, n).astype(np.int32)
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(7.0, 3.0),
@@ -838,14 +832,18 @@ def test_element_product_matches_k(shape, mode, clamped):
     op = assemble(VoxelGrid(*shape, data, mode), phases, scale=0.3, mode=mode,
                   clamped=clamped, allow_soft=True)
     product = fem3d.ElementProduct(op)
-    assert product.a.shape == (8 * n, op.ndof // 3)
-    # what pcg and its tracer read from a K: one int32 index per corner
-    assert product.shape == (op.ndof, op.ndof) and product.T is product
-    assert product.nnz == product.a.nnz == product.indices.size
-    assert product.indices.dtype == np.int32
-    k = op.k if mode == "cell" else plate_k(op)
+    assert product.dofs.shape == (24 * n,)
+    # a clamped corner reads the three zeros past the last dof
+    assert product.dofs.max() == (op.ndof + 2 if clamped else op.ndof - 1)
+    # what pcg and its tracer read from a K: one entry per free corner
+    assert product.shape == (op.ndof, op.ndof)
+    assert product.nnz == (product.dofs < op.ndof).sum() // 3
+    assert product.indices is product.dofs
+    k = csr_k(op)
     rng = np.random.default_rng(2)
-    for p in (rng.standard_normal(op.ndof), rng.standard_normal((op.ndof, 3))):
+    p = rng.standard_normal((op.ndof, 6))
+    assert np.array_equal(product(p)[:, 4], product(p[:, 4]))
+    for p in (p[:, 0], p[:, :3], p):
         kp = k @ p
         got = product(p)
         assert got.shape == p.shape
@@ -867,7 +865,7 @@ def test_clamped_solve_on_element_product_keeps_counts_and_energies():
         op, u, energy, info = solve_clamped(grid, phases, h, f, ("left",),
                                             tol=1e-11)
         ell = body_load(op, f)
-        k = plate_k(op)
+        k = csr_k(op)
         ref, ref_info = pcg(k, ell, fem3d.PlatePreconditioner(op), tol=1e-11)
         assert info.iterations == ref_info.iterations == count
         product = fem3d.ElementProduct(op)
@@ -948,6 +946,33 @@ def test_reference_symbol_matches_four_operand_einsum(shape, monkeypatch):
     assert np.array_equal(fem3d.ReferencePreconditioner(op).inv, inv)
 
 
+def plane_table_layer_symbol(ke, phase):
+    """The layer symbol through a table that places each corner pair's
+    block at the node planes (z, w) of its corners, contracted with the
+    phase factors over all 64 pairs, three quarters of them on zero blocks:
+    the reference for the contraction over each plane pair's own block."""
+    plane = np.eye(2)[fem3d._local_corners()[:, 2].astype(int)]
+    table = np.einsum("acbd,az,bw->abzcwd", ke, plane, plane)
+    return np.einsum("abzcwd,yxab->yxzcwd", table, phase)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 2), (5, 4, 3), (8, 8, 8),
+                                   (16, 16, 16)])
+def test_layer_symbol_matches_plane_table(shape):
+    nx, ny, nz = shape
+    kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, 0.5)
+    corner = fem3d._local_corners().astype(int)
+    dxy = corner[None, :, :2] - corner[:, None, :2]
+    tx = 2.0 * np.pi * np.fft.rfftfreq(nx)
+    ty = 2.0 * np.pi * np.fft.fftfreq(ny)
+    phase = np.exp(1j * (ty[:, None, None, None] * dxy[..., 1]
+                         + tx[None, :, None, None] * dxy[..., 0]))
+    for hooke in (isotropic_hooke(1.0, 1.0), isotropic_hooke(3.2, 1.7)):
+        ke = element_stiffness(kit, hooke).reshape(8, 3, 8, 3)
+        assert np.array_equal(fem3d._layer_symbol(ke, phase),
+                              plane_table_layer_symbol(ke, phase))
+
+
 def test_reference_tensor_log_euclidean_mean():
     # isotropic lambda = mu phases: the geometric mean
     c0 = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
@@ -969,6 +994,7 @@ def test_block_pcg_zero_column_and_projected_loads():
     b[:, 0] = -gmat[:, 0]
     b[:, 2] = -gmat[:, 3] + 5.0        # a constant shift the caller removes
     x, info = cell_pcg(op, b, tol=1e-12)
+    k = csr_k(op)                  # the reference CG multiplies a CSR K
     assert info.column_iterations[1] == 0 and info.column_residuals[1] == 0.0
     assert np.all(x[:, 1] == 0.0)
     assert info.iterations == sum(info.column_iterations)
@@ -976,7 +1002,7 @@ def test_block_pcg_zero_column_and_projected_loads():
     for j in (0, 2):
         for c in range(3):
             assert abs(x[c::3, j].mean()) < 1e-12
-        ref, _ = pcg(op.k, op.project(b[:, j]), jacobi(op.k), tol=1e-12)
+        ref, _ = pcg(k, op.project(b[:, j]), jacobi(k), tol=1e-12)
         ref = op.project(ref)
         assert np.linalg.norm(x[:, j] - ref) < 1e-9 * np.linalg.norm(ref)
 
@@ -1053,7 +1079,7 @@ def test_two_level_clamped_solve_matches_direct_solve(clamped):
         "coarse_solver": "banded-cholesky",
         "bandwidth": {("left",): 49, fem3d.EDGES: 44}[clamped]}
     ell = body_load(op, f)
-    k = plate_k(op)
+    k = csr_k(op)
     u_direct = spla.splu(k.tocsc()).solve(ell)
     e_direct = 0.5 * u_direct @ (k @ u_direct) - ell @ u_direct
     assert abs(energy - e_direct) <= 1e-10 * abs(e_direct)
@@ -1073,7 +1099,7 @@ def test_banded_coarse_solve_matches_dense_solve(shape, clamped):
     m = fem3d.PlatePreconditioner(op)
     assert m.describe()["coarse_solver"] == "banded-cholesky"
     assert m.coarse.bandwidth == m.describe()["bandwidth"] <= 5 * (min(nx, ny) + 3)
-    kc = (m.p.T @ plate_k(op) @ m.p).toarray()
+    kc = (m.p.T @ csr_k(op) @ m.p).toarray()
     b = rng.standard_normal((kc.shape[0], 2))
     want = np.linalg.solve(kc, b)
     got = m.coarse.solve(b)

@@ -1,8 +1,9 @@
-"""Metamorphic properties of clamped plate solves: a mirrored, flipped or
-transposed voxel plate is the same discrete problem, so its minimum energy
-is the same up to rounding, on random plates too.
+"""Metamorphic properties of voxel solves: a mirrored, flipped, rolled,
+rotated or transposed voxel grid is the same discrete problem, so its
+solution is the same up to rounding, on random grids too.
 
-Each relation maps the plate, its clamped edges and its load:
+Clamped plates: each relation maps the plate, its clamped edges and its
+load, and keeps the minimum energy:
 
 - x-mirror: voxel column x goes to nx - 1 - x, "left" and "right" swap,
   f1 and u1 change sign;
@@ -16,9 +17,9 @@ small difference of large entries, so the solved energies of two mirrored
 plates differ by 1e-11 relative at any CG tolerance, yet stay under a
 quarter of that scale.
 
-Each property alone catches one wrong corner map in ``fem3d._stencil``,
-where operator and loads read their nodes (checked on a copy of the
-code, 20 examples each):
+Each plate property alone catches one wrong corner map in
+``fem3d._stencil``, where operator and loads read their nodes (checked on
+a copy of the code, 20 examples each):
 
 - x-mirror: the corner offsets' x and y exchanged, ``for ay, ax, az in
   corner``;
@@ -32,6 +33,39 @@ Mutations of the coarse tables move only the preconditioner, and so the
 iteration count, not the energy: numbering an element's columns
 ``q = 2 ax + ay`` passes these properties and fails
 ``test_coarse_tables_match_ptkp``.
+
+Periodic cells: each relation maps the homogenized form A (mandel-pair
+slots: membrane e11, e22, sqrt2 e12, then the same curvatures) of
+``cell.homogenize``:
+
+- in-plane roll: the voxels shift periodically, A stays;
+- x-mirror: the twist slots 2 and 5 change sign against the others;
+- x<->y swap: slots 0 <-> 1 and 3 <-> 4;
+- x3-flip: the membrane-curvature coupling block changes sign;
+- 90-degree rotation: A goes to R A R^T, R = ``algebra.rotation90_pair``.
+
+The forms are stationary in the correctors, so the CG tolerance enters
+them squared: two solves of one problem agree to rounding (at most 5.4 eps
+of max |A| over 80 random cells), and the bound is 32 eps of max |A|.
+These properties guard the element product (every cell CG and the form's
+K u) on random cells. Each catches the mutation named for it (checked on
+a copy of the code, 20 examples each):
+
+- roll: the x wrap of ``fem3d._stencil``'s corners clamped at the last
+  node column, ``np.minimum(ex + ax, nxl - 1)`` for ``(ex + ax) % nxl``;
+- x-mirror: ``ElementProduct``'s tensor ``bounds`` off by one, ``1 +
+  np.cumsum(...)``, so that the first element of each tensor but the
+  first is multiplied by the previous tensor's stiffness;
+- x<->y swap and rotation: x's voxel width on the y derivatives in
+  ``element_kit``'s ``jac``, ``2 / hx`` for ``2 / hy``, a cell stretched
+  in y when nx != ny;
+- x3-flip: the loads' x3 measured from a shifted mid-plane, ``z0 = -0.5
+  + hz / 4 + ...`` in ``fem3d._load_tables``.
+
+The first two fail all five properties; the third fails only the swap
+and the rotation, the fourth only the flip. Swapping x and y in ``jac``
+altogether fails none: it makes the cell a rectangle, which every one of
+these symmetries maps onto the rectangle of the mapped grid.
 """
 
 import copy
@@ -40,8 +74,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platehom import fem3d
-from platehom.algebra import isotropic_hooke
+from platehom import cell, fem3d
+from platehom.algebra import isotropic_hooke, rotation90_pair
 from platehom.microstructure import VoxelGrid
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
@@ -123,3 +157,80 @@ def test_xy_swap_keeps_clamped_energy(plate):
     check_relation(plate, data.transpose(0, 2, 1), f[[1, 0, 2]],
                    tuple(swap[e] for e in clamped),
                    lambda u: u.transpose(1, 0, 2, 3)[..., [1, 0, 2]])
+
+
+@st.composite
+def random_cells(draw):
+    """(data (nz, ny, nx), phases, gamma) of a small random cell."""
+    nx, ny = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    nz = draw(st.integers(2, 4))
+    nphase = draw(st.integers(1, 3))
+    moduli = st.floats(0.5, 10.0)
+    phases = {p: isotropic_hooke(draw(moduli), draw(moduli))
+              for p in range(1, nphase + 1)}
+    data = draw(st.lists(st.integers(1, nphase), min_size=nx * ny * nz,
+                         max_size=nx * ny * nz))
+    gamma = draw(st.floats(0.3, 4.0))
+    return np.array(data).reshape(nz, ny, nx), phases, gamma
+
+
+def cell_form(data, phases, gamma):
+    nz, ny, nx = data.shape
+    grid = VoxelGrid(nx, ny, nz, np.ascontiguousarray(data).ravel()
+                     .astype(np.int32), "cell")
+    return cell.homogenize(grid, phases, gamma).a
+
+
+def check_form_relation(cell_, data, form_map):
+    """The mapped cell's form is ``form_map`` of the original's, within a
+    32 eps of its largest entry."""
+    data0, phases, gamma = cell_
+    a = cell_form(data0, phases, gamma)
+    got = cell_form(data, phases, gamma)
+    bound = 32 * np.finfo(float).eps * np.abs(a).max()
+    assert np.abs(got - form_map(a)).max() <= bound
+
+
+def slot_signs(*slots):
+    """A form map that changes the sign of the given slots."""
+    s = np.ones(6)
+    s[list(slots)] = -1.0
+    return lambda a: s[:, None] * a * s
+
+
+@PROPERTY
+@given(random_cells(), st.data())
+def test_in_plane_roll_keeps_cell_form(cell_, data):
+    grid = cell_[0]
+    shift = (data.draw(st.integers(1, grid.shape[1] - 1)),
+             data.draw(st.integers(1, grid.shape[2] - 1)))
+    check_form_relation(cell_, np.roll(grid, shift, axis=(1, 2)),
+                        lambda a: a)
+
+
+@PROPERTY
+@given(random_cells())
+def test_x_mirror_negates_cell_twist_slots(cell_):
+    check_form_relation(cell_, cell_[0][:, :, ::-1], slot_signs(2, 5))
+
+
+@PROPERTY
+@given(random_cells())
+def test_xy_swap_permutes_cell_slots(cell_):
+    perm = [1, 0, 2, 4, 3, 5]
+    check_form_relation(cell_, cell_[0].transpose(0, 2, 1),
+                        lambda a: a[np.ix_(perm, perm)])
+
+
+@PROPERTY
+@given(random_cells())
+def test_x3_flip_negates_cell_coupling(cell_):
+    check_form_relation(cell_, cell_[0][::-1], slot_signs(3, 4, 5))
+
+
+@PROPERTY
+@given(random_cells())
+def test_rotation_90_acts_on_cell_form(cell_):
+    r = rotation90_pair()
+    check_form_relation(cell_, np.rot90(cell_[0], axes=(1, 2)),
+                        lambda a: r @ a @ r.T)
