@@ -20,14 +20,16 @@ in-plane in cell mode, and the nodes that carry dofs. The corner sums of
 loads, the smoother's blocks and the element product all index it.
 
 A voxel operator has one 24x24 element stiffness per tensor, so K applies
-element by element (``ElementProduct``): a corner index gathers every
-element's dofs, one GEMM per tensor multiplies them, and a sparse corner
-map scatters the results back. No operator has an assembled K: a cell's
-and a clamped plate's ``k`` are their element products. A plate's
-preconditioner reads what it needs from the element stiffnesses too: the
-smoother's diagonal node blocks corner by corner, and the coarse operator
-from one table per (tensor, layer); a cell's reference preconditioner
-needs only the element stiffness of its reference tensor.
+element by element (``ElementProduct``): block by block of elements, a dof
+index gathers their dofs, one GEMM multiplies them by their tensor's
+stiffness, and ``np.add.at`` adds the results back over the same index.
+No operator has an assembled K: a cell's and a clamped plate's ``k`` are
+their element products. A plate's preconditioner reads what it needs from
+the element stiffnesses too: the smoother's diagonal node blocks corner by
+corner, and the coarse operator from one table per (tensor, layer), row
+of elements by row; its coarse basis is applied on the node-column
+lattice. A cell's reference preconditioner needs only the element
+stiffness of its reference tensor.
 """
 
 from __future__ import annotations
@@ -281,6 +283,12 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     return op
 
 
+# elements per block of the element product's loop: its gathered rows and
+# their products, 24 doubles per element each, stay in cache between steps
+# and take under a vector of the 32x32x8 plate
+_CHUNK = 512
+
+
 class ElementProduct:
     """K p element by element, through the operator's element stiffnesses:
     an operator's ``k``, and the product every solve uses.
@@ -289,13 +297,19 @@ class ElementProduct:
     component; it runs over the elements ordered by tensor (flat order
     within one), eight corners of three components each, and a clamped
     corner reads the three zeros past the last dof. K p = A^T diag(K_e) A p,
-    with A the 0/1 map that ``dofs`` indexes: the gather A p lines up every
-    element's 24 dofs in a row, one GEMM per tensor multiplies its
-    elements' rows by that tensor's symmetric element stiffness, and one
-    ``bincount`` over ``dofs``, A^T, adds the results back onto the dofs,
-    each dof's corners in ``dofs`` order. ``p`` is one field or an (ndof,
-    m) block, and the result has its shape; a block is multiplied one
-    column at a time, with no transposes of the element rows.
+    with A the 0/1 map that ``dofs`` indexes. The elements go in blocks of
+    at most ``_CHUNK`` in that order, and each block, column by column,
+    gathers its elements' 24 dofs into rows (A p), multiplies the rows of
+    each tensor's range in it by that tensor's symmetric element stiffness
+    in one GEMM, and adds the results onto the column's dofs (A^T): the
+    first block by one ``bincount``, each later one by ``np.add.at`` onto
+    those sums. Each dof thus adds its corners in ``dofs`` order, starting
+    from zero, in whatever blocks they fall, and each row's product is the
+    one a GEMM over its whole tensor range gives. ``p`` is one field or an
+    (ndof, m) block, and the result has its shape. No call allocates
+    per-element arrays: a call's work arrays hold one block's rows and
+    their products, and the operator keeps none between calls. ``kes`` is
+    read at every call.
 
     It multiplies as a sparse K does, ``k @ p``. ``shape`` is K's; ``nnz``
     counts the free element corners, under a tenth of a CSR K's entries,
@@ -319,6 +333,17 @@ class ElementProduct:
         self.bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(op.tensor_of_elem,
                                         minlength=len(op.tensors)))))
+        # the blocks of _CHUNK elements: their dofs, and the (tensor, first
+        # row, end row) of each tensor range they cover
+        nelem = col.shape[0]
+        self._blocks = []
+        for lo in range(0, nelem, _CHUNK):
+            hi = min(lo + _CHUNK, nelem)
+            ranges = [(t, max(a, lo) - lo, min(b, hi) - lo)
+                      for t, (a, b) in enumerate(zip(self.bounds[:-1],
+                                                     self.bounds[1:]))
+                      if a < hi and b > lo]
+            self._blocks.append((self.dofs[24 * lo:24 * hi], ranges))
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         n = self.shape[0]
@@ -326,18 +351,29 @@ class ElementProduct:
         # one row per column, its dofs then the three zeros of clamped corners
         x = np.zeros((m, n + 3))
         x[:, :n] = p.reshape(n, m).T
+        sums = []       # per column: its dofs, then the clamped corners'
+        work = np.empty((2, self._blocks[0][0].size))
+        for i, (dofs, ranges) in enumerate(self._blocks):
+            g, u = work[:, :dofs.size]
+            rows, prods = g.reshape(-1, 24), u.reshape(-1, 24)
+            for j in range(m):
+                # "clip" gathers straight into g, where "raise" would buffer;
+                # every index is in range by construction
+                np.take(x[j], dofs, out=g, mode="clip")
+                for t, a, b in ranges:
+                    np.matmul(rows[a:b], self.kes[t], out=prods[a:b])
+                # the first block's sums start from zero, as bincount's do,
+                # which is faster than np.add.at onto zeros on a small cell
+                if i == 0:
+                    sums.append(np.bincount(dofs, u, minlength=n + 3))
+                else:
+                    np.add.at(sums[j], dofs, u)
+        if m == 1:
+            return sums[0][:n].reshape(p.shape)
         out = np.empty((n, m))
-        g = np.empty(self.dofs.size)
-        rows = g.reshape(-1, 24)                  # one row per element
-        u = np.empty_like(rows)
-        for j in range(m):
-            # "clip" gathers straight into g, where "raise" would buffer;
-            # every index is in range by construction
-            np.take(x[j], self.dofs, out=g, mode="clip")
-            for ke, lo, hi in zip(self.kes, self.bounds[:-1], self.bounds[1:]):
-                np.matmul(rows[lo:hi], ke, out=u[lo:hi])
-            out[:, j] = np.bincount(self.dofs, u.ravel(), minlength=n + 3)[:n]
-        return out.reshape(p.shape)
+        for j, column in enumerate(sums):
+            out[:, j] = column[:n]
+        return out
 
     __matmul__ = __call__
 
@@ -620,11 +656,14 @@ def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
     P_k, (24, 20), maps an element's dofs in layer k to the 5 coarse fields
     (``_COARSE_FIELDS``) of its 4 node columns q = ax + 2 ay, at the
     layer's two node-plane z values. It builds one table P_k^T K_e P_k per
-    (tensor, layer), sums each in-plane element position's layers by a
-    one-hot GEMM, drops the dofs of clamped columns and adds the 20x20
-    blocks into the band by one ``bincount``. An element's 20 coarse dofs
-    couple each other only, so the band is as wide as the widest element's
-    spread of positions.
+    (tensor, layer). Then, one row of in-plane elements at a time, it sums
+    each element position's layers by a one-hot GEMM, drops the dofs of
+    clamped columns and adds the 20x20 blocks into the band by
+    ``np.add.at``: each band entry adds its terms in element order, from
+    zero. An element's 20 coarse dofs couple each other only, so the band
+    is as wide as the widest element's spread of positions; a first pass
+    over the rows finds it. Nothing larger than a row of tables is built
+    next to the band.
     """
     nx, ny, nz = op.grid.shape
     ntens = len(op.tensors)
@@ -634,29 +673,43 @@ def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
         for j, (c, w0, w1) in enumerate(_COARSE_FIELDS):
             pk[:, a, c, ax + 2 * ay, j] = w0 + w1 * z[az:az + nz]
     pk = pk.reshape(nz, 24, 20)
-    tables = pk.transpose(0, 2, 1) @ op.kes[:, None] @ pk   # (ntens, nz, 20, 20)
-    # layers[e, (t, k)] = 1 where layer k of in-plane element e has tensor t
-    index = op.tensor_of_elem.reshape(nz, -1) * nz + np.arange(nz)[:, None]
-    layers = np.zeros((nx * ny, ntens * nz))
-    layers[np.arange(nx * ny), index] = 1.0
-    tables = (layers @ tables.reshape(ntens * nz, 400)).reshape(-1, 20, 20)
+    tables = (pk.transpose(0, 2, 1) @ op.kes[:, None] @ pk   # (ntens, nz, 20, 20)
+              ).reshape(ntens * nz, 400)
+    # the (tensor, layer) table of every element, (nz, ny, nx)
+    index = (op.tensor_of_elem.reshape(nz, ny, nx) * nz
+             + np.arange(nz)[:, None, None])
 
     free = op.stencil.rows.reshape(op.stencil.lattice)[0]
     column = np.where(free, np.cumsum(free).reshape(free.shape) - 1, -1)
-    quad = np.stack([column[ay:ay + ny, ax:ax + nx].ravel()
-                     for ay in (0, 1) for ax in (0, 1)], axis=1)
     pos = np.empty(order.size, dtype=np.int64)
     pos[order] = np.arange(order.size)
-    pe = np.where(quad[:, :, None] >= 0,
-                  pos[5 * quad[:, :, None] + np.arange(5)], -1).reshape(-1, 20)
-    width = int((pe.max(axis=1)
-                 - np.where(pe >= 0, pe, order.size).min(axis=1)).max()) + 1
+    # the band positions of every node column's 5 coarse dofs, -1 clamped
+    at = np.where(column[..., None] >= 0,
+                  pos[5 * column[..., None] + np.arange(5)], -1)
+
+    def positions(ey):
+        """(nx, 20) band positions of row ey's elements, column q's five
+        at 5 q."""
+        return np.concatenate([at[ey + ay, ax:ax + nx]
+                               for ay in (0, 1) for ax in (0, 1)], axis=1)
+
+    width = 1 + max(int((pe.max(axis=1) - np.where(pe >= 0, pe, order.size)
+                         .min(axis=1)).max())
+                    for pe in map(positions, range(ny)))
     # entry (i, j) of the lower triangle sits at band[i - j, j]: flat
     # position j * width + i - j of the Fortran-ordered band
-    lower = (pe[:, :, None] >= pe[:, None, :]) & (pe[:, None, :] >= 0)
-    flat = (pe[:, None, :] * (width - 1) + pe[:, :, None])[lower]
-    return np.bincount(flat, tables[lower],
-                       minlength=width * order.size).reshape(-1, width).T
+    band = np.zeros((width, order.size), order="F")
+    flat = band.T.reshape(-1)
+    layers = np.zeros((nx, ntens * nz))
+    for ey in range(ny):
+        layers[:] = 0.0
+        layers[np.arange(nx), index[:, ey]] = 1.0
+        row = (layers @ tables).reshape(nx, 20, 20)
+        pe = positions(ey)
+        lower = (pe[:, :, None] >= pe[:, None, :]) & (pe[:, None, :] >= 0)
+        np.add.at(flat, (pe[:, None, :] * (width - 1) + pe[:, :, None])[lower],
+                  row[lower])
+    return band
 
 
 class PlatePreconditioner:
@@ -672,11 +725,19 @@ class PlatePreconditioner:
     that makes the scaled operator ill-conditioned as h -> 0; the coarse
     operator Kc = P^T K P is factored once. The plate has no assembled K:
     the smoother's blocks (``_diagonal_blocks``) and Kc (``_coarse_band``)
-    both come from the element stiffnesses.
+    both come from the element stiffnesses, the blocks first.
 
-    ``p`` numbers the coarse columns in flat order, x fastest. Kc couples
-    neighbouring columns only, so with the faster index running along the
-    side with fewer free columns it is a band matrix of about
+    P is no matrix either. Free nodes are numbered in flat order and every
+    node layer has the same free columns, so a field is an (nz + 1, ncol, 3)
+    lattice of layers, columns and components, and coarse dof 5 c + j is
+    field j (``_COARSE_FIELDS``) of free column c, numbered in flat order,
+    x fastest. ``restrict`` (P^T) sums the layers in ascending order for
+    the translations and the z-weighted u1 and u2 for the rotations;
+    ``prolong`` (P) adds each column's fields onto its nodes. Both round as
+    the CSR product of P's nonzeros would.
+
+    Kc couples neighbouring columns only, so with the faster index running
+    along the side with fewer free columns it is a band matrix of about
     5 (min(nx, ny) + 2) sub-diagonals; its ``BandedCholesky`` factor is
     stored in that order, and a Kc that is not positive definite (an
     indefinite phase) raises ``SolverError``.
@@ -687,41 +748,54 @@ class PlatePreconditioner:
     def __init__(self, op: Operator):
         if op.mode != "plate":
             raise ValueError("the two-level preconditioner needs a plate operator")
-        import scipy.sparse as sp
-
         nz = op.grid.shape[2]
         free = op.stencil.rows.reshape(op.stencil.lattice)[0]
-        ncol = int(free.sum())                                   # bottom layer
-        # free nodes are numbered in flat order and every layer has the same
-        # free columns, so layer k's node of coarse column c is k * ncol + c
-        node = np.arange(nz + 1)[:, None] * ncol + np.arange(ncol)[None, :]
-        z = np.broadcast_to(np.linspace(-0.5, 0.5, nz + 1)[:, None], node.shape)
-        col = np.broadcast_to(5 * np.arange(ncol)[None, :], node.shape)
-        rows = np.concatenate([3 * node + c for c, _, _ in _COARSE_FIELDS],
-                              axis=None)
-        cols = np.concatenate([col + j for j in range(5)], axis=None)
-        vals = np.concatenate([w0 + w1 * z for _, w0, w1 in _COARSE_FIELDS],
-                              axis=None)
-        self.p = sp.csr_matrix((vals, (rows, cols)), shape=(op.ndof, 5 * ncol))
-        self.p.eliminate_zeros()
-        self.pt = self.p.T.tocsr()
+        self.ncol = int(free.sum())                              # bottom layer
+        self.z = np.linspace(-0.5, 0.5, nz + 1)
+        self.smoother = _block_jacobi(_diagonal_blocks(op))
         # the free columns fill a rectangle, numbered x fastest
         ny_free = int(free.any(axis=1).sum())
-        columns = band_order(ny_free, ncol // ny_free)
+        columns = band_order(ny_free, self.ncol // ny_free)
         order = (5 * columns[:, None] + np.arange(5)).ravel()
         self.coarse = BandedCholesky(_coarse_band(op, order), order,
                                      "coarse plate operator")
-        self.smoother = _block_jacobi(_diagonal_blocks(op))
 
     def describe(self) -> dict:
         """Name, smoother, coarse dof count, coarse solver and its bandwidth."""
         return {"name": self.name, "smoother": "block-jacobi",
-                "coarse_dofs": self.p.shape[1],
+                "coarse_dofs": 5 * self.ncol,
                 "coarse_solver": "banded-cholesky",
                 "bandwidth": self.coarse.bandwidth}
 
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        """P^T r of one field or an (ndof, m) block of them."""
+        layers = r.reshape(self.z.size, -1)
+        # sum_k u_k and sum_k z_k u_k over whole layers, in ascending k; the
+        # z = 0 layer of an even nz adds exact zeros
+        moved = layers.sum(axis=0).reshape(self.ncol, 3, -1)
+        tilted = np.einsum("k,kn->n", self.z, layers).reshape(self.ncol, 3, -1)
+        y = np.empty((self.ncol, 5, moved.shape[2]))
+        y[:, :3] = moved
+        y[:, 3] = -tilted[:, 1]
+        y[:, 4] = tilted[:, 0]
+        return y.reshape(5 * self.ncol, *r.shape[1:])
+
+    def prolong(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` + P y, in place, for one coarse vector or a (5 ncol, m)
+        block of them."""
+        c = y.reshape(self.ncol, 5, -1)
+        # layer k of P y is moved + z_k tilt, per column (c0 + z c4,
+        # c1 - z c3, c2)
+        tilt = np.zeros((self.ncol, 3, c.shape[2]))
+        tilt[:, 0] = c[:, 4]
+        tilt[:, 1] = -c[:, 3]
+        field = self.z[:, None] * tilt.reshape(1, -1)
+        field += c[:, :3].reshape(1, -1)
+        out.reshape(self.z.size, -1)[...] += field
+        return out
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.smoother(r) + self.p @ self.coarse.solve(self.pt @ r)
+        return self.prolong(self.coarse.solve(self.restrict(r)), self.smoother(r))
 
 
 def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,

@@ -37,6 +37,9 @@ from .fem3d import (BandedCholesky, SolveInfo, SolverError, band_order,
                     energy_error, free_nodes, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
+# the strain rows of each Gauss group of ``_StrainOperators``: the center
+# moves all six, xi only (e22, e12), eta only (e11, e12)
+GROUP_ROWS = ((0, 1, 2, 3, 4, 5), (1, 2), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,10 @@ class _StrainOperators:
     Gauss point (xi, eta) = (+-g, +-g), g = 1/sqrt(3), is center + xi B_xi +
     eta B_eta, so the cross terms cancel in the 2x2 Gauss sum:
     sum_g B_g^T D B_g = 4 (B_c^T D B_c + g^2 B_xi^T D B_xi + g^2 B_eta^T D B_eta).
-    ``gauss`` stacks B_c, g B_xi and g B_eta on the free dofs.
+    B_xi moves only the e22 and e12 rows and B_eta only e11 and e12, so
+    ``gauss`` stacks, on the free dofs, B_c (six rows per cell), then g B_xi
+    and g B_eta on their two rows per cell only (``GROUP_ROWS``), cell by
+    cell in ascending row order.
     """
 
     def __init__(self, mx: int, my: int, clamped: tuple[str, ...]):
@@ -167,8 +173,11 @@ class _StrainOperators:
                               sp.kron(dy, dx))
         b_xi = strains(zero, sp.kron(dy, tilt_x), zero, zero, zero)
         b_eta = strains(sp.kron(tilt_y, dx), zero, zero, zero, zero)
-        self.gauss = sp.vstack([self.center, GAUSS * b_xi, GAUSS * b_eta],
-                               format="csr")[:, self.dof_free]
+        ncell = mx * my
+        self.gauss = sp.vstack(
+            [b[(6 * np.arange(ncell)[:, None] + rows).ravel()] for b, rows in zip(
+                (self.center, GAUSS * b_xi, GAUSS * b_eta), GROUP_ROWS)],
+            format="csr")[:, self.dof_free]
 
 
 @functools.lru_cache(maxsize=1)
@@ -181,25 +190,46 @@ def _curvature_stencils(mx: int, my: int,
     return _StrainOperators(mx, my, clamped)
 
 
+def _form_blocks(forms: np.ndarray):
+    """D of ``assemble_plate``: the CSR block diagonal, over the rows of
+    ``_StrainOperators.gauss``, of each cell's block of the (ncell, 6, 6)
+    ``forms`` on each Gauss group's strain rows (``GROUP_ROWS``), each
+    row's columns in ascending order."""
+    import scipy.sparse as sp
+
+    ncell = forms.shape[0]
+    data, cols, counts, start = [], [], [], 0
+    for rows in map(list, GROUP_ROWS):
+        s = len(rows)
+        data.append(forms[:, rows][:, :, rows].ravel())
+        first = start + np.arange(ncell * s) // s * s   # its cell's first column
+        cols.append((first[:, None] + np.arange(s)).ravel())
+        counts.append(np.full(ncell * s, s))
+        start += ncell * s
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                         shape=(start, start))
+
+
 def assemble_plate(problem: PlateProblem):
     """Returns (K, load, free dof mask, free node mask) with energy
     0.5 u.K u - l.u on the free dofs.
 
     K = sum_g 2 w_g B_g^T blockdiag(A_c) B_g over the 2x2 Gauss points,
-    summed in closed form (see ``_StrainOperators``)."""
-    import scipy.sparse as sp
-
+    summed in closed form (see ``_StrainOperators``): K = sum_q G_q^T (D_q
+    G_q) over the three Gauss groups q, D_q the cells' form blocks on the
+    group's strain rows, as one product G^T (D G) of the stacked groups'
+    nonzero rows (``_form_blocks``). Every entry of K sums the same terms
+    in the same order as the product over all 18 rows per cell would."""
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
     ops = _curvature_stencils(mx, my, tuple(problem.clamped))
-    ncell = mx * my
-    # cell order c = ci + mx cj; 4 Gauss points of weight 2 w_g = hx hy / 2
-    forms = problem.forms.swapaxes(0, 1).reshape(ncell, 6, 6)
-    blocks = np.tile(forms * (2.0 * hx * hy), (3, 1, 1))
-    d = sp.bsr_matrix((blocks, np.arange(3 * ncell), np.arange(3 * ncell + 1)),
-                      shape=(18 * ncell, 18 * ncell)).tocsr()
-    # csr @ csr throughout: scipy's bsr and csc products are slower here
-    k = ops.gauss.T.tocsr() @ (d @ ops.gauss)
+    # D G, with D gone before G^T is built; csr @ csr throughout: scipy's
+    # bsr and csc products are slower here. Cell order c = ci + mx cj; 4
+    # Gauss points of weight 2 w_g = hx hy / 2
+    dg = _form_blocks(problem.forms.swapaxes(0, 1).reshape(mx * my, 6, 6)
+                      * (2.0 * hx * hy)) @ ops.gauss
+    k = ops.gauss.T.tocsr() @ dg
 
     # lumped nodal load weights (quarter of each adjacent cell)
     area = np.zeros((mx + 1, my + 1))

@@ -562,11 +562,11 @@ PLATE_CASES = [case for case in STENCIL_CASES if case[1] == "plate"] + [
     ((7, 5, 4), "plate", ("bottom",)), ((5, 7, 4), "plate", fem3d.EDGES)]
 
 
-def plate_case(shape, clamped):
+def plate_case(shape, clamped, phases=THREE_PHASES):
     n = int(np.prod(shape))
-    data = np.random.default_rng(n).integers(1, 4, n).astype(np.int32)
-    return assemble(VoxelGrid(*shape, data, "plate"), THREE_PHASES, scale=0.3,
-                    mode="plate", clamped=clamped, allow_soft=True)
+    data = np.random.default_rng(n).integers(1, len(phases) + 1, n)
+    return assemble(VoxelGrid(*shape, data.astype(np.int32), "plate"), phases,
+                    scale=0.3, mode="plate", clamped=clamped, allow_soft=True)
 
 
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
@@ -615,6 +615,17 @@ def unband(band, order):
     return out
 
 
+def band_orders(op):
+    """The preconditioner's band order of a plate's coarse dofs, flat order
+    and a random one."""
+    free = op.stencil.rows.reshape(op.stencil.lattice)[0]
+    columns = fem3d.band_order(int(free.any(axis=1).sum()),
+                               int(free.any(axis=0).sum()))
+    n = 5 * int(free.sum())
+    return ((5 * columns[:, None] + np.arange(5)).ravel(), np.arange(n),
+            np.random.default_rng(n).permutation(n))
+
+
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
 def test_coarse_tables_match_ptkp(shape, mode, clamped):
     # Kc from the (tensor, layer) tables, written into the band, is P^T K P
@@ -623,15 +634,77 @@ def test_coarse_tables_match_ptkp(shape, mode, clamped):
     op = plate_case(shape, clamped)
     p = coarse_basis(op)
     kc = p.T @ (csr_k(op) @ p)
-    n = kc.shape[0]
-    nx, ny, _ = shape
-    free = free_columns(nx, ny, clamped)
-    columns = fem3d.band_order(int(free.any(axis=0).sum()),
-                               int(free.any(axis=1).sum()))
-    for order in ((5 * columns[:, None] + np.arange(5)).ravel(), np.arange(n),
-                  np.random.default_rng(n).permutation(n)):
+    for order in band_orders(op):
         got = unband(fem3d._coarse_band(op, order), order)
         assert np.abs(got - kc).max() <= 1e-14 * np.abs(kc).max()
+
+
+def one_shot_coarse_band(op, order):
+    """The coarse band as one ``bincount`` over every in-plane element's
+    20x20 block, its tables, positions and masks built for the whole plate
+    at once: the reference that ``_coarse_band`` streams row by row."""
+    nx, ny, nz = op.grid.shape
+    ntens = len(op.tensors)
+    z = np.linspace(-0.5, 0.5, nz + 1)
+    pk = np.zeros((nz, 8, 3, 4, 5))
+    for a, (ax, ay, az) in enumerate(fem3d._local_corners().astype(int)):
+        for j, (c, w0, w1) in enumerate(fem3d._COARSE_FIELDS):
+            pk[:, a, c, ax + 2 * ay, j] = w0 + w1 * z[az:az + nz]
+    pk = pk.reshape(nz, 24, 20)
+    tables = pk.transpose(0, 2, 1) @ op.kes[:, None] @ pk
+    index = op.tensor_of_elem.reshape(nz, -1) * nz + np.arange(nz)[:, None]
+    layers = np.zeros((nx * ny, ntens * nz))
+    layers[np.arange(nx * ny), index] = 1.0
+    tables = (layers @ tables.reshape(ntens * nz, 400)).reshape(-1, 20, 20)
+    free = op.stencil.rows.reshape(op.stencil.lattice)[0]
+    column = np.where(free, np.cumsum(free).reshape(free.shape) - 1, -1)
+    quad = np.stack([column[ay:ay + ny, ax:ax + nx].ravel()
+                     for ay in (0, 1) for ax in (0, 1)], axis=1)
+    pos = np.empty(order.size, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    pe = np.where(quad[:, :, None] >= 0,
+                  pos[5 * quad[:, :, None] + np.arange(5)], -1).reshape(-1, 20)
+    width = int((pe.max(axis=1)
+                 - np.where(pe >= 0, pe, order.size).min(axis=1)).max()) + 1
+    lower = (pe[:, :, None] >= pe[:, None, :]) & (pe[:, None, :] >= 0)
+    flat = (pe[:, None, :] * (width - 1) + pe[:, :, None])[lower]
+    return np.bincount(flat, tables[lower],
+                       minlength=width * order.size).reshape(-1, width).T
+
+
+@pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES + [
+    ((32, 32, 8), "plate", ("left", "bottom"))])
+def test_coarse_band_rows_match_one_shot_bincount(shape, mode, clamped):
+    # row by row, np.add.at adds each band entry's terms in the order of
+    # the one-shot bincount, so the band is its bit for bit, in a Fortran
+    # array of the same shape
+    op = plate_case(shape, clamped)
+    for order in band_orders(op):
+        band = fem3d._coarse_band(op, order)
+        want = one_shot_coarse_band(op, order)
+        assert band.shape == want.shape and band.flags.f_contiguous
+        assert np.array_equal(band, want)
+
+
+@pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
+def test_lattice_transfer_is_csr_p_bitwise(shape, mode, clamped):
+    # restrict and prolong on the column lattice round as the CSR product
+    # of P's nonzeros does (each row's entries in ascending column order),
+    # on one field and on a block; prolong adds onto what it is given. Two
+    # stiff phases, so that the preconditioner has a coarse factor
+    op = plate_case(shape, clamped, PLATE_PHASES)
+    m = fem3d.PlatePreconditioner(op)
+    p = sp.csr_matrix(coarse_basis(op))
+    pt = p.T.tocsr()
+    rng = np.random.default_rng(op.ndof)
+    for cols in ((), (3,)):
+        r = rng.standard_normal((op.ndof, *cols))
+        y = rng.standard_normal((p.shape[1], *cols))
+        s = rng.standard_normal(r.shape)
+        assert np.array_equal(m.restrict(r), pt @ r)
+        assert np.array_equal(m.prolong(y, np.zeros_like(r)), p @ y)
+        want = s + p @ y
+        assert m.prolong(y, s) is s and np.array_equal(s, want)
 
 
 @pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES)
@@ -795,9 +868,11 @@ def test_assembly_peak_memory_is_a_small_multiple_of_k():
 def test_plate_setup_peak_stays_under_k_bytes():
     # a clamped solve's set-up (the operator with its element product, and
     # the two-level preconditioner) assembles no K and builds no CSR
-    # pattern: on the benchmark's 32x32x8 plate it peaks under the bytes a
-    # CSR K would take, where assembling K and P^T K P peaked at 2.2 times;
-    # scipy.linalg is loaded first, so that its import is not traced
+    # pattern, and the coarse band is built row by row: on the benchmark's
+    # 32x32x8 plate it peaks at 0.43 of the bytes a CSR K would take, where
+    # assembling K and P^T K P peaked at 2.2 times and the band's
+    # whole-plate tables at 0.78; scipy.linalg is loaded first, so that its
+    # import is not traced
     import scipy.linalg  # noqa: F401
 
     fem3d._stencil.cache_clear()
@@ -811,7 +886,22 @@ def test_plate_setup_peak_stays_under_k_bytes():
     cached = fem3d._stencil((32, 32, 8), "plate", ("left",))
     assert cached is op.stencil and fem3d._stencil.cache_info().currsize == 1
     assert lattice_fields(cached) == ["lattice", "corners", "rows"]
-    assert peak <= csr_bytes(csr_k(op))
+    assert peak <= 0.5 * csr_bytes(csr_k(op))
+
+
+def test_plate_transients_are_block_sized():
+    # on the benchmark's 32x32x8 plate nothing plate-sized is built next to
+    # the coarse band, which the one-shot band doubled (2.05 times); a warm
+    # product allocates its padded input, its output and a block's work
+    # rows, 2.9 vectors, where whole-array work rows took it to 16.8
+    op = build_plate((32, 32, 8))
+    order = band_orders(op)[0]
+    band, _, peak = traced(lambda: fem3d._coarse_band(op, order))
+    assert peak <= 1.3 * band.nbytes
+    p = np.random.default_rng(0).standard_normal(op.ndof)
+    op.k(p)
+    _, _, peak = traced(lambda: op.k(p))
+    assert peak <= 3 * p.nbytes
 
 
 ELEMENT_PRODUCT_CASES = [case for case in STENCIL_CASES if case[1] == "plate"]
@@ -848,6 +938,55 @@ def test_element_product_matches_k(shape, mode, clamped):
         got = product(p)
         assert got.shape == p.shape
         assert np.abs(got - kp).max() <= 1e-14 * np.abs(kp).max()
+
+
+def whole_array_product(product, p):
+    """K p as one gather of every element's rows, one GEMM per tensor range
+    and one ``bincount`` per column over the whole gather index: the
+    reference that the blocked product streams."""
+    n = product.shape[0]
+    x = np.zeros((p.size // n, n + 3))
+    x[:, :n] = p.reshape(n, -1).T
+    out = np.empty((n, x.shape[0]))
+    for j, xj in enumerate(x):
+        rows = xj[product.dofs].reshape(-1, 24)
+        u = np.empty_like(rows)
+        for ke, lo, hi in zip(product.kes, product.bounds[:-1],
+                              product.bounds[1:]):
+            u[lo:hi] = rows[lo:hi] @ ke
+        out[:, j] = np.bincount(product.dofs, u.ravel(), minlength=n + 3)[:n]
+    return out.reshape(p.shape)
+
+
+def mostly_one_phase(shape, mode):
+    """Random voxels of two phases, nine in ten of phase 1."""
+    n = int(np.prod(shape))
+    rng = np.random.default_rng(n)
+    data = np.where(rng.random(n) < 0.9, 1, 2).astype(np.int32)
+    return VoxelGrid(*shape, data, mode)
+
+
+@pytest.mark.parametrize("shape, mode, clamped", STENCIL_CASES + [
+    ((16, 16, 6), "plate", ("left",)), ((16, 16, 6), "cell", ())])
+def test_blocked_product_is_the_whole_array_product(shape, mode, clamped):
+    # blocks of at most _CHUNK elements, column by column, add each dof's
+    # corners in the order of one bincount over the whole gather index, and
+    # a GEMM over part of a tensor range gives its rows as one over all of
+    # it: the product is the whole-array one bit for bit for one, three and
+    # six columns. The 16x16x6 grids have a block boundary inside phase 1's
+    # range and a block that covers both phases
+    op = assemble(mostly_one_phase(shape, mode), PLATE_PHASES, scale=0.3,
+                  mode=mode, clamped=clamped)
+    product = op.k
+    rng = np.random.default_rng(3)
+    for cols in ((), (3,), (6,)):
+        p = rng.standard_normal((op.ndof, *cols))
+        got = product(p)
+        assert got.shape == p.shape and got.flags.c_contiguous
+        assert np.array_equal(got, whole_array_product(product, p))
+    if shape == (16, 16, 6):
+        assert product.bounds[1] > fem3d._CHUNK
+        assert [len(ranges) for _, ranges in product._blocks] == [1, 1, 2]
 
 
 def test_clamped_solve_on_element_product_keeps_counts_and_energies():
@@ -1053,8 +1192,9 @@ def test_plate_coarse_basis_is_griso_elementary_part(clamped):
     m = fem3d.PlatePreconditioner(op)
     free = free_columns(nx, ny, clamped)
     assert m.describe()["coarse_dofs"] == 5 * free.sum()
-    c = np.random.default_rng(6).standard_normal(m.p.shape[1])
-    parts = griso_decompose(expand_field(op, m.p @ c))
+    p = coarse_basis(op)
+    c = np.random.default_rng(6).standard_normal(p.shape[1])
+    parts = griso_decompose(expand_field(op, p @ c))
     coef = np.zeros((ny + 1, nx + 1, 5))
     coef[free.T] = c.reshape(-1, 5)       # free columns in flat (y, x) order
     coef = coef.transpose(1, 0, 2)
@@ -1099,7 +1239,8 @@ def test_banded_coarse_solve_matches_dense_solve(shape, clamped):
     m = fem3d.PlatePreconditioner(op)
     assert m.describe()["coarse_solver"] == "banded-cholesky"
     assert m.coarse.bandwidth == m.describe()["bandwidth"] <= 5 * (min(nx, ny) + 3)
-    kc = (m.p.T @ csr_k(op) @ m.p).toarray()
+    p = coarse_basis(op)
+    kc = p.T @ (csr_k(op) @ p)
     b = rng.standard_normal((kc.shape[0], 2))
     want = np.linalg.solve(kc, b)
     got = m.coarse.solve(b)
