@@ -510,7 +510,9 @@ class ReferencePreconditioner:
 
 @dataclass
 class SolveInfo:
-    """What a CG solve did; a 2-D right-hand side sums over its columns."""
+    """What a CG solve did; a 2-D right-hand side sums over its columns, and
+    a solve block by block (``plate2d.minimize_plate``) over its blocks, one
+    column each."""
 
     ndof: int                # size of K
     nnz: int                 # k.nnz: an ElementProduct's free element corners
@@ -532,8 +534,8 @@ class SolveInfo:
     def record(self) -> dict:
         """The solve's entry in a run manifest: ndof, nnz, preconditioner,
         then ``iterations`` and ``residual`` of a one-column solve or
-        per-column ``iterations`` and ``residuals`` lists, then the
-        ``energy_error`` when the caller set one."""
+        per-column (per-block) ``iterations`` and ``residuals`` lists, then
+        the ``energy_error`` when the caller set one."""
         rec = {"ndof": self.ndof, "nnz": self.nnz,
                "preconditioner": self.preconditioner}
         if len(self.column_iterations) == 1:
@@ -565,16 +567,16 @@ def band_order(ny: int, nx: int) -> np.ndarray:
 
 
 class BandedCholesky:
-    """Banded Cholesky factor of a symmetric positive definite matrix K,
-    stored in a given dof order.
+    """Banded Cholesky factor of a symmetric positive definite matrix K, or
+    of its principal block on some of its dofs, stored in a given dof order.
 
-    ``order`` lists K's dofs in band order. ``band`` is the lower band of
-    K[order][:, order] in LAPACK's lower storage, band[i - j, j] holding
-    entry (i, j) of its ``bandwidth`` sub-diagonals, in Fortran order; LAPACK
-    factors it in place. ``from_sparse`` builds it from a sparse K.
-    ``solve`` takes and returns vectors in K's own order. A K that is not
-    positive definite in working precision raises ``SolverError``, naming
-    it ``what``.
+    ``order`` lists the block's dofs of K in band order. ``band`` is the
+    lower band of K[order][:, order] in LAPACK's lower storage,
+    band[i - j, j] holding entry (i, j) of its ``bandwidth`` sub-diagonals,
+    in Fortran order; LAPACK factors it in place. ``solve`` takes and
+    returns vectors in K's own order, zero on the dofs outside ``order``. A
+    block that is not positive definite in working precision raises
+    ``SolverError``, naming it ``what``.
     """
 
     def __init__(self, band: np.ndarray, order: np.ndarray,
@@ -592,22 +594,10 @@ class BandedCholesky:
             raise SolverError(f"{what} is not positive definite: {exc}") from exc
         self._cho_solve = cho_solve_banded
 
-    @classmethod
-    def from_sparse(cls, k: sp.csr_matrix, order: np.ndarray,
-                    what: str = "matrix") -> BandedCholesky:
-        """The factor of a sparse K, its band as wide as K's pattern."""
-        import scipy.sparse as sp
-
-        low = sp.tril(k[order][:, order], format="coo")
-        band = np.zeros((int((low.row - low.col).max()) + 1, k.shape[0]),
-                        order="F")
-        band[low.row - low.col, low.col] = low.data
-        del low
-        return cls(band, order, what)
-
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """K^-1 y for one vector or an (n, m) block of them."""
-        x = np.empty_like(y)
+        """K_b^-1 y_b for one vector or an (n, m) block of them, K_b and
+        y_b the block's part of K and y."""
+        x = np.zeros_like(y)
         x[self.order] = self._cho_solve((self.band, True), y[self.order],
                                         overwrite_b=True, check_finite=False)
         return x

@@ -14,13 +14,16 @@ difference, averaged second difference), built once per grid, and the 2x2
 Gauss sum K = sum_g 2 w_g B_g^T blockdiag(A) B_g is one sparse product in
 closed form (see ``_StrainOperators``). Every node couples to nodes at
 most three lines away, so in a node order that runs fastest along the
-shorter side K is a band matrix (``band_layout``). Its banded Cholesky
-factor, the one direct factor of the program (``fem3d.BandedCholesky``),
-preconditions CG, which converges in one or two iterations. With the two
-edges of one axis clamped, the other two free and an even cell count
-between them, the averaged second differences leave an exact zero-energy
-deflection (0, 1, 0, 1, ... across node columns): K is singular and
-``minimize_plate`` raises ``SolverError``.
+shorter side K is a band matrix (``band_layout``). With no membrane-bending
+coupling K has no entry between w and v, and ``minimize_plate`` solves the
+membrane and the bending block one after the other, each with its own band
+filled straight from K's CSR (``csr_band``); a coupled K is one block. A
+block's banded Cholesky factor (``fem3d.BandedCholesky``) preconditions CG
+on K, which converges in one or two iterations. With the two edges of one
+axis clamped, the other two free and an even cell count between them, the
+averaged second differences leave an exact zero-energy deflection (0, 1, 0,
+1, ... across node columns): K, its bending block when the form
+decouples, is singular and ``minimize_plate`` raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ import numpy as np
 
 from .algebra import SQRT2
 from .fem3d import (BandedCholesky, SolveInfo, SolverError, band_order,
-                    energy_error, free_nodes, pcg)
+                    free_nodes, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 # the strain rows of each Gauss group of ``_StrainOperators``: the center
 # moves all six, xi only (e22, e12), eta only (e11, e12)
 GROUP_ROWS = ((0, 1, 2, 3, 4, 5), (1, 2), (0, 2))
+# rows of K per chunk of ``csr_band``, whose index arrays stay small beside
+# the band
+BAND_FILL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,8 @@ class PlateSolution:
     v: np.ndarray        # (mx+1, my+1)
     energy: float
     load_value: float    # l(w, v) at the minimizer
-    # the CG solve; its energy_error is |r.K_c^-1 r| / |l.u|, r = l - K u,
-    # K_c K's factor
+    # the block solves (``minimize_plate``): per-block iterations and
+    # residuals, and energy_error |sum_b r_b.K_b^-1 r_b| / |l.u|
     solve: SolveInfo = field(compare=False)
 
 
@@ -242,17 +248,19 @@ def assemble_plate(problem: PlateProblem):
     return k, ell[ops.dof_free], ops.dof_free, ops.flat_free
 
 
-def band_layout(problem: PlateProblem,
-                flat_free: np.ndarray) -> tuple[str, np.ndarray]:
-    """Layout name and band order of the free dofs (w1, w2 of free node f at
-    2f, 2f + 1 and v at 2 nf + f, free nodes in flat order).
+def band_layout(problem: PlateProblem, flat_free: np.ndarray
+                ) -> tuple[str, tuple[tuple[str, np.ndarray], ...]]:
+    """Layout name and the blocks of the free dofs (w1, w2 of free node f
+    at 2f, 2f + 1 and v at 2 nf + f, free nodes in flat order) that
+    ``minimize_plate`` solves one after another: (name, band order) pairs.
 
     Nodes run with the faster index along the side that has fewer free
-    nodes. When no cell form couples membrane and bending, K splits into a
-    w block and a v block: "split" puts every w dof before every v dof, and
-    the band is the wider block's, about 3 n sub-diagonals for n free nodes
-    along the shorter side. Otherwise "interleaved" keeps w1, w2, v together
-    per node, about 9 n.
+    nodes. When no cell form couples membrane and bending, K has no entry
+    between w and v: "split" gives a "membrane" block of the w dofs, w1 and
+    w2 together per node, about 2 n sub-diagonals for n free nodes along
+    the shorter side, and a "bending" block of the v dofs, about 3 n.
+    Otherwise "interleaved" gives one "coupled" block that keeps w1, w2, v
+    together per node, about 9 n.
     """
     mx, my = problem.mx, problem.my
     free = flat_free.reshape(my + 1, mx + 1)
@@ -260,34 +268,99 @@ def band_layout(problem: PlateProblem,
     nf = nodes.size
     w = 2 * nodes[:, None] + np.arange(2)
     if np.any(problem.forms[..., :3, 3:]) or np.any(problem.forms[..., 3:, :3]):
-        return "interleaved", np.column_stack([w, 2 * nf + nodes]).ravel()
-    return "split", np.concatenate([w.ravel(), 2 * nf + nodes])
+        return "interleaved", (("coupled",
+                                np.column_stack([w, 2 * nf + nodes]).ravel()),)
+    return "split", (("membrane", w.ravel()), ("bending", 2 * nf + nodes))
+
+
+def csr_band(k, order: np.ndarray) -> np.ndarray:
+    """Lower band of K[order][:, order] in ``BandedCholesky``'s storage,
+    filled straight from K's CSR: pos[i] is dof i's position in ``order``
+    (-1 off it), and each stored entry (i, j) with pos[i] >= pos[j] >= 0
+    goes to band[pos[i] - pos[j], pos[j]]. One pass over the block's rows
+    of K finds the bandwidth, a second fills the band, ``BAND_FILL_ROWS``
+    rows at a time, so no permuted copy of K is built."""
+    pos = np.full(k.shape[0], -1, dtype=np.intp)
+    pos[order] = np.arange(order.size)
+
+    def entries():
+        """Per row chunk: each entry's band offset (-1 for no band entry),
+        its column and its slice of K's CSR arrays."""
+        stop = int(order.max()) + 1
+        for lo in range(int(order.min()), stop, BAND_FILL_ROWS):
+            hi = min(lo + BAND_FILL_ROWS, stop)
+            a, b = k.indptr[lo], k.indptr[hi]
+            j = pos[k.indices[a:b]]
+            d = np.repeat(pos[lo:hi], np.diff(k.indptr[lo:hi + 1])) - j
+            d[j < 0] = -1
+            yield d, j, slice(a, b)
+
+    width = max(int(d.max()) for d, _, _ in entries())
+    band = np.zeros((width + 1, order.size), order="F")
+    for d, j, rows in entries():
+        keep = d >= 0
+        band[d[keep], j[keep]] = k.data[rows][keep]
+    return band
+
+
+def _solve_block(k, ell: np.ndarray, name: str, order: np.ndarray, tol: float):
+    """CG on K itself for one block's load (``ell`` on the block, zero off
+    it), preconditioned by the block's banded Cholesky factor. Returns the
+    solution, its SolveInfo, the bandwidth and r.K_b^-1 r of the residual
+    r = l_b - K u_b. The band is freed on return."""
+    what = f"plate operator's {name} block"
+    factor = BandedCholesky(csr_band(k, order), order, what)
+    ell_b = np.zeros_like(ell)
+    ell_b[order] = ell[order]
+    try:
+        u, info = pcg(k, ell_b, precond=factor.solve, tol=tol)
+    except SolverError as exc:
+        raise SolverError(f"{what}: {exc}") from exc
+    r = ell_b - k @ u
+    return u, info, factor.bandwidth, float(r @ factor.solve(r))
 
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
-    """Discrete minimizer of the limit plate functional: CG preconditioned
-    by the banded Cholesky factor of K (``fem3d.BandedCholesky``) in the
-    order of ``band_layout``, which converges in one or two iterations.
+    """Discrete minimizer of the limit plate functional, block by block
+    (``band_layout``). Each block's load goes to CG on K itself,
+    preconditioned by the banded Cholesky factor of K's block
+    (``fem3d.BandedCholesky``), and converges in one or two iterations.
+    Only one block's band is alive at a time. With no membrane-bending
+    coupling K has no entry between the blocks, so the sum of the block
+    solutions minimizes the whole functional.
 
-    Raises ``SolverError`` when K is singular: when the factorization
-    breaks down, or when the relative energy error estimate
-    |r.K_c^-1 r| / |l.u| of the result, r = l - K u and K_c the computed
-    factor, exceeds ``tol`` (the CG recursion cannot see a zero-energy mode
-    that the factor amplifies).
+    Raises ``SolverError``, naming the block, when K is singular: when a
+    block's factorization or CG breaks down, or when the relative energy
+    error estimate |sum_b r_b.K_b^-1 r_b| / |l.u| of the result, r = l - K u,
+    r_b its part on block b and K_b the computed factor of b, exceeds
+    ``tol`` (the CG recursion cannot see a zero-energy mode that the factor
+    amplifies); the estimate names the block with the largest term.
     """
     k, ell, dof_free, flat_free = assemble_plate(problem)
-    layout, order = band_layout(problem, flat_free)
-    factor = BandedCholesky.from_sparse(k, order, "plate operator")
-    u, info = pcg(k, ell, precond=factor.solve, tol=tol)
-    info.preconditioner = {"name": "banded-cholesky", "layout": layout,
-                           "bandwidth": factor.bandwidth}
-    ku = k @ u
-    error = info.energy_error = energy_error(ell, u, ku, factor.solve)
+    layout, blocks = band_layout(problem, flat_free)
+    u = np.zeros_like(ell)
+    solves = []
+    for name, order in blocks:
+        u_b, *solve = _solve_block(k, ell, name, order, tol)
+        u += u_b
+        solves.append(solve)
+    infos, widths, terms = zip(*solves)
+    names = [name for name, _ in blocks]
+    info = SolveInfo(ndof=k.shape[0], nnz=k.nnz,
+                     column_iterations=tuple(i.iterations for i in infos),
+                     column_residuals=tuple(i.residual for i in infos),
+                     preconditioner={"name": "banded-cholesky",
+                                     "layout": layout, "blocks": names,
+                                     "bandwidths": list(widths)})
+    load_value = float(ell @ u)
+    error = info.energy_error = float(
+        abs(sum(terms)) / max(abs(load_value), np.finfo(float).tiny))
     if not error <= tol:
+        worst = names[int(np.argmax(np.abs(terms)))]
         raise SolverError(
-            f"plate operator is singular: relative energy error estimate "
-            f"{error:.3e} exceeds {tol:.1e} after {info.iterations} "
-            "iterations"
+            f"plate operator's {worst} block is singular: relative energy "
+            f"error estimate {error:.3e} exceeds {tol:.1e} after "
+            f"{info.iterations} iterations"
         )
     mx, my = problem.mx, problem.my
     full = np.zeros(dof_free.size)
@@ -295,8 +368,7 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     nn = (mx + 1) * (my + 1)
     w = full[:2 * nn].reshape(my + 1, mx + 1, 2).swapaxes(0, 1)
     v = full[2 * nn:].reshape(my + 1, mx + 1).T
-    load_value = float(ell @ u)
-    energy = float(0.5 * u @ ku - load_value)
+    energy = float(0.5 * u @ (k @ u) - load_value)
     return PlateSolution(w=w, v=v, energy=energy, load_value=load_value,
                          solve=info)
 

@@ -96,12 +96,12 @@ def test_plate_solve_command(tmp_path):
     assert energy["energy"] < 0
 
 
-def _plate_problem(tmp_path, m, clamped):
+def _plate_problem(tmp_path, m, clamped, forces=(0.0, 0.0, 1.0)):
     from platehom.algebra import isotropic_hooke, plane_stress_form
 
     q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
     doc = {"mx": m, "my": m, "form": q0.a.ravel().tolist(),
-           "forces": [0.0, 0.0, 1.0], "clamped": clamped}
+           "forces": list(forces), "clamped": clamped}
     prob = tmp_path / f"problem{m}.json"
     prob.write_text(json.dumps(doc))
     return str(prob)
@@ -119,12 +119,16 @@ def test_plate_solve_manifest_and_repeatable_artifacts(tmp_path):
                               "residual"]
     (rec,) = json.loads((outs[0] / "manifest.json").read_text())["solver"]
     # 8 free nodes along x (the left edge is clamped), 9 along y: x runs
-    # fastest, and the isotropic form splits K, whose v block has the wider
-    # band, 3 * 8 + 1
+    # fastest, and the isotropic form splits K into a membrane block, band
+    # 2 * 8 + 3, and a bending block, band 3 * 8 + 1, solved one by one
     assert rec["preconditioner"] == {"name": "banded-cholesky",
-                                     "layout": "split", "bandwidth": 25}
-    assert rec["iterations"] == energy["iterations"] <= 3
-    assert rec["residual"] == energy["residual"] <= 1e-12
+                                     "layout": "split",
+                                     "blocks": ["membrane", "bending"],
+                                     "bandwidths": [19, 25]}
+    # the transverse load leaves the membrane block unloaded
+    assert rec["iterations"][0] == 0 and rec["residuals"][0] == 0.0
+    assert sum(rec["iterations"]) == energy["iterations"] <= 3
+    assert max(rec["residuals"]) == energy["residual"] <= 1e-12
     assert 0.0 <= rec["energy_error"] <= 1e-12
 
 
@@ -134,6 +138,16 @@ def test_plate_solve_singular_strip_exit_code(tmp_path):
     for m, code in ((8, 2), (9, 0)):
         prob = _plate_problem(tmp_path, m, ["left", "right"])
         assert run(["plate-solve", "--problem", prob, "--out", str(out)]) == code
+
+
+def test_plate_solve_singular_strip_with_in_plane_load_exit_code(tmp_path,
+                                                                 capsys):
+    # the membrane block solves; the bending block's zero-energy mode still
+    # fails the command, and the message names that block
+    prob = _plate_problem(tmp_path, 8, ["left", "right"], forces=(0.3, 0.2, 1.0))
+    assert run(["plate-solve", "--problem", prob,
+                "--out", str(tmp_path / "strip")]) == 2
+    assert "bending block" in capsys.readouterr().err
 
 
 def test_theorem1_command(tmp_path, phases_file):

@@ -5,13 +5,14 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from platehom import plate2d
 from platehom.algebra import SQRT2, isotropic_hooke, plane_stress_form
 from platehom.cell import kl_limit_form
-from platehom.fem3d import BandedCholesky, SolverError
+from platehom.fem3d import BandedCholesky, SolverError, energy_error, pcg
 from platehom.microstructure import make_laminate
 from platehom.plate2d import (PlateProblem, PlateSolution, assemble_plate,
-                              band_layout, cell_strains, dump_solution_csv,
-                              load_problem, minimize_plate,
+                              band_layout, cell_strains, csr_band,
+                              dump_solution_csv, load_problem, minimize_plate,
                               perturbation_stability)
 
 Q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
@@ -377,13 +378,19 @@ def test_singular_even_strip_raises_solver_error(m, coupled, clamped):
 
 def test_odd_strip_solves_with_banded_cholesky():
     # 9 x 9 between clamped left and right edges: 8 free nodes along x,
-    # 10 along y, so x runs fastest; the v block's band is 3 * 8 + 1
+    # 10 along y, so x runs fastest; the membrane block's band is
+    # 2 * 8 + 3, the bending block's 3 * 8 + 1
     sol = minimize_plate(strip(9))
     assert sol.energy < 0.0
     assert sol.solve.iterations <= 3
     assert sol.solve.energy_error <= 1e-12
-    assert sol.solve.preconditioner == {"name": "banded-cholesky",
-                                        "layout": "split", "bandwidth": 25}
+    assert sol.solve.preconditioner == {
+        "name": "banded-cholesky", "layout": "split",
+        "blocks": ["membrane", "bending"], "bandwidths": [19, 25]}
+    # the transverse load leaves the membrane block unloaded: no iteration
+    rec = sol.solve.record()
+    assert rec["iterations"][0] == 0 and rec["residuals"][0] == 0.0
+    assert 1 <= rec["iterations"][1] <= 3
 
 
 def test_banded_cholesky_cantilever_converges_in_few_iterations():
@@ -396,22 +403,167 @@ def test_banded_cholesky_cantilever_converges_in_few_iterations():
 @pytest.mark.parametrize("clamped", [("left",), ("bottom",)])
 @pytest.mark.parametrize("coupled", [False, True])
 def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
-    # the factor solves exactly in either layout, and its band follows the
-    # side with fewer free nodes: x-fastest order would give 111
-    # sub-diagonals on the coupled 12 x 5 plate with its left edge clamped
+    # each block's factor solves its block of K exactly and is zero off
+    # it, and its band follows the side with fewer free nodes: x-fastest
+    # order would give 111 sub-diagonals on the coupled 12 x 5 plate with
+    # its left edge clamped
     prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
     k, _, _, flat_free = assemble_plate(prob)
-    layout, order = band_layout(prob, flat_free)
-    factor = BandedCholesky.from_sparse(k, order)
+    layout, blocks = band_layout(prob, flat_free)
     free = flat_free.reshape(my + 1, mx + 1)
     n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
     assert layout == ("interleaved" if coupled else "split")
-    assert factor.bandwidth == (9 * n + 3 if coupled else 3 * n + 1)
+    widths = {"coupled": 9 * n + 3, "membrane": 2 * n + 3, "bending": 3 * n + 1}
+    assert [name for name, _ in blocks] == (["coupled"] if coupled
+                                            else ["membrane", "bending"])
+    assert np.array_equal(np.sort(np.concatenate([o for _, o in blocks])),
+                          np.arange(k.shape[0]))
     b = np.random.default_rng(mx).standard_normal((k.shape[0], 2))
-    want = np.linalg.solve(k.toarray(), b)
-    got = factor.solve(b)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for name, order in blocks:
+        factor = BandedCholesky(csr_band(k, order), order)
+        assert factor.bandwidth == widths[name]
+        want = np.linalg.solve(k[order][:, order].toarray(), b[order])
+        got = factor.solve(b)
+        assert np.linalg.norm(got[order] - want) <= 1e-12 * np.linalg.norm(want)
+        off = np.ones(k.shape[0], dtype=bool)
+        off[order] = False
+        assert not got[off].any()
+
+
+def tril_band(k, order):
+    """The band as ``BandedCholesky.from_sparse`` built it before
+    ``csr_band``: scattered from the COO of the permuted K's lower
+    triangle."""
+    low = sp.tril(k[order][:, order], format="coo")
+    band = np.zeros((int((low.row - low.col).max()) + 1, order.size),
+                    order="F")
+    band[low.row - low.col, low.col] = low.data
+    return band
+
+
+@pytest.mark.parametrize("mx,my", [(12, 5), (5, 12)])
+@pytest.mark.parametrize("clamped", [("left",), ("bottom",),
+                                     ("left", "right", "bottom", "top")])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_csr_band_is_the_permuted_tril_band(mx, my, clamped, coupled):
+    # every block of either layout, filled straight from K's CSR, is the
+    # band of the permuted K's lower triangle byte for byte
+    prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
+                        forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
+    k, _, _, flat_free = assemble_plate(prob)
+    for _, order in band_layout(prob, flat_free)[1]:
+        got, want = csr_band(k, order), tril_band(k, order)
+        assert got.flags.f_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
+def whole_band_minimize(problem, tol=1e-12):
+    """``minimize_plate`` as it was before its block solves: one factor of
+    K's whole band (w before v in the split layout), one CG and the energy
+    error estimate r.K_c^-1 r / |l.u| of the whole residual."""
+    k, ell, dof_free, flat_free = assemble_plate(problem)
+    order = np.concatenate([o for _, o in band_layout(problem, flat_free)[1]])
+    factor = BandedCholesky(tril_band(k, order), order)
+    u, info = pcg(k, ell, precond=factor.solve, tol=tol)
+    ku = k @ u
+    info.energy_error = energy_error(ell, u, ku, factor.solve)
+    if not info.energy_error <= tol:
+        raise SolverError("singular")
+    mx, my = problem.mx, problem.my
+    full = np.zeros(dof_free.size)
+    full[dof_free] = u
+    nn = (mx + 1) * (my + 1)
+    load_value = float(ell @ u)
+    return PlateSolution(
+        w=full[:2 * nn].reshape(my + 1, mx + 1, 2).swapaxes(0, 1),
+        v=full[2 * nn:].reshape(my + 1, mx + 1).T,
+        energy=float(0.5 * u @ ku - load_value), load_value=load_value,
+        solve=info)
+
+
+def assert_same_solution(got, want):
+    assert got.energy == want.energy
+    assert got.load_value == want.load_value
+    assert np.array_equal(got.w, want.w)
+    assert np.array_equal(got.v, want.v)
+    assert got.solve.iterations == want.solve.iterations
+    assert got.solve.residual == want.solve.residual
+    assert got.solve.energy_error == want.solve.energy_error
+
+
+def ortho_form() -> np.ndarray:
+    """A bending-decoupled orthotropic form: membrane block m, bending
+    diag(m) / 12."""
+    a = np.zeros((6, 6))
+    a[:3, :3] = [[1.0, 0.3, 0.0], [0.3, 0.5, 0.0], [0.0, 0.0, 0.35]]
+    a[3:, 3:] = np.diag(np.diag(a[:3, :3])) / 12.0
+    return a
+
+
+@pytest.mark.parametrize("prob", [
+    cantilever(mx=64, my=64, forms=ortho_form()), cantilever(mx=32, my=20),
+    strip(9), strip(9, clamped=("bottom", "top"))],
+    ids=["cantilever64", "cantilever32x20", "strip-x", "strip-y"])
+def test_transverse_block_solves_are_the_whole_band_solve(prob):
+    # with the membrane block unloaded, every product and dot of the
+    # bending block's solve rounds as the whole band's did. So does its
+    # factor where LAPACK's blocked band factorization, in blocks of 32
+    # columns, split the whole band's v columns as it splits the bending
+    # band's: here, the membrane block has a multiple of 32 dofs (8320,
+    # 1344 and 160), as on the benchmark's 64 x 64 and 32 x 32 cantilevers
+    sol = minimize_plate(prob)
+    assert_same_solution(sol, whole_band_minimize(prob))
+    assert not sol.w.any()
+
+
+def test_coupled_plate_energy_is_the_whole_band_solve():
+    # theorem1's F0 on an unsymmetric laminate: one interleaved block, the
+    # whole band, in plane and transverse loads alike
+    for f in ((0.0, 0.0, 1.0), (0.4, -0.2, 1.0)):
+        prob = cantilever(mx=16, my=12, forms=coupled_form(), f=f)
+        assert_same_solution(minimize_plate(prob), whole_band_minimize(prob))
+
+
+def test_perturbation_report_is_the_whole_band_report(monkeypatch):
+    prob = cantilever(mx=32, my=32)
+    got = perturbation_stability(prob)
+    monkeypatch.setattr(plate2d, "minimize_plate", whole_band_minimize)
+    assert got == perturbation_stability(prob)
+
+
+@pytest.mark.parametrize("prob,rel", [
+    (cantilever(mx=32, my=32, forms=ortho_form(), f=(0.3, -0.2, 1.0)), 1e-12),
+    (cantilever(mx=20, my=32, f=(1.0, 0.5, 0.0)), 1e-12),
+    (PlateProblem(mx=9, my=9, forms=Q0.a, forces=np.array([0.2, 0.4, 1.0]),
+                  clamped=("left", "right")), 1e-12),
+    (cantilever(mx=40, my=40), 5e-11), (cantilever(mx=50, my=30), 5e-11)],
+    ids=["cantilever-both", "cantilever-in-plane", "strip-both",
+         "cantilever40", "cantilever50x30"])
+def test_block_solves_stay_near_the_whole_band_solve(prob, rel):
+    # with the membrane block loaded, its CG's dot products and its band
+    # (narrower than the whole band) round otherwise, and CG may stop one
+    # iteration sooner; with 3280 and 3100 membrane dofs, LAPACK's blocks
+    # of 32 columns split the whole band's v columns otherwise than the
+    # bending band's. Measured relative gaps in energy, w and v:
+    # cantilever-both 3.1e-13, 2.0e-14, 1.5e-16; cantilever-in-plane
+    # 2.9e-14, 9.5e-15, 0; strip-both 7.4e-16, 1.3e-15, 3.8e-16;
+    # cantilever40 9.3e-12, 0, 1.3e-11; cantilever50x30 8.9e-12, 0, 4.1e-12
+    sol, want = minimize_plate(prob), whole_band_minimize(prob)
+    assert abs(sol.energy - want.energy) <= rel * abs(want.energy)
+    for got, ref in ((sol.w, want.w), (sol.v, want.v)):
+        assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("clamped", [("left", "right"), ("bottom", "top")])
+def test_even_strip_with_in_plane_load_names_the_bending_block(clamped):
+    # the membrane block solves; the bending block's zero-energy mode
+    # still raises, and the error names it
+    prob = PlateProblem(mx=8, my=8, forms=Q0.a,
+                        forces=np.array([0.3, 0.2, 1.0]), clamped=clamped)
+    with pytest.raises(SolverError, match="bending block"):
+        minimize_plate(prob)
 
 
 def eighteen_row_k(prob):
@@ -477,3 +629,26 @@ def test_warm_assembly_peak_is_a_small_multiple_of_k(forms):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
+
+
+def test_block_solve_peak_is_k_and_one_block_band():
+    # with warm strain operators, a 64 x 64 decoupled solve holds K's CSR
+    # and one block's band at a time: measured peak K + 1.17 times the
+    # membrane band (3.0 + 10.3 MB); the whole band and its permuted copy
+    # of K took it to 25.7 MB
+    import tracemalloc
+
+    prob = cantilever(mx=64, my=64, forms=ortho_form())
+    k, _, _, flat_free = assemble_plate(prob)
+    band = max(csr_band(k, order).nbytes
+               for _, order in band_layout(prob, flat_free)[1])
+    k_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+    del k
+    minimize_plate(prob)    # the lazy imports, so that only the solve counts
+    tracemalloc.start()
+    try:
+        minimize_plate(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k_bytes + 1.2 * band
