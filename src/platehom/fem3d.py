@@ -16,8 +16,11 @@ Plate mode eliminates all components on the clamped edge planes.
 ``_stencil`` builds the lattice record of a grid shape, mode and clamped
 edges once (the last one cached): the one corner map of the lattice,
 ``corners``, the lattice node of local corner a of every element, wrapped
-in-plane in cell mode, and the nodes that carry dofs. The corner sums of
-loads, the smoother's blocks and the element product all index it.
+in-plane in cell mode, and the nodes that carry dofs. The smoother's
+blocks and the element product index it; the corner sums of loads index
+its inverse, the elements of each dof node corner by corner, which the
+record builds on first use. Only a plate's preconditioner imports scipy:
+scipy.linalg for its coarse band, scipy.sparse for its smoother.
 
 A voxel operator has one 24x24 element stiffness per tensor, so K applies
 element by element (``ElementProduct``): block by block of elements, a dof
@@ -36,15 +39,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import _EMBED, HookeTensor3
 from .microstructure import VoxelGrid
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 GAUSS = 1.0 / np.sqrt(3.0)
 EDGES = ("left", "right", "bottom", "top")
@@ -178,25 +177,18 @@ class _Stencil:
     rows: np.ndarray      # (nnode,) nodes that carry dofs (plate: the free ones)
 
     @functools.cached_property
-    def corner_sum(self) -> sp.csr_matrix:
-        """(nrow, 8 nelem) 0/1 map that adds onto each dof node the values
-        of the element corners it is: column 8 e + a is corner a of element
-        e, in flat order, and each row lists its corners from a = 7 down to
-        0. Built from ``corners`` on first use and kept with the stencil."""
-        import scipy.sparse as sp
-
+    def inverse_corners(self) -> np.ndarray:
+        """(nrow, 8) int32 inverse corner map of the dof nodes: column c
+        holds the element, in flat order, whose corner 7 - c the node is,
+        or nelem if there is none. Built from ``corners`` on first use and
+        kept with the stencil, read-only."""
         nelem = self.corners[0].size
-        corner = np.arange(8, dtype=np.int32)[:, None]
-        # the inverse corner map, column 7 - a holding corner a
-        inverse = np.full((self.rows.size, 8), -1, dtype=np.int32)
-        inverse[self.corners.reshape(8, -1), 7 - corner] = (
-            8 * np.arange(nelem, dtype=np.int32) + corner)
+        inverse = np.full((self.rows.size, 8), nelem, dtype=np.int32)
+        inverse[self.corners.reshape(8, -1), 7 - np.arange(8)[:, None]] = (
+            np.arange(nelem, dtype=np.int32))
         inverse = inverse[self.rows]
-        keep = inverse >= 0
-        indptr = np.zeros(inverse.shape[0] + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return sp.csr_matrix((np.ones(indptr[-1]), inverse[keep], indptr),
-                             shape=(inverse.shape[0], 8 * nelem))
+        inverse.flags.writeable = False
+        return inverse
 
 
 def free_nodes(ny: int, nx: int, clamped: tuple[str, ...]) -> np.ndarray:
@@ -874,18 +866,27 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
 # cell corrector loads
 # ---------------------------------------------------------------------------
 
-def _corner_sum(op: Operator, vals: np.ndarray) -> np.ndarray:
-    """Reduced dof array of per-element corner values (nz, ny, nx, 8, 3, ...).
+def _corner_sum(op: Operator, table: np.ndarray,
+                of_elem: np.ndarray) -> np.ndarray:
+    """Reduced dof array of the corner sums of element loads: element e
+    has row ``of_elem[e]`` of ``table``, (ntab, 8, 3, ...), at its corners.
 
-    Each dof node adds the values of the elements it is a corner of, by one
-    sparse product with the stencil's ``corner_sum`` map: from zero, corner
-    after corner from 7 down to 0, the order in which a loop over the
-    elements in flat order meets them, so away from a periodic wrap the
-    sums round exactly as that loop's.
+    Each dof node adds the values of the elements it is a corner of,
+    through the stencil's ``inverse_corners``: from zero, corner after
+    corner from 7 down to 0, the order in which a loop over the elements
+    in flat order meets them, so away from a periodic wrap the sums round
+    exactly as that loop's. A node that is no element's corner a adds the
+    zero row past the table's last, which leaves its sum as it is: a sum
+    from +0.0 is never -0.0.
     """
-    m = int(np.prod(vals.shape[4:]))
-    return (op.stencil.corner_sum @ vals.reshape(-1, m)).reshape(
-        op.ndof, *vals.shape[5:])
+    ntab, rest = table.shape[0], table.shape[3:]
+    tab = np.zeros((8, ntab + 1, table[0, 0].size))  # corner-major, padded
+    tab[:, :ntab] = table.reshape(ntab, 8, -1).transpose(1, 0, 2)
+    rows = np.append(of_elem, ntab)[op.stencil.inverse_corners.T]
+    out = np.zeros((rows.shape[1], tab.shape[2]))
+    for c in range(8):
+        out += np.take(tab[7 - c], rows[c], axis=0)
+    return out.reshape(op.ndof, *rest)
 
 
 def _load_tables(op: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -923,11 +924,11 @@ def corrector_loads(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     nx, ny, nz = op.grid.shape
     # (tensor, layer) table index of every element
     index = (op.tensor_of_elem.reshape(nz, ny, nx)
-             * nz + np.arange(nz)[:, None, None])
-    gvals = g_tab.reshape(-1, 8, 3, 6)[index]         # (nz, ny, nx, 8, 3, 6)
-    counts = np.bincount(index.ravel(), minlength=len(g_tab) * nz)
+             * nz + np.arange(nz)[:, None, None]).ravel()
+    counts = np.bincount(index, minlength=len(g_tab) * nz)
     e0 = np.einsum("tk,tkab->ab", counts.reshape(-1, nz), e0_tab)
-    return _corner_sum(op, gvals), 0.5 * (e0 + e0.T)
+    return (_corner_sum(op, g_tab.reshape(-1, 8, 3, 6), index),
+            0.5 * (e0 + e0.T))
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +939,8 @@ def body_load(op: Operator, f) -> np.ndarray:
     """Load vector of the force functional integral f . (u1, u2, h u3)."""
     f = np.asarray(f, dtype=float).reshape(3)
     nodal = op.kit.wdet * np.array([f[0], f[1], op.scale * f[2]])
-    nx, ny, nz = op.grid.shape
-    return _corner_sum(op, np.broadcast_to(nodal, (nz, ny, nx, 8, 3)))
+    return _corner_sum(op, np.broadcast_to(nodal, (1, 8, 3)),
+                       np.zeros(op.tensor_of_elem.size, dtype=np.int32))
 
 
 def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,

@@ -32,11 +32,8 @@ class GeneratorSpec:
     kind: str                      # "laminate" | "checkerboard"
     axis: str | float | None = None
     period: int | None = None
-    label: str = ""
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
         if self.kind == "laminate":
             axis = self.axis if isinstance(self.axis, str) else f"{self.axis:g}"
             return f"laminate:{axis}"

@@ -224,6 +224,39 @@ def test_commands_that_solve_nothing_leave_scipy_solvers_unloaded(tmp_path):
     assert _fresh_stdout(code).splitlines()[-1] == "[]"
 
 
+def test_cell_commands_leave_scipy_solvers_unloaded(tmp_path, phases_file):
+    # a cell's loads add their corners through the stencil's inverse corner
+    # map and its CG runs on the element product, so the cell commands
+    # load neither scipy.sparse nor scipy.linalg
+    from platehom.microstructure import dump_grid, make_laminate
+
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "random", "--seed", "1", "--res", "4,4,4",
+         "--fractions", "0.5,0.5", "--out", str(m)])
+    dump_grid(make_laminate("x1", [0.5, 0.5], (4, 4, 4)), tmp_path / "a.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "resolution": [12, 12, 4], "gamma": 1.0,
+        "patches": [{"rect": [0, 12, 0, 12], "micro": "a.json"}]}))
+    micro = ["--micro", str(m / "micro.json"), "--phases", phases_file]
+    commands = [
+        ["homogenize", *micro, "--gamma", "1.0", "--check",
+         "--out", str(tmp_path / "h")],
+        ["gamma-sweep", *micro, "--gammas", "0.5,1.0",
+         "--out", str(tmp_path / "g")],
+        ["gclosure-sample", "--phases", phases_file, "--theta", "0.5,0.5",
+         "--generators", "laminate:x1,checkerboard:2", "--gammas", "1.0",
+         "--res", "4,4,4", "--out", str(tmp_path / "s")],
+        ["patchwork", "--spec", str(spec), "--phases", phases_file,
+         "--check", "--out", str(tmp_path / "p")],
+    ]
+    code = ("import sys\nfrom platehom.cli import main\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
+            + "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg')"
+            " if m in sys.modules))")
+    assert _fresh_stdout(code).splitlines()[-1] == "[]"
+
+
 def test_griso_command(tmp_path):
     out = tmp_path / "g"
     rc = run(["griso", "--res", "8,8,8", "--seed", "3", "--h", "0.2",

@@ -730,6 +730,55 @@ def test_lattice_loads_match_element_loop(shape, mode, clamped):
                               g_ref.reshape(op.stencil.lattice + (18,))[inner])
 
 
+def csr_corner_sum(op):
+    """The (nrow, 8 nelem) 0/1 CSR map of the corner sums: column 8 e + a
+    is corner a of element e, in flat order, and each row lists its
+    corners from a = 7 down to 0; its product adds them in that order from
+    zero. The byte-level reference of the loads' corner sums."""
+    st = op.stencil
+    nelem = st.corners[0].size
+    corner = np.arange(8, dtype=np.int32)[:, None]
+    inverse = np.full((st.rows.size, 8), -1, dtype=np.int32)
+    inverse[st.corners.reshape(8, -1), 7 - corner] = (
+        8 * np.arange(nelem, dtype=np.int32) + corner)
+    inverse = inverse[st.rows]
+    keep = inverse >= 0
+    indptr = np.zeros(inverse.shape[0] + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((np.ones(indptr[-1]), inverse[keep], indptr),
+                         shape=(inverse.shape[0], 8 * nelem))
+
+
+@pytest.mark.parametrize("shape, mode, clamped, nphase", [
+    case + (n,) for case in STENCIL_CASES + [((5, 7, 4), "cell", ())]
+    for n in (1, 3)] + [((4, 4, 4), "cell", (), "x3")])
+def test_corner_sums_match_csr_map_byte_for_byte(shape, mode, clamped, nphase):
+    # G and the body load are the CSR map's products byte for byte, signed
+    # zeros included (which np.array_equal cannot see): on the cell of one
+    # node along x an element meets a node as two corners, and a node that
+    # is no element's corner a adds nothing, not even a +0.0 to a -0.0
+    if nphase == "x3":
+        grid = make_laminate("x3", [0.5, 0.5], shape)
+    else:
+        n = int(np.prod(shape))
+        data = np.random.default_rng(n).integers(1, nphase + 1, n)
+        grid = VoxelGrid(*shape, data.astype(np.int32), mode)
+    op = assemble(grid, THREE_PHASES, scale=0.3, mode=mode, clamped=clamped,
+                  allow_soft=True)
+    nx, ny, nz = shape
+    g_tab, _ = fem3d._load_tables(op)
+    index = (op.tensor_of_elem.reshape(nz, ny, nx)
+             * nz + np.arange(nz)[:, None, None])
+    csr = csr_corner_sum(op)
+    g_ref = csr @ g_tab.reshape(-1, 8, 3, 6)[index].reshape(-1, 18)
+    assert (fem3d.corrector_loads(op)[0].tobytes()
+            == g_ref.reshape(-1, 6).tobytes())
+    for f in ((0.3, -0.1, 1.0), (0.3, -0.0, 1.0), (-0.0, -0.0, -0.0)):
+        nodal = op.kit.wdet * np.array([f[0], f[1], op.scale * f[2]])
+        ell_ref = csr @ np.broadcast_to(nodal, (nz * ny * nx * 8, 3))
+        assert body_load(op, f).tobytes() == ell_ref.reshape(-1).tobytes()
+
+
 def loop_load_tables(op):
     """``_load_tables`` as 48 small einsums, tensor after tensor and Gauss
     point after Gauss point: the reference for its batched products."""
@@ -797,8 +846,8 @@ def test_stencil_k_is_bitwise_symmetric(shape, mode, clamped):
 
 def test_stencil_pattern_is_shared_and_read_only():
     # two cells at two scales share one lattice record, and so do two
-    # plates whose clamped edges differ in order only; its arrays are
-    # read-only
+    # plates whose clamped edges differ in order only; its arrays, the
+    # inverse corner map built on first use among them, are read-only
     phases = {1: isotropic_hooke(1.0, 1.0)}
     cells = [assemble(uniform_grid(4, 3, 2), phases, scale=s)
              for s in (0.5, 0.25)]
@@ -807,7 +856,9 @@ def test_stencil_pattern_is_shared_and_read_only():
               for s, edges in ((0.5, ("top", "left")), (0.25, ("left", "top")))]
     for a, b in (cells, plates):
         assert a.stencil is b.stencil
-        for array in (a.stencil.corners, a.stencil.rows):
+        assert a.stencil.inverse_corners is b.stencil.inverse_corners
+        for array in (a.stencil.corners, a.stencil.rows,
+                      a.stencil.inverse_corners):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 1
 
@@ -863,6 +914,17 @@ def test_assembly_peak_memory_is_a_small_multiple_of_k():
     product, held, peak = traced(lambda: fem3d.ElementProduct(op))
     assert product.dofs.nbytes <= held <= 0.1 * k_bytes
     assert peak <= 0.2 * k_bytes
+
+
+def test_corrector_loads_peak_is_a_small_multiple_of_g():
+    # the corner sums gather from the per-(tensor, layer) load table, one
+    # corner at a time, so no per-element load array is built: a warm call
+    # on a 16^3 two-phase cell peaks at about 2.7 times G's bytes, where
+    # the per-element array and its CSR product peaked at 8.7
+    op = assemble(random_grid((16, 16, 16), "cell"), PLATE_PHASES, scale=1.0)
+    gmat, _ = fem3d.corrector_loads(op)
+    _, _, peak = traced(lambda: fem3d.corrector_loads(op))
+    assert peak <= 4 * gmat.nbytes
 
 
 def test_plate_setup_peak_stays_under_k_bytes():
