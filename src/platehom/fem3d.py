@@ -503,8 +503,8 @@ class ReferencePreconditioner:
 @dataclass
 class SolveInfo:
     """What a CG solve did; a 2-D right-hand side sums over its columns, and
-    a solve block by block (``plate2d.minimize_plate``) over its blocks, one
-    column each."""
+    a solve block by block (``plate2d.minimize_plate``) over the blocks it
+    solved, one column each."""
 
     ndof: int                # size of K
     nnz: int                 # k.nnz: an ElementProduct's free element corners
@@ -520,8 +520,8 @@ class SolveInfo:
 
     @property
     def residual(self) -> float:
-        """The largest relative residual of a column."""
-        return max(self.column_residuals)
+        """The largest relative residual of a column, 0.0 with none."""
+        return max(self.column_residuals, default=0.0)
 
     def record(self) -> dict:
         """The solve's entry in a run manifest: ndof, nnz, preconditioner,

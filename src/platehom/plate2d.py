@@ -18,12 +18,14 @@ shorter side K is a band matrix (``band_layout``). With no membrane-bending
 coupling K has no entry between w and v, and ``minimize_plate`` solves the
 membrane and the bending block one after the other, each with its own band
 filled straight from K's CSR (``csr_band``); a coupled K is one block. A
+block the load does not reach has the minimizer 0 and is not solved. A
 block's banded Cholesky factor (``fem3d.BandedCholesky``) preconditions CG
 on K, which converges in one or two iterations. With the two edges of one
 axis clamped, the other two free and an even cell count between them, the
 averaged second differences leave an exact zero-energy deflection (0, 1, 0,
 1, ... across node columns): K, its bending block when the form
-decouples, is singular and ``minimize_plate`` raises ``SolverError``.
+decouples, is singular, and ``minimize_plate`` raises ``SolverError`` when
+the load reaches that block.
 """
 
 from __future__ import annotations
@@ -249,18 +251,17 @@ def assemble_plate(problem: PlateProblem):
 
 
 def band_layout(problem: PlateProblem, flat_free: np.ndarray
-                ) -> tuple[str, tuple[tuple[str, np.ndarray], ...]]:
-    """Layout name and the blocks of the free dofs (w1, w2 of free node f
-    at 2f, 2f + 1 and v at 2 nf + f, free nodes in flat order) that
-    ``minimize_plate`` solves one after another: (name, band order) pairs.
+                ) -> tuple[tuple[str, np.ndarray], ...]:
+    """The blocks of the free dofs (w1, w2 of free node f at 2f, 2f + 1 and
+    v at 2 nf + f, free nodes in flat order) that ``minimize_plate`` solves
+    one after another: (name, band order) pairs.
 
     Nodes run with the faster index along the side that has fewer free
     nodes. When no cell form couples membrane and bending, K has no entry
-    between w and v: "split" gives a "membrane" block of the w dofs, w1 and
-    w2 together per node, about 2 n sub-diagonals for n free nodes along
-    the shorter side, and a "bending" block of the v dofs, about 3 n.
-    Otherwise "interleaved" gives one "coupled" block that keeps w1, w2, v
-    together per node, about 9 n.
+    between w and v: a "membrane" block of the w dofs, w1 and w2 together
+    per node, about 2 n sub-diagonals for n free nodes along the shorter
+    side, and a "bending" block of the v dofs, about 3 n. Otherwise one
+    "coupled" block keeps w1, w2, v together per node, about 9 n.
     """
     mx, my = problem.mx, problem.my
     free = flat_free.reshape(my + 1, mx + 1)
@@ -268,9 +269,8 @@ def band_layout(problem: PlateProblem, flat_free: np.ndarray
     nf = nodes.size
     w = 2 * nodes[:, None] + np.arange(2)
     if np.any(problem.forms[..., :3, 3:]) or np.any(problem.forms[..., 3:, :3]):
-        return "interleaved", (("coupled",
-                                np.column_stack([w, 2 * nf + nodes]).ravel()),)
-    return "split", (("membrane", w.ravel()), ("bending", 2 * nf + nodes))
+        return (("coupled", np.column_stack([w, 2 * nf + nodes]).ravel()),)
+    return ("membrane", w.ravel()), ("bending", 2 * nf + nodes)
 
 
 def csr_band(k, order: np.ndarray) -> np.ndarray:
@@ -322,35 +322,38 @@ def _solve_block(k, ell: np.ndarray, name: str, order: np.ndarray, tol: float):
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     """Discrete minimizer of the limit plate functional, block by block
-    (``band_layout``). Each block's load goes to CG on K itself,
+    (``band_layout``). Each block the load reaches goes to CG on K itself,
     preconditioned by the banded Cholesky factor of K's block
     (``fem3d.BandedCholesky``), and converges in one or two iterations.
     Only one block's band is alive at a time. With no membrane-bending
     coupling K has no entry between the blocks, so the sum of the block
-    solutions minimizes the whole functional.
+    solutions minimizes the whole functional, and a block with no load has
+    the minimizer 0: it gets no band, no factor and no CG, and a plate with
+    no load factors nothing. The solve record lists the solved blocks.
 
-    Raises ``SolverError``, naming the block, when K is singular: when a
-    block's factorization or CG breaks down, or when the relative energy
-    error estimate |sum_b r_b.K_b^-1 r_b| / |l.u| of the result, r = l - K u,
-    r_b its part on block b and K_b the computed factor of b, exceeds
-    ``tol`` (the CG recursion cannot see a zero-energy mode that the factor
-    amplifies); the estimate names the block with the largest term.
+    Raises ``SolverError``, naming the block, when a solved block of K is
+    singular: when its factorization or CG breaks down, or when the
+    relative energy error estimate |sum_b r_b.K_b^-1 r_b| / |l.u| of the
+    result, r = l - K u, r_b its part on block b and K_b the computed
+    factor of b, exceeds ``tol`` (the CG recursion cannot see a zero-energy
+    mode that the factor amplifies); the estimate names the block with the
+    largest term. A singular block the load does not reach raises nothing.
     """
     k, ell, dof_free, flat_free = assemble_plate(problem)
-    layout, blocks = band_layout(problem, flat_free)
+    blocks = [(name, order) for name, order in band_layout(problem, flat_free)
+              if ell[order].any()]
     u = np.zeros_like(ell)
     solves = []
     for name, order in blocks:
         u_b, *solve = _solve_block(k, ell, name, order, tol)
         u += u_b
         solves.append(solve)
-    infos, widths, terms = zip(*solves)
+    infos, widths, terms = zip(*solves) if solves else ((), (), ())
     names = [name for name, _ in blocks]
     info = SolveInfo(ndof=k.shape[0], nnz=k.nnz,
                      column_iterations=tuple(i.iterations for i in infos),
                      column_residuals=tuple(i.residual for i in infos),
-                     preconditioner={"name": "banded-cholesky",
-                                     "layout": layout, "blocks": names,
+                     preconditioner={"name": "banded-cholesky", "blocks": names,
                                      "bandwidths": list(widths)})
     load_value = float(ell @ u)
     error = info.energy_error = float(
@@ -406,10 +409,6 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
     bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
     gaps, sgaps = [], []
     for eta in etas:
-        if eta == 0.0:
-            gaps.append(0.0)
-            sgaps.append(0.0)
-            continue
         forms_eta = problem.forms + eta * bdir
         if np.linalg.eigvalsh(forms_eta)[..., 0].min() <= 0.0:
             raise ValueError(f"eta={eta} makes a cell form indefinite")
@@ -456,12 +455,12 @@ def load_problem(path) -> PlateProblem:
 
 
 def dump_solution_csv(sol: PlateSolution, path) -> None:
-    mx = sol.v.shape[0] - 1
-    my = sol.v.shape[1] - 1
+    """One row per node, x fastest: x, y, w1, w2, v."""
+    mx, my = sol.v.shape[0] - 1, sol.v.shape[1] - 1
+    x, y = np.meshgrid(np.arange(mx + 1) / mx, np.arange(my + 1) / my)
+    rows = np.column_stack([a.ravel() for a in (
+        x, y, sol.w[..., 0].T, sol.w[..., 1].T, sol.v.T)]).tolist()
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["x", "y", "w1", "w2", "v"])
-        for j in range(my + 1):
-            for i in range(mx + 1):
-                w.writerow([i / mx, j / my, sol.w[i, j, 0], sol.w[i, j, 1],
-                            sol.v[i, j]])
+        w.writerows(rows)

@@ -119,24 +119,38 @@ def test_plate_solve_manifest_and_repeatable_artifacts(tmp_path):
                               "residual"]
     (rec,) = json.loads((outs[0] / "manifest.json").read_text())["solver"]
     # 8 free nodes along x (the left edge is clamped), 9 along y: x runs
-    # fastest, and the isotropic form splits K into a membrane block, band
-    # 2 * 8 + 3, and a bending block, band 3 * 8 + 1, solved one by one
+    # fastest, and the isotropic form splits K into a membrane block and a
+    # bending block, band 3 * 8 + 1. The transverse load leaves the membrane
+    # block unloaded, so the bending block is the one solved, and the
+    # record is a one-column solve's
     assert rec["preconditioner"] == {"name": "banded-cholesky",
-                                     "layout": "split",
-                                     "blocks": ["membrane", "bending"],
-                                     "bandwidths": [19, 25]}
-    # the transverse load leaves the membrane block unloaded
-    assert rec["iterations"][0] == 0 and rec["residuals"][0] == 0.0
-    assert sum(rec["iterations"]) == energy["iterations"] <= 3
-    assert max(rec["residuals"]) == energy["residual"] <= 1e-12
+                                     "blocks": ["bending"],
+                                     "bandwidths": [25]}
+    assert rec["iterations"] == energy["iterations"] <= 3
+    assert rec["residual"] == energy["residual"] <= 1e-12
     assert 0.0 <= rec["energy_error"] <= 1e-12
 
 
+def test_plate_solve_zero_load_solves_no_block(tmp_path):
+    # energy.json keeps the bytes it had when both blocks were solved
+    prob = _plate_problem(tmp_path, 8, ["left"], forces=(0.0, 0.0, 0.0))
+    out = tmp_path / "zero"
+    assert run(["plate-solve", "--problem", prob, "--out", str(out)]) == 0
+    assert (out / "energy.json").read_text() == (
+        '{\n "energy": 0.0,\n "load_value": 0.0,\n "iterations": 0,\n'
+        ' "residual": 0.0,\n "basis": "mandel-pair-v1"\n}')
+    (rec,) = json.loads((out / "manifest.json").read_text())["solver"]
+    assert rec["preconditioner"]["blocks"] == []
+    assert rec["energy_error"] == 0.0
+
+
 def test_plate_solve_singular_strip_exit_code(tmp_path):
-    # an even cell count between two clamped edges has a zero-energy mode
+    # an even cell count between two clamped edges has a zero-energy mode;
+    # an in-plane load alone does not reach it, so it fails nothing
     out = tmp_path / "strip"
-    for m, code in ((8, 2), (9, 0)):
-        prob = _plate_problem(tmp_path, m, ["left", "right"])
+    for m, forces, code in ((8, (0.0, 0.0, 1.0), 2), (9, (0.0, 0.0, 1.0), 0),
+                            (8, (0.3, 0.2, 0.0), 0)):
+        prob = _plate_problem(tmp_path, m, ["left", "right"], forces)
         assert run(["plate-solve", "--problem", prob, "--out", str(out)]) == code
 
 

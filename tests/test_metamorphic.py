@@ -66,15 +66,47 @@ The first two fail all five properties; the third fails only the swap
 and the rotation, the fourth only the flip. Swapping x and y in ``jac``
 altogether fails none: it makes the cell a rectangle, which every one of
 these symmetries maps onto the rectangle of the mapped grid.
+
+Limit plates: each relation maps the grid, the per-cell forms, the nodal
+forces and the clamped edges of ``plate2d.minimize_plate``, and keeps the
+minimum energy and the mapped minimizer:
+
+- x-mirror: cell column ci goes to mx - 1 - ci, "left" and "right" swap,
+  the forms' twist slots 2 and 5 change sign against the others, f1 and
+  w1 change sign;
+- x<->y swap: the grid is transposed, "left" <-> "bottom" and "right" <->
+  "top", form slots 0 <-> 1 and 3 <-> 4, f1 <-> f2 and w1 <-> w2.
+
+The mapped plate is solved in another band order, so the two solutions
+agree to the solve's rounding: over 400 random plates (up to 8 x 8,
+coupled forms or not), at most 8.1e-14 relative in the energy and 3.1e-13
+of the largest displacement in the fields, against a bound of 1e-12.
+``perturbation_stability``'s report keeps the swap too (over 100 random
+plates its gaps moved by at most 6.0e-14 of the base energy or strain
+scale); its perturbation direction weighs all six slots alike, so it is
+not mirror-invariant. Each relation catches the mutation of
+``plate2d._StrainOperators`` named for it (checked on a copy of the
+code):
+
+- x-mirror: both averages weighted to a cell's first node,
+  ``_two_point(n, 1.0, 0.0)`` for ``avg_x`` and ``avg_y``;
+- x<->y swap, of the solve and of the report: the membrane shear row's
+  ``_slot`` scale for dw2/dx, 1.0 for ``1 / SQRT2``.
+
+The first is the same on x and y and fails only the mirror; the second
+changes the sign of no term under the mirror and fails only the swaps. A
+sign flip of ``tilt_x`` can fail nothing: B_xi enters K only as B_xi^T D
+B_xi, so K stays bitwise the same, and the cell-center strains do not
+read it.
 """
 
 import copy
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from platehom import cell, fem3d
+from platehom import cell, fem3d, plate2d
 from platehom.algebra import isotropic_hooke, rotation90_pair
 from platehom.microstructure import VoxelGrid
 
@@ -234,3 +266,87 @@ def test_rotation_90_acts_on_cell_form(cell_):
     r = rotation90_pair()
     check_form_relation(cell_, np.rot90(cell_[0], axes=(1, 2)),
                         lambda a: r @ a @ r.T)
+
+
+@st.composite
+def limit_plates(draw):
+    """A small random ``plate2d.PlateProblem``: positive definite per-cell
+    forms, coupled or not, random nodal forces. The even strips, whose
+    bending block is singular, are left out."""
+    mx, my = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    clamped = draw(st.sets(st.sampled_from(fem3d.EDGES), min_size=1))
+    assume(clamped != {"left", "right"} or mx % 2)
+    assume(clamped != {"bottom", "top"} or my % 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((mx, my, 6, 6))
+    forms = g @ g.swapaxes(-1, -2) + 0.5 * np.eye(6)
+    if draw(st.booleans()):
+        forms[..., :3, 3:] = forms[..., 3:, :3] = 0.0
+    return plate2d.PlateProblem(mx=mx, my=my, forms=forms,
+                                forces=rng.standard_normal((mx + 1, my + 1, 3)),
+                                clamped=tuple(sorted(clamped)))
+
+
+def check_plate_relation(problem, mapped, field_map):
+    """The mapped plate's minimum equals the original's within 1e-12
+    relative, and its minimizer is ``field_map`` of the original's within
+    1e-12 of the largest displacement."""
+    sol = plate2d.minimize_plate(problem)
+    got = plate2d.minimize_plate(mapped)
+    assert abs(got.energy - sol.energy) <= 1e-12 * abs(sol.energy)
+    w, v = field_map(sol.w, sol.v)
+    bound = 1e-12 * max(np.abs(sol.w).max(), np.abs(sol.v).max())
+    assert np.abs(got.w - w).max() <= bound
+    assert np.abs(got.v - v).max() <= bound
+
+
+def mirror_plate(problem):
+    mirror = {"left": "right", "right": "left"}
+    s = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    return plate2d.PlateProblem(
+        mx=problem.mx, my=problem.my,
+        forms=problem.forms[::-1] * s[:, None] * s,
+        forces=problem.forces[::-1] * [-1, 1, 1],
+        clamped=tuple(mirror.get(e, e) for e in problem.clamped))
+
+
+def swap_plate(problem):
+    swap = {"left": "bottom", "bottom": "left", "right": "top", "top": "right"}
+    perm = [1, 0, 2, 4, 3, 5]
+    return plate2d.PlateProblem(
+        mx=problem.my, my=problem.mx,
+        forms=problem.forms.swapaxes(0, 1)[..., perm, :][..., perm],
+        forces=problem.forces.swapaxes(0, 1)[..., [1, 0, 2]],
+        clamped=tuple(swap[e] for e in problem.clamped))
+
+
+@PROPERTY
+@given(limit_plates())
+def test_x_mirror_keeps_limit_plate(problem):
+    check_plate_relation(problem, mirror_plate(problem),
+                         lambda w, v: (w[::-1] * [-1, 1], v[::-1]))
+
+
+@PROPERTY
+@given(limit_plates())
+def test_xy_swap_keeps_limit_plate(problem):
+    check_plate_relation(problem, swap_plate(problem),
+                         lambda w, v: (w.swapaxes(0, 1)[..., [1, 0]], v.T))
+
+
+@PROPERTY
+@given(limit_plates())
+def test_xy_swap_keeps_perturbation_report(problem):
+    # the perturbation direction is invariant under the slot permutation,
+    # so the whole report is; the gaps are bounded on the scale of the
+    # base energy and of the base strains' root mean square
+    rep = plate2d.perturbation_stability(problem)
+    got = plate2d.perturbation_stability(swap_plate(problem))
+    scale = abs(rep.base_energy)
+    assert abs(got.base_energy - rep.base_energy) <= 1e-12 * scale
+    assert np.abs(np.subtract(got.energy_gaps, rep.energy_gaps)).max() <= (
+        1e-12 * scale)
+    z = plate2d.cell_strains(problem, plate2d.minimize_plate(problem))
+    rms = np.sqrt((z ** 2).sum() / (problem.mx * problem.my))
+    assert np.abs(np.subtract(got.strain_gaps, rep.strain_gaps)).max() <= (
+        1e-12 * rms)

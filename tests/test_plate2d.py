@@ -24,11 +24,36 @@ def cantilever(mx=12, my=12, forms=None, f=(0.0, 0.0, 1.0)):
                         forces=np.asarray(f, dtype=float), clamped=("left",))
 
 
-def test_zero_force_zero_solution():
-    sol = minimize_plate(cantilever(f=(0.0, 0.0, 0.0)))
-    assert sol.energy == 0.0
-    assert_allclose(sol.w, 0.0)
-    assert_allclose(sol.v, 0.0)
+def spy_solves(monkeypatch):
+    """The orders ``minimize_plate`` builds a band for and the number of
+    its CG calls."""
+    seen = {"bands": [], "pcg": 0}
+
+    def band(k, order):
+        seen["bands"].append(order)
+        return csr_band(k, order)
+
+    def cg(*args, **kwargs):
+        seen["pcg"] += 1
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(plate2d, "csr_band", band)
+    monkeypatch.setattr(plate2d, "pcg", cg)
+    return seen
+
+
+def test_zero_force_zero_solution(monkeypatch):
+    # no block is loaded, so none gets a band or a CG, split or coupled
+    seen = spy_solves(monkeypatch)
+    for forms in (Q0.a, coupled_form()):
+        sol = minimize_plate(cantilever(forms=forms, f=(0.0, 0.0, 0.0)))
+        assert sol.energy == sol.load_value == 0.0
+        assert_allclose(sol.w, 0.0)
+        assert_allclose(sol.v, 0.0)
+        assert (sol.solve.iterations, sol.solve.residual) == (0, 0.0)
+        assert sol.solve.energy_error == 0.0
+        assert sol.solve.preconditioner["blocks"] == []
+    assert seen == {"bands": [], "pcg": 0}
 
 
 def test_decoupled_pure_bending():
@@ -103,8 +128,19 @@ def test_perturbation_stability_builds_stencils_once():
 
 
 def test_perturbation_zero_eta_zero_gap():
-    rep = perturbation_stability(cantilever(mx=8, my=8), etas=(0.0, 1e-3))
+    # a zero eta solves the base problem again: both gaps are exactly 0,
+    # and the ratio and the slope come from the nonzero etas only
+    prob = cantilever(mx=8, my=8)
+    rep = perturbation_stability(prob, etas=(0.0, 1e-3))
     assert rep.energy_gaps[0] == 0.0
+    assert rep.strain_gaps[0] == 0.0
+    assert rep.gap_ratio is None
+    assert rep.slope_estimate == rep.energy_gaps[1] / 1e-3
+    rep = perturbation_stability(prob, etas=(1e-3, 0.0, 1e-4))
+    want = perturbation_stability(prob, etas=(1e-3, 1e-4))
+    assert rep.energy_gaps[1] == rep.strain_gaps[1] == 0.0
+    assert (rep.gap_ratio, rep.slope_estimate) == (want.gap_ratio,
+                                                   want.slope_estimate)
 
 
 def test_perturbation_indefinite_rejected():
@@ -378,19 +414,19 @@ def test_singular_even_strip_raises_solver_error(m, coupled, clamped):
 
 def test_odd_strip_solves_with_banded_cholesky():
     # 9 x 9 between clamped left and right edges: 8 free nodes along x,
-    # 10 along y, so x runs fastest; the membrane block's band is
-    # 2 * 8 + 3, the bending block's 3 * 8 + 1
+    # 10 along y, so x runs fastest, and the bending block's band is
+    # 3 * 8 + 1
     sol = minimize_plate(strip(9))
     assert sol.energy < 0.0
     assert sol.solve.iterations <= 3
     assert sol.solve.energy_error <= 1e-12
+    # the transverse load leaves the membrane block unloaded, so only the
+    # bending block is solved, and the record is a one-column solve's
     assert sol.solve.preconditioner == {
-        "name": "banded-cholesky", "layout": "split",
-        "blocks": ["membrane", "bending"], "bandwidths": [19, 25]}
-    # the transverse load leaves the membrane block unloaded: no iteration
+        "name": "banded-cholesky", "blocks": ["bending"], "bandwidths": [25]}
     rec = sol.solve.record()
-    assert rec["iterations"][0] == 0 and rec["residuals"][0] == 0.0
-    assert 1 <= rec["iterations"][1] <= 3
+    assert 1 <= rec["iterations"] <= 3
+    assert rec["residual"] <= 1e-12
 
 
 def test_banded_cholesky_cantilever_converges_in_few_iterations():
@@ -410,10 +446,9 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
     prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
     k, _, _, flat_free = assemble_plate(prob)
-    layout, blocks = band_layout(prob, flat_free)
+    blocks = band_layout(prob, flat_free)
     free = flat_free.reshape(my + 1, mx + 1)
     n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
-    assert layout == ("interleaved" if coupled else "split")
     widths = {"coupled": 9 * n + 3, "membrane": 2 * n + 3, "bending": 3 * n + 1}
     assert [name for name, _ in blocks] == (["coupled"] if coupled
                                             else ["membrane", "bending"])
@@ -452,7 +487,7 @@ def test_csr_band_is_the_permuted_tril_band(mx, my, clamped, coupled):
     prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
     k, _, _, flat_free = assemble_plate(prob)
-    for _, order in band_layout(prob, flat_free)[1]:
+    for _, order in band_layout(prob, flat_free):
         got, want = csr_band(k, order), tril_band(k, order)
         assert got.flags.f_contiguous
         assert got.shape == want.shape
@@ -464,7 +499,7 @@ def whole_band_minimize(problem, tol=1e-12):
     K's whole band (w before v in the split layout), one CG and the energy
     error estimate r.K_c^-1 r / |l.u| of the whole residual."""
     k, ell, dof_free, flat_free = assemble_plate(problem)
-    order = np.concatenate([o for _, o in band_layout(problem, flat_free)[1]])
+    order = np.concatenate([o for _, o in band_layout(problem, flat_free)])
     factor = BandedCholesky(tril_band(k, order), order)
     u, info = pcg(k, ell, precond=factor.solve, tol=tol)
     ku = k @ u
@@ -566,6 +601,73 @@ def test_even_strip_with_in_plane_load_names_the_bending_block(clamped):
         minimize_plate(prob)
 
 
+@pytest.mark.parametrize("clamped", [("left", "right"), ("bottom", "top")])
+@pytest.mark.parametrize("m", [6, 8, 16])
+def test_even_strip_with_in_plane_load_solves_the_membrane_block(m, clamped):
+    # the load does not reach the singular bending block, whose minimizer
+    # is 0: it is not solved, so its zero-energy mode raises for no m, and
+    # w is the membrane block's own solve bit for bit
+    prob = PlateProblem(mx=m, my=m, forms=Q0.a,
+                        forces=np.array([0.3, 0.2, 0.0]), clamped=clamped)
+    sol = minimize_plate(prob)
+    assert not sol.v.any()
+    assert sol.solve.preconditioner["blocks"] == ["membrane"]
+    k, ell, dof_free, flat_free = assemble_plate(prob)
+    (_, order), _ = band_layout(prob, flat_free)
+    factor = BandedCholesky(csr_band(k, order), order)
+    u, _ = pcg(k, ell, precond=factor.solve, tol=1e-12)
+    full = np.zeros(dof_free.size)
+    full[dof_free] = u
+    w = full[:2 * (m + 1) ** 2].reshape(m + 1, m + 1, 2).swapaxes(0, 1)
+    assert np.array_equal(sol.w, w)
+    assert sol.energy == float(0.5 * u @ (k @ u) - ell @ u)
+
+
+def test_transverse_load_bands_only_the_bending_block(monkeypatch):
+    prob = cantilever(mx=64, my=64, forms=ortho_form())
+    (_, _), (name, bending) = band_layout(prob, assemble_plate(prob)[3])
+    seen = spy_solves(monkeypatch)
+    sol = minimize_plate(prob)
+    assert name == "bending"
+    assert len(seen["bands"]) == seen["pcg"] == 1
+    assert np.array_equal(seen["bands"][0], bending)
+    assert sol.solve.preconditioner["blocks"] == ["bending"]
+    assert not sol.w.any()
+
+
+def old_dump_solution_csv(sol, path):
+    """``dump_solution_csv`` as it wrote the file, one scalar at a time."""
+    import csv
+
+    mx, my = sol.v.shape[0] - 1, sol.v.shape[1] - 1
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x", "y", "w1", "w2", "v"])
+        for j in range(my + 1):
+            for i in range(mx + 1):
+                w.writerow([i / mx, j / my, sol.w[i, j, 0], sol.w[i, j, 1],
+                            sol.v[i, j]])
+
+
+def test_solution_csv_is_the_per_scalar_writer(tmp_path):
+    # a non-square grid whose values take every float format: signed zero,
+    # a subnormal, exponents at and above 1e16 and below 1e-4
+    mx, my = 5, 3
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((mx + 1, my + 1, 3))
+    vals *= 10.0 ** rng.integers(-12, 20, size=vals.shape)
+    vals.flat[:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9.999999999999998e15,
+                     1e-4, 9.99e-5]
+    sol = PlateSolution(w=vals[..., :2], v=vals[..., 2], energy=0.0,
+                        load_value=0.0, solve=None)
+    dump_solution_csv(sol, tmp_path / "new.csv")
+    old_dump_solution_csv(sol, tmp_path / "old.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    for text in (b"-0.0", b"5e-324", b"1e+16", b"9.99e-05"):
+        assert text in got
+
+
 def eighteen_row_k(prob):
     """K as the one product over all 18 strain rows per cell, the three
     Gauss groups' zero rows included, with the 18 ncell-square block
@@ -641,7 +743,7 @@ def test_block_solve_peak_is_k_and_one_block_band():
     prob = cantilever(mx=64, my=64, forms=ortho_form())
     k, _, _, flat_free = assemble_plate(prob)
     band = max(csr_band(k, order).nbytes
-               for _, order in band_layout(prob, flat_free)[1])
+               for _, order in band_layout(prob, flat_free))
     k_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
     del k
     minimize_plate(prob)    # the lazy imports, so that only the solve counts
