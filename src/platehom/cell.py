@@ -68,7 +68,12 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
     """Compute the homogenized plate form of a periodic cell at given gamma.
 
     The six corrector problems are one block CG solve, preconditioned by the
-    in-plane Fourier inverse of a homogeneous reference medium.
+    in-plane Fourier inverse of a homogeneous reference medium K0. A column
+    stops once its relative residual reaches ``tol`` or once its certified
+    form error does: every phase has C_p >= m C0, so K >= m K0 and the
+    corrector's energy error obeys ||e_i||_K^2 <= r.K0^-1 r / m, and the form
+    error |dA_ij| = |e_i.K e_j| / 2 is at most tol / 1000 of max|A| when
+    that bound is tol / 1000 of 2 A_ii (``fem3d.pcg``'s ``bound``).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -80,7 +85,8 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
     precond = fem3d.ReferencePreconditioner(op)
     # the translations stay out: the loads and correctors are projected
     # here, every search direction by the preconditioner
-    u, info = fem3d.pcg(op.k, op.project(-gmat), precond=precond, tol=tol)
+    u, info = fem3d.pcg(op.k, op.project(-gmat), precond=precond, tol=tol,
+                        bound=(precond.m, np.diag(e0)))
     u = op.project(u)
     info.preconditioner = precond.describe()
     a = _form_matrix(e0, gmat, u, op.k @ u)

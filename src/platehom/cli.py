@@ -45,6 +45,26 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# the variables that set a BLAS build's thread count, in the order read
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas() -> dict:
+    """numpy's BLAS build (``name`` and ``version``) and the thread count in
+    effect: the first of ``_THREAD_VARS`` that is set, else os.cpu_count(),
+    with ``threads_from`` naming which. Summation order, and so the
+    trailing digits of every artifact, depends on both."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    rec = {"name": blas.get("name"), "version": blas.get("version")}
+    for var in _THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            return rec | {"threads": int(value) if value.isdigit() else value,
+                          "threads_from": var}
+    return rec | {"threads": os.cpu_count(), "threads_from": "cpu_count"}
+
+
 def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
                     solver: list[dict] | None = None) -> None:
     """Write manifest.json; ``solver`` holds one record per solve, its
@@ -62,6 +82,7 @@ def _write_manifest(outdir: str, command: str, params: dict, inputs: list[str],
         "inputs": {p: _sha256(p) for p in inputs if p and os.path.exists(p)},
         "versions": {"platehom": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "blas": _blas(),
         "basis": BASIS_TAG,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -101,8 +101,10 @@ def element_kit(hx: float, hy: float, hz: float, scale: float,
     strain treatment that removes parasitic shear under bending. Quadrature
     stays full 2x2x2; constant strains are reproduced exactly and a free
     element keeps exactly the six rigid-body zero-energy modes. Strain fields
-    without in-plane variation are untouched, so cell problems with uniform
-    loads are identical to the plain trilinear element.
+    without in-plane variation are untouched, so an x3 laminate cell gets
+    the plain trilinear element's form. Other cells do not: on random
+    two-phase 8^3 cells (contrast 10) the forms move by about 4e-2 / 1e-2 /
+    2e-4 of max|A| at gamma = 0.1 / 1 / 10, as the correctors vary in-plane.
     """
     corners = 2.0 * _local_corners() - 1.0  # (+-1)^3
     gps = GAUSS * corners                   # 2x2x2 Gauss points, same ordering
@@ -256,7 +258,8 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
 
     # plate mode uses assumed-natural-strain transverse shear: the thin-limit
     # bending response at coarse in-plane resolution is otherwise polluted by
-    # parasitic shear; cell problems see uniform loads and are unaffected.
+    # parasitic shear. Cells keep the plain element: ANS would leave only an
+    # x3 laminate's form unchanged (element_kit).
     kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, scale,
                       ans_shear=(mode == "plate"))
 
@@ -374,13 +377,15 @@ class ElementProduct:
 # reference-medium preconditioner for cell operators
 # ---------------------------------------------------------------------------
 
-def reference_tensor(tensors: list[HookeTensor3]) -> HookeTensor3:
-    """Log-Euclidean mean expm(mean(logm(c_p))) of the phase stiffnesses.
+def reference_tensor(tensors: list[HookeTensor3]) -> tuple[HookeTensor3, float]:
+    """Log-Euclidean mean C0 = expm(mean(logm(c_p))) of the phase
+    stiffnesses, and m = min_p lambda_min(C0^-1/2 C_p C0^-1/2), the largest
+    m with C_p >= m C0 for every phase.
 
     Each phase's eigenvalues are clamped from below at 1e-12 times its
-    largest, so soft phases stay finite; a phase with no stiffness at all
-    is left out. For isotropic phases with lambda = mu this is the
-    geometric mean.
+    largest in the mean, so soft phases stay finite; a phase with no
+    stiffness at all is left out of it, and gives m = 0. For isotropic
+    phases with lambda = mu, C0 is the geometric mean.
     """
     logs = []
     for t in tensors:
@@ -388,7 +393,9 @@ def reference_tensor(tensors: list[HookeTensor3]) -> HookeTensor3:
         if w[-1] > 0.0:
             logs.append((v * np.log(np.maximum(w, 1e-12 * w[-1]))) @ v.T)
     w, v = np.linalg.eigh(np.mean(logs, axis=0))
-    return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T)
+    s = (v * np.exp(-0.5 * w)) @ v.T                       # C0^-1/2
+    m = min(np.linalg.eigvalsh(s @ t.c @ s)[0] for t in tensors)
+    return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T), float(m)
 
 
 def _layer_symbol(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -432,7 +439,9 @@ class ReferencePreconditioner:
             raise ValueError("the reference preconditioner needs a cell operator")
         nx, ny, nz = op.grid.shape
         self.shape = (nz + 1, ny, nx)
-        self.c0 = reference_tensor(op.tensors)
+        # every element stiffness sum_g w B^T C B is monotone in C, so
+        # K >= m K0 on the mean-free fields: pcg's bound on the energy error
+        self.c0, self.m = reference_tensor(op.tensors)
         ke = element_stiffness(op.kit, self.c0).reshape(8, 3, 8, 3)
         corner = _local_corners().astype(int)
         # K u for u = exp(i theta.(x, y)) u_hat picks up exp(i theta.(b - a))
@@ -512,6 +521,8 @@ class SolveInfo:
     column_residuals: tuple[float, ...]  # relative residuals ||r|| / ||b||
     preconditioner: dict | None = None  # its describe(), set by the caller
     energy_error: float | None = None   # |r.M^-1 r| / |l.u|, set by the caller
+    lower_bound: float | None = None    # pcg's m, K >= m M, with a bound
+    column_bounds: tuple[float, ...] | None = None  # r.z / (m (c - E)), m > 0
 
     @property
     def iterations(self) -> int:
@@ -527,7 +538,8 @@ class SolveInfo:
         """The solve's entry in a run manifest: ndof, nnz, preconditioner,
         then ``iterations`` and ``residual`` of a one-column solve or
         per-column (per-block) ``iterations`` and ``residuals`` lists, then
-        the ``energy_error`` when the caller set one."""
+        the ``energy_error`` when the caller set one, then pcg's ``m`` and
+        per-column ``energy_bounds`` of a solve with a bound."""
         rec = {"ndof": self.ndof, "nnz": self.nnz,
                "preconditioner": self.preconditioner}
         if len(self.column_iterations) == 1:
@@ -537,6 +549,10 @@ class SolveInfo:
                        residuals=list(self.column_residuals))
         if self.energy_error is not None:
             rec["energy_error"] = self.energy_error
+        if self.lower_bound is not None:
+            rec["m"] = self.lower_bound
+        if self.column_bounds is not None:
+            rec["energy_bounds"] = list(self.column_bounds)
         return rec
 
 
@@ -781,7 +797,9 @@ class PlatePreconditioner:
 
 
 def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
-        max_iter: int | None = None) -> tuple[np.ndarray, SolveInfo]:
+        max_iter: int | None = None,
+        bound: tuple[float, np.ndarray] | None = None
+        ) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
     ``k`` is a symmetric K that multiplies as ``k @ p``: an
@@ -797,8 +815,21 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
     direction, and so the result, then stays off the kernel with no
     projection here. Raises ``SolverError`` when the
     operator is not positive definite on the search space, and when a
-    column stalls: it stops at ``max_iter`` with its residual above ``tol``.
+    column stalls: it stops at ``max_iter`` having met no stop rule.
     The returned ``SolveInfo`` records ``k.nnz``.
+
+    ``bound = (m, c)`` adds a second stop rule. It needs K >= m M on the
+    search space, M the operator ``precond`` inverts, and m > 0 (m <= 0
+    turns the rule off). Then the energy-norm error e of column i obeys
+    ||e||_K^2 = r.K^-1 r <= r.M^-1 r / m = r.z / m, from the r.z that CG
+    computes anyway. With E = sum_j alpha_j r_j.z_j, the column's energy
+    b.x so far, the column also stops once r.z / m <= tau (c_i - E),
+    tau = tol / 1000, so one tolerance sets both rules. For a cell's
+    correctors c is the diagonal of the zero-corrector energies e0: then
+    c_i - E tends to twice the form's diagonal entry A_ii, and as the
+    form's error is e_i.K e_j / 2, the rule bounds it by tau max|A| up to
+    rounding. The info records m and each column's r.z / (m (c_i - E)) at
+    its stop.
     """
     n = k.shape[0]
     if max_iter is None:
@@ -810,24 +841,39 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
     bnorm = np.sqrt(np.vecdot(r, r, axis=0))
     res = np.where(bnorm > 0.0, 1.0, 0.0)      # r = b; a zero column is solved
     its = np.zeros(ncol, dtype=np.int64)
+    met = np.zeros(ncol, dtype=bool)            # a stop rule, not max_iter
+    m = bound[0] if bound is not None else 0.0
+    if m > 0.0:
+        c = np.asarray(bound[1], dtype=float)
+        rel = np.zeros(ncol)                    # r.z / (m (c - E)) at the stop
+        tau_m = 1e-3 * tol * m
     out = np.zeros((n, ncol))
-    # x, r, p and rz hold the columns still iterating, ``cols``; a column
-    # leaves them once it converges or reaches max_iter
+    # x, r, p, rz and energy hold the columns still iterating, ``cols``; a
+    # column leaves them once it meets a stop rule or reaches max_iter
     cols = np.arange(ncol)
     x = np.zeros((n, ncol))
     work = np.empty((n, ncol))
     z = precond(r)
     p = z.copy()
     rz = np.vecdot(r, z, axis=0)
+    energy = np.zeros(ncol)
     it = 0
     while True:
-        going = (res[cols] > tol) & (it < max_iter)
+        stop = res[cols] <= tol
+        if m > 0.0:
+            slack = c[cols] - energy
+            stop |= rz <= tau_m * slack
+        # a NaN residual stops the column too, unmet
+        going = ~stop & (res[cols] > tol) & (it < max_iter)
         if not going.all():
             done = cols[~going]
             out[:, done] = x[:, ~going]
             its[done] = it
-            cols, x, r, p, rz = (cols[going], x[:, going], r[:, going],
-                                 p[:, going], rz[going])
+            met[done] = stop[~going]
+            if m > 0.0:
+                rel[done] = rz[~going] / (m * slack[~going])
+            cols, x, r, p, rz, energy = (cols[going], x[:, going], r[:, going],
+                                         p[:, going], rz[going], energy[going])
             if not cols.size:
                 break
             work = np.empty_like(x)
@@ -840,6 +886,7 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
                 f"(p.Ap = {pap[j]:.3e} in column {cols[j]} at iteration {it})"
             )
         alpha = rz / pap
+        energy += alpha * rz
         # in place, bitwise as x += alpha * p, r -= alpha * ap and
         # p = z + beta * p, without a temporary block per update
         x += np.multiply(p, alpha, out=work)
@@ -851,14 +898,18 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
         p += z
         rz = rz_new
         res[cols] = np.sqrt(np.vecdot(r, r, axis=0)) / bnorm[cols]
-    if not (res <= tol).all():
-        j = int(np.argmax(res))
+    if not met.all():
+        j = int(np.argmax(np.where(met, 0.0, res)))
         raise SolverError(
             f"CG column {j} stalled at residual {res[j]:.3e} "
             f"after {its[j]} iterations"
         )
     info = SolveInfo(ndof=n, nnz=k.nnz, column_iterations=tuple(its.tolist()),
                      column_residuals=tuple(res.tolist()))
+    if bound is not None:
+        info.lower_bound = float(m)
+        if m > 0.0:
+            info.column_bounds = tuple(rel.tolist())
     return (out[:, 0] if b.ndim == 1 else out), info
 
 

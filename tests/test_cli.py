@@ -340,8 +340,8 @@ def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
 
     orig = fem3d.pcg
 
-    def crippled(k, b, precond, tol=1e-10, max_iter=None):
-        return orig(k, b, precond=precond, tol=1e-30, max_iter=1)
+    def crippled(k, b, precond, tol=1e-10, max_iter=None, bound=None):
+        return orig(k, b, precond=precond, tol=1e-30, max_iter=1, bound=bound)
 
     monkeypatch.setattr(fem3d, "pcg", crippled)
     m = tmp_path / "m"
@@ -367,11 +367,13 @@ def test_failed_solves_keep_their_manifest_slot(tmp_path, phases_file,
     orig = fem3d.pcg
     calls = []
 
-    def second_crippled(k, b, precond, tol=1e-10, max_iter=None):
+    def second_crippled(k, b, precond, tol=1e-10, max_iter=None, bound=None):
         calls.append(1)
         if len(calls) == 2:
-            return orig(k, b, precond=precond, tol=1e-30, max_iter=1)
-        return orig(k, b, precond=precond, tol=tol, max_iter=max_iter)
+            return orig(k, b, precond=precond, tol=1e-30, max_iter=1,
+                        bound=bound)
+        return orig(k, b, precond=precond, tol=tol, max_iter=max_iter,
+                    bound=bound)
 
     monkeypatch.setattr(fem3d, "pcg", second_crippled)
     m = tmp_path / "m"
@@ -450,8 +452,36 @@ def test_manifest_records_solver(tmp_path, phases_file):
     assert len(record["iterations"]) == 6
     assert all(1 <= it <= 40 for it in record["iterations"])
     assert record["residuals"] == form["residuals"]
-    assert all(r <= 1e-10 for r in record["residuals"])
+    # every column met the residual rule or the certified bound
+    assert record["m"] == pytest.approx(10 ** -0.5)
+    assert len(record["energy_bounds"]) == 6
+    assert all(r <= 1e-10 or e <= 1e-13 for r, e in
+               zip(record["residuals"], record["energy_bounds"]))
     assert "solver" not in form
+
+
+def test_manifest_records_blas_build_and_threads(tmp_path, monkeypatch):
+    # the first thread variable set wins; with none, the core count
+    def blas(out, env):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert run(["gen-micro", "--kind", "checkerboard", "--period", "2",
+                    "--res", "2,2,2", "--out", str(tmp_path / out)]) == 0
+        doc = json.loads((tmp_path / out / "manifest.json").read_text())
+        return doc["blas"]
+
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    rec = blas("a", {"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "5"})
+    assert rec == {"name": build["name"], "version": build["version"],
+                   "threads": 3, "threads_from": "OMP_NUM_THREADS"}
+    rec = blas("b", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"})
+    assert (rec["threads"], rec["threads_from"]) == (1, "OPENBLAS_NUM_THREADS")
+    rec = blas("c", {})
+    assert (rec["threads"], rec["threads_from"]) == (os.cpu_count(),
+                                                     "cpu_count")
 
 
 def test_manifests_record_operator_size(tmp_path, phases_file):

@@ -1093,8 +1093,8 @@ def test_reference_symbol_inverts_homogeneous_cell(gamma):
     # on a cell of the reference tensor itself the preconditioner is the
     # pseudo-inverse: M K v = P v; nx != ny and odd nx catch a swapped axis,
     # and a sign or phase error in the symbol fails at every wavenumber
-    c0 = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
-                                 isotropic_hooke(10.0, 10.0)])
+    c0, _ = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                    isotropic_hooke(10.0, 10.0)])
     grid = VoxelGrid(5, 4, 3, np.ones(60, dtype=np.int32), "cell")
     op = assemble(grid, {1: c0}, scale=gamma)
     m = fem3d.ReferencePreconditioner(op)
@@ -1175,15 +1175,32 @@ def test_layer_symbol_matches_plane_table(shape):
 
 
 def test_reference_tensor_log_euclidean_mean():
-    # isotropic lambda = mu phases: the geometric mean
-    c0 = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
-                                 isotropic_hooke(100.0, 100.0)])
+    # isotropic lambda = mu phases: the geometric mean, and m = 1/10, the
+    # softer phase's ratio to it
+    c0, m = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                    isotropic_hooke(100.0, 100.0)])
     assert_allclose(c0.c, isotropic_hooke(10.0, 10.0).c, rtol=1e-13)
-    # a soft phase stays finite, a phase without stiffness is left out
-    soft = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0), soft_hooke(1e-4)])
-    assert np.all(np.isfinite(soft.c)) and soft.alpha > 0.0
-    void = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0), soft_hooke(0.0)])
+    assert m == pytest.approx(0.1, rel=1e-13)
+    # a soft phase stays finite, a phase without stiffness is left out of
+    # the mean and turns the bound off
+    soft, m = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                      soft_hooke(1e-4)])
+    assert np.all(np.isfinite(soft.c)) and soft.alpha > 0.0 and m > 0.0
+    void, m = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
+                                      soft_hooke(0.0)])
     assert_allclose(void.c, isotropic_hooke(1.0, 1.0).c, rtol=1e-13)
+    assert m == 0.0
+    # an anisotropic phase: m is the generalized eigenvalue of the pencil
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 6))
+    aniso = HookeTensor3.from_mandel(g @ g.T + np.eye(6))
+    tensors = [isotropic_hooke(1.0, 2.0), aniso]
+    c0, m = fem3d.reference_tensor(tensors)
+    import scipy.linalg
+
+    want = min(scipy.linalg.eigh(t.c, c0.c, eigvals_only=True)[0]
+               for t in tensors)
+    assert m == pytest.approx(want, rel=1e-10)
 
 
 def test_block_pcg_zero_column_and_projected_loads():
