@@ -98,11 +98,11 @@ class HookeTensor3:
     beta: float
 
     @staticmethod
-    def from_mandel(c: np.ndarray, rel_tol: float = 1e-12) -> "HookeTensor3":
+    def from_mandel(c: np.ndarray) -> "HookeTensor3":
         c = np.array(c, dtype=float).reshape(6, 6)
         asym = np.max(np.abs(c - c.T))
         scale = max(np.max(np.abs(c)), 1.0)
-        if asym > rel_tol * scale:
+        if asym > 1e-12 * scale:
             warnings.warn(
                 f"stiffness matrix symmetrized (asymmetry {asym:.3e})",
                 stacklevel=2,

@@ -148,14 +148,15 @@ class BoundsReport:
     passed: bool
 
 
-def check_bounds(form, alpha: float, beta: float, voigt: PlateForm | None = None,
-                 slack: float = 1e-9) -> BoundsReport:
+def check_bounds(form, alpha: float, beta: float,
+                 voigt: PlateForm | None = None) -> BoundsReport:
     """Verify eigenvalues of A against [alpha/12, beta] and the Voigt ceiling.
 
     With non-coercive (soft) phases pass alpha <= 0: the coercivity check is
     skipped with a warning, mirroring the bound's precondition.
     """
     a = form.a
+    slack = 1e-9        # each eigenvalue check allows this much rounding
     eig = np.linalg.eigvalsh(a)
     check_coercivity = alpha > 0.0
     if not check_coercivity:

@@ -17,10 +17,10 @@ Plate mode eliminates all components on the clamped edge planes.
 edges once (the last one cached): the one corner map of the lattice,
 ``corners``, the lattice node of local corner a of every element, wrapped
 in-plane in cell mode, and the nodes that carry dofs. The smoother's
-blocks and the element product index it; the corner sums of loads index
-its inverse, the elements of each dof node corner by corner, which the
-record builds on first use. Only a plate's preconditioner imports scipy:
-scipy.linalg for its coarse band, scipy.sparse for its smoother.
+diagonal and the element product index it; the corner sums of loads
+index its inverse, the elements of each dof node corner by corner, which
+the record builds on first use. Only a plate's preconditioner imports
+scipy: scipy.linalg, for its coarse band.
 
 A voxel operator has one 24x24 element stiffness per tensor, so K applies
 element by element (``ElementProduct``): block by block of elements, a dof
@@ -28,8 +28,8 @@ index gathers their dofs, one GEMM multiplies them by their tensor's
 stiffness, and ``np.add.at`` adds the results back over the same index.
 No operator has an assembled K: a cell's and a clamped plate's ``k`` are
 their element products. A plate's preconditioner reads what it needs from
-the element stiffnesses too: the smoother's diagonal node blocks corner by
-corner, and the coarse operator from one table per (tensor, layer), row
+the element stiffnesses too: the smoother's diagonal corner by corner,
+and the coarse operator from one table per (tensor, layer), row
 of elements by row; its coarse basis is applied on the node-column
 lattice. A cell's reference preconditioner needs only the element
 stiffness of its reference tensor.
@@ -325,7 +325,7 @@ class ElementProduct:
         self.shape = (op.ndof, op.ndof)
         # elements [bounds[t], bounds[t + 1]) of the gather's order carry
         # tensor t
-        self.bounds = np.concatenate(
+        bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(op.tensor_of_elem,
                                         minlength=len(op.tensors)))))
         # the blocks of _CHUNK elements: their dofs, and the (tensor, first
@@ -335,8 +335,7 @@ class ElementProduct:
         for lo in range(0, nelem, _CHUNK):
             hi = min(lo + _CHUNK, nelem)
             ranges = [(t, max(a, lo) - lo, min(b, hi) - lo)
-                      for t, (a, b) in enumerate(zip(self.bounds[:-1],
-                                                     self.bounds[1:]))
+                      for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
                       if a < hi and b > lo]
             self._blocks.append((self.dofs[24 * lo:24 * hi], ranges))
 
@@ -611,34 +610,18 @@ class BandedCholesky:
         return x
 
 
-def _block_jacobi(blocks: np.ndarray):
-    """3x3 block-Jacobi smoother from K's (nnode, 3, 3) diagonal blocks: the
-    product with the block-diagonal BSR matrix of their inverses."""
-    import scipy.sparse as sp
-
-    nb = blocks.shape[0]
-    # a node that touches only zero-stiffness elements (a ``soft_hooke(0)``
-    # phase, accepted with allow_soft) has a zero block: invert it as I
-    sing = np.abs(np.linalg.det(blocks)) < 1e-300
-    inv = np.linalg.inv(np.where(sing[:, None, None], np.eye(3), blocks))
-    return sp.bsr_matrix((inv, np.arange(nb), np.arange(nb + 1)),
-                         shape=(3 * nb, 3 * nb)).dot
-
-
-def _diagonal_blocks(op: Operator) -> np.ndarray:
-    """(ndof // 3, 3, 3) K's diagonal node blocks of a plate operator, from
-    its element stiffnesses: from zero, each node adds the diagonal element
-    block kes[t, 3a:3a+3, 3a:3a+3] of the corners a it is, in ascending a,
-    as adding K's corner pairs one after another would, so the blocks are
-    K's bit for bit. A node is corner a of one element at most, so no
-    ``+=`` repeats an index."""
-    ntens = len(op.tensors)
-    corner = np.arange(8)
-    table = op.kes.reshape(ntens, 8, 3, 8, 3)[:, corner, :, corner]  # (a, t)
-    blocks = np.zeros((op.stencil.rows.size, 3, 3))
+def _diagonal(op: Operator) -> np.ndarray:
+    """(ndof,) K's diagonal, from the operator's element stiffnesses: from
+    zero, each node adds the diagonal entries of the element block
+    kes[t, 3a:3a+3, 3a:3a+3] of the corners a it is, in ascending a, as
+    adding K's corner pairs one after another would, so the diagonal is K's
+    bit for bit. A node is corner a of one element at most, so no ``+=``
+    repeats an index."""
+    table = np.diagonal(op.kes, axis1=1, axis2=2).reshape(-1, 8, 3)  # (t, a)
+    diagonal = np.zeros((op.stencil.rows.size, 3))
     for a in range(8):
-        blocks[op.stencil.corners[a].ravel()] += table[a, op.tensor_of_elem]
-    return blocks[op.stencil.rows]
+        diagonal[op.stencil.corners[a].ravel()] += table[op.tensor_of_elem, a]
+    return diagonal[op.stencil.rows].ravel()
 
 
 # the five coarse fields of a free node column, hat + r ^ x3 e3: the
@@ -711,19 +694,22 @@ def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
 
 
 class PlatePreconditioner:
-    """Two-level additive preconditioner M = BJ + P Kc^-1 P^T for a clamped
-    plate operator (two-level additive Schwarz; Toselli & Widlund 2005,
-    ch. 2-3).
+    """Two-level additive preconditioner M = D^-1 + P Kc^-1 P^T for a
+    clamped plate operator (two-level additive Schwarz; Toselli & Widlund
+    2005, ch. 2-3).
 
-    BJ is the 3x3 block-Jacobi smoother. The coarse space is the part of the
-    Griso decomposition that is linear in x3, hat + r ^ x3 e3: per free node
-    column (one whose bottom node is free) three translations and the two
-    rotation components, u1 += x3 r2 and u2 -= x3 r1, the sign convention of
+    D is K's diagonal, the Jacobi smoother, applied as a product with its
+    stored inverse; a dof of zero diagonal, on a node that touches only
+    zero-stiffness elements (``allow_soft``), gets 1. The coarse space is
+    the part of the Griso decomposition that is linear in x3,
+    hat + r ^ x3 e3: per free node column (one whose bottom node is free)
+    three translations and the two rotation components, u1 += x3 r2 and
+    u2 -= x3 r1, the sign convention of
     ``convergence.GrisoParts.elementary``. These fields are the near-kernel
     that makes the scaled operator ill-conditioned as h -> 0; the coarse
     operator Kc = P^T K P is factored once. The plate has no assembled K:
-    the smoother's blocks (``_diagonal_blocks``) and Kc (``_coarse_band``)
-    both come from the element stiffnesses, the blocks first.
+    D (``_diagonal``) and Kc (``_coarse_band``) both come from the element
+    stiffnesses, D first.
 
     P is no matrix either. Free nodes are numbered in flat order and every
     node layer has the same free columns, so a field is an (nz + 1, ncol, 3)
@@ -750,7 +736,9 @@ class PlatePreconditioner:
         free = op.stencil.rows.reshape(op.stencil.lattice)[0]
         self.ncol = int(free.sum())                              # bottom layer
         self.z = np.linspace(-0.5, 0.5, nz + 1)
-        self.smoother = _block_jacobi(_diagonal_blocks(op))
+        d = _diagonal(op)
+        d[d == 0.0] = 1.0
+        self.inverse_diagonal = 1.0 / d
         # the free columns fill a rectangle, numbered x fastest
         ny_free = int(free.any(axis=1).sum())
         columns = band_order(ny_free, self.ncol // ny_free)
@@ -760,7 +748,7 @@ class PlatePreconditioner:
 
     def describe(self) -> dict:
         """Name, smoother, coarse dof count, coarse solver and its bandwidth."""
-        return {"name": self.name, "smoother": "block-jacobi",
+        return {"name": self.name, "smoother": "jacobi",
                 "coarse_dofs": 5 * self.ncol,
                 "coarse_solver": "banded-cholesky",
                 "bandwidth": self.coarse.bandwidth}
@@ -793,7 +781,9 @@ class PlatePreconditioner:
         return out
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.prolong(self.coarse.solve(self.restrict(r)), self.smoother(r))
+        d = self.inverse_diagonal
+        return self.prolong(self.coarse.solve(self.restrict(r)),
+                            r * (d if r.ndim == 1 else d[:, None]))
 
 
 def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
@@ -1043,12 +1033,11 @@ def restrict_field(op: Operator, field: np.ndarray) -> np.ndarray:
 # legacy VTK structured-points dump
 # ---------------------------------------------------------------------------
 
-def dump_vtk(field: np.ndarray, path, name: str = "displacement",
-             origin=(0.0, 0.0, -0.5), title: str = "platehom field") -> None:
+def dump_vtk(field: np.ndarray, path, name: str = "displacement") -> None:
     """Write a nodal 3-vector field as legacy ASCII VTK STRUCTURED_POINTS.
 
     Point order is x-fastest, then y, then z; one VECTORS record; numbers
-    printed with %.17g.
+    printed with %.17g. The points span the unit domain, origin (0, 0, -1/2).
     """
     npx, npy, npz, _ = field.shape
     sx = 1.0 / max(npx - 1, 1)
@@ -1056,11 +1045,11 @@ def dump_vtk(field: np.ndarray, path, name: str = "displacement",
     sz = 1.0 / max(npz - 1, 1)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("platehom field\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {npx} {npy} {npz}\n")
-        fh.write(f"ORIGIN {origin[0]:.17g} {origin[1]:.17g} {origin[2]:.17g}\n")
+        fh.write("ORIGIN 0 0 -0.5\n")
         fh.write(f"SPACING {sx:.17g} {sy:.17g} {sz:.17g}\n")
         fh.write(f"POINT_DATA {npx * npy * npz}\n")
         fh.write(f"VECTORS {name} double\n")

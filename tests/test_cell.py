@@ -269,7 +269,7 @@ def test_homogenize_matches_dense_pseudoinverse():
     hf = homogenize(grid, phases, 0.7, tol=1e-13)
     op = fem3d.assemble(grid, phases, scale=0.7, mode="cell")
     gmat, e0 = fem3d.corrector_loads(op)
-    kd = block_fill_stiffness(op)[0].toarray()
+    kd = block_fill_stiffness(op).toarray()
     u = -np.linalg.pinv(kd) @ gmat
     a_dense = 0.5 * (e0 + gmat.T @ u + u.T @ gmat + u.T @ kd @ u)
     assert np.max(np.abs(hf.a - a_dense)) < 1e-12 * np.max(np.abs(a_dense))
@@ -285,7 +285,7 @@ def _pinned_lu_form(grid, phases, gamma):
 
     op = fem3d.assemble(grid, phases, scale=gamma, mode="cell")
     gmat, e0 = fem3d.corrector_loads(op)
-    k = block_fill_stiffness(op)[0]
+    k = block_fill_stiffness(op)
     keep = np.arange(3, op.ndof)
     u = np.zeros((op.ndof, 6))
     # K is symmetric: a minimum-degree ordering of K + K^T fills about a

@@ -185,7 +185,7 @@ def test_theorem1_command(tmp_path, phases_file):
         # 8 free columns along x (the left edge is clamped), 9 along y:
         # x runs fastest and neighbours are 9 columns apart
         assert r["preconditioner"] == {"name": "two-level",
-                                       "smoother": "block-jacobi",
+                                       "smoother": "jacobi",
                                        "coarse_dofs": 5 * 8 * 9,
                                        "coarse_solver": "banded-cholesky",
                                        "bandwidth": 5 * 9 + 4}
@@ -223,6 +223,22 @@ def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
             + "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
             + "print('scipy.sparse.linalg' in sys.modules)")
     assert _fresh_stdout(code).split()[-1] == "False"
+
+
+def test_clamped_solve_loads_scipy_linalg_alone():
+    # the two-level preconditioner's smoother is K's diagonal and its
+    # coarse factor banded Cholesky, so a clamped 3D solve loads
+    # scipy.linalg and not scipy.sparse
+    code = ("import sys\nfrom platehom import fem3d\n"
+            "from platehom.algebra import isotropic_hooke\n"
+            "from platehom.microstructure import make_laminate\n"
+            "grid = make_laminate('x3', [0.5, 0.5], (4, 4, 2), domain='plate')\n"
+            "phases = {1: isotropic_hooke(1.0, 1.0),"
+            " 2: isotropic_hooke(10.0, 10.0)}\n"
+            "fem3d.solve_clamped(grid, phases, 0.25, (0, 0, 1), ('left',))\n"
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg')"
+            " if m in sys.modules))")
+    assert _fresh_stdout(code).splitlines()[-1] == "['scipy.linalg']"
 
 
 def test_commands_that_solve_nothing_leave_scipy_solvers_unloaded(tmp_path):
