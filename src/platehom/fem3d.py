@@ -793,7 +793,8 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
     """Preconditioned conjugate gradients on one or several right-hand sides.
 
     ``k`` is a symmetric K that multiplies as ``k @ p``: an
-    ``ElementProduct``, or a sparse matrix. ``precond`` is a callable
+    ``ElementProduct``, a ``plate2d.PlateOperator`` or a sparse matrix.
+    ``precond`` is a callable
     applying the preconditioner to an (n, m) block, such as a
     preconditioner object. A 2-D ``b`` is solved column by column with
     column-wise step lengths, one product with K per iteration for all

@@ -9,45 +9,55 @@ bilinear cross-derivative for the mixed entry, and one-sided ghost reflection
 across clamped edges enforcing dv/dn = 0. The v space is nonconforming;
 refinement behavior is verified empirically by the tests.
 
-Every strain row is a Kronecker product of 1-D operators (average,
-difference, averaged second difference), built once per grid, and the 2x2
-Gauss sum K = sum_g 2 w_g B_g^T blockdiag(A) B_g is one sparse product in
-closed form (see ``_StrainOperators``). Every node couples to nodes at
-most three lines away, so in a node order that runs fastest along the
-shorter side K is a band matrix (``band_layout``). With no membrane-bending
-coupling K has no entry between w and v, and ``minimize_plate`` solves the
-membrane and the bending block one after the other, each with its own band
-filled straight from K's CSR (``csr_band``); a coupled K is one block. A
-block the load does not reach has the minimizer 0 and is not solved. A
-block's banded Cholesky factor (``fem3d.BandedCholesky``) preconditions CG
-on K, which converges in one or two iterations. With the two edges of one
-axis clamped, the other two free and an even cell count between them, the
-averaged second differences leave an exact zero-energy deflection (0, 1, 0,
-1, ... across node columns): K, its bending block when the form
-decouples, is singular, and ``minimize_plate`` raises ``SolverError`` when
-the load reaches that block.
+K is assembled cell by cell (``PlateOperator``) and solved block by block
+(``minimize_plate``). With the two edges of one axis clamped, the other
+two free and an even cell count between them, the averaged second
+differences leave an exact zero-energy deflection (0, 1, 0, 1, ... across
+node lines): K is singular, and ``minimize_plate`` raises ``SolverError``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import SQRT2
-from .fem3d import (BandedCholesky, SolveInfo, SolverError, band_order,
-                    free_nodes, pcg)
+from .fem3d import BandedCholesky, SolveInfo, SolverError, free_nodes, pcg
 
 GAUSS = 1.0 / np.sqrt(3.0)
-# the strain rows of each Gauss group of ``_StrainOperators``: the center
-# moves all six, xi only (e22, e12), eta only (e11, e12)
+# the strain rows of each Gauss group (the center, xi, eta); a cell's ten
+# strain rows are these in turn, each with its form slot and group
 GROUP_ROWS = ((0, 1, 2, 3, 4, 5), (1, 2), (0, 2))
-# rows of K per chunk of ``csr_band``, whose index arrays stay small beside
-# the band
-BAND_FILL_ROWS = 256
+FORM_SLOT = np.array(sum(GROUP_ROWS, ()))
+GROUP = np.array([g for g, rows in enumerate(GROUP_ROWS) for _ in rows])
+# a cell's 1-D rows along one axis (``_cell_rows``)
+DIFF, AVG, TILT, SECOND = range(4)
+# each strain row's terms (component of w1, w2, v; scale; x row; y row):
+# scale times the product of the cell's rows, in the Mandel coordinates of
+# ``algebra.mandel_pair`` (sqrt2 e12; M2 = -hess v, twist -sqrt2 v_xy)
+STRAIN_TERMS = (
+    ((0, 1.0, DIFF, AVG),), ((1, 1.0, AVG, DIFF),),
+    ((0, 1 / SQRT2, AVG, DIFF), (1, 1 / SQRT2, DIFF, AVG)),
+    ((2, -1.0, SECOND, AVG),), ((2, -1.0, AVG, SECOND),),
+    ((2, -SQRT2, DIFF, DIFF),),
+    ((1, GAUSS, TILT, DIFF),), ((0, GAUSS / SQRT2, TILT, DIFF),),
+    ((0, GAUSS, DIFF, TILT),), ((1, GAUSS / SQRT2, DIFF, TILT),),
+)
+# the blocks of K: their node field components and strain rows
+BLOCKS = {"membrane": ((0, 1), (0, 1, 2, 6, 7, 8, 9)),
+          "bending": ((2,), (3, 4, 5)),
+          "coupled": ((0, 1, 2), tuple(range(10)))}
+# a block's local dofs of a cell, (component, x, y offset from its first
+# node): w on its corners, v on the cross its second differences reach
+LOCAL = {name: np.array([(c, i, j) for c in comps for i, j in (
+    ((-1, 0), (0, 0), (1, 0), (2, 0), (-1, 1), (0, 1), (1, 1), (2, 1),
+     (0, -1), (1, -1), (0, 2), (1, 2)) if c == 2 else
+    ((0, 0), (1, 0), (0, 1), (1, 1)))], dtype=np.int8)
+    for name, (comps, _) in BLOCKS.items()}
 
 
 @dataclass(frozen=True)
@@ -69,9 +79,19 @@ class PlateProblem:
             forms = np.broadcast_to(forms, (self.mx, self.my, 6, 6)).copy()
         if forms.shape != (self.mx, self.my, 6, 6):
             raise ValueError(f"forms shape {forms.shape} invalid")
-        eigs = np.linalg.eigvalsh(forms)
-        if np.any(eigs[..., 0] <= 0.0):
-            raise ValueError("every cell form must be positive definite")
+        # symmetric to 1e-12 of max|A|, each cell; stored as 0.5 (A + A^T)
+        i, j = np.triu_indices(6, 1)
+        asym = np.abs(forms[..., i, j] - forms[..., j, i]).max(axis=-1)
+        bad = np.argwhere(asym > 1e-12 * np.abs(forms).max(axis=(-2, -1)))
+        if bad.size:
+            ci, cj = bad[0]
+            raise ValueError(f"cell form ({ci}, {cj}) is not symmetric: "
+                             f"max |A - A^T| = {asym[ci, cj]:.3e}")
+        forms = 0.5 * (forms + forms.swapaxes(-1, -2))
+        try:
+            np.linalg.cholesky(forms)
+        except np.linalg.LinAlgError:
+            raise ValueError("every cell form must be positive definite") from None
         forces = np.asarray(self.forces, dtype=float)
         if forces.shape == (3,):
             forces = np.broadcast_to(forces, (self.mx + 1, self.my + 1, 3)).copy()
@@ -94,242 +114,223 @@ class PlateSolution:
     solve: SolveInfo = field(compare=False)
 
 
-def _two_point(n: int, lo, hi) -> np.ndarray:
-    """(n, n+1): row c holds ``lo`` at node c and ``hi`` at node c + 1."""
-    m = np.zeros((n, n + 1))
-    c = np.arange(n)
-    m[c, c], m[c, c + 1] = lo, hi
-    return m
+def _cell_rows(n: int, clamped_lo: bool, clamped_hi: bool) -> list:
+    """The n >= 2 cells of one axis in runs that share their 1-D rows,
+    inner cells first: (cells, rows), rows (4, 4) at the node offsets
+    -1 .. 2 from a cell's first node: difference, mean, slope in the local
+    coordinate xi in [-1, 1], and n^2 times the mean of the 3-point second
+    differences at those of its nodes that have one (a clamped end node's
+    is 2 v(1), from v = 0 and the ghost value v(-1) = v(1))."""
+    seconds = np.array([[0.5, -0.5, -0.5, 0.5],
+                        [0.0, 0.5, 0.0, 0.5] if clamped_lo else [0.0, 1.0, -2.0, 1.0],
+                        [0.5, 0.0, 0.5, 0.0] if clamped_hi else [1.0, -2.0, 1.0, 0.0]])
+    rows = [[0.0, -n, n, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, -0.5, 0.5, 0.0]]
+    return [(cells, np.array(rows + [s])) for cells, s in zip(
+        (slice(1, n - 1), slice(0, 1), slice(n - 1, n)), seconds * (n * n))
+        if cells.start < cells.stop]
 
 
-def _second_difference(n: int, clamped_lo: bool, clamped_hi: bool) -> np.ndarray:
-    """(n, n+1), unscaled: per cell, the mean of the 3-point nodal second
-    differences at those of its two end nodes that have one. A clamped end
-    node has v = 0 and the ghost value v(-1) = v(1), so its difference is
-    2 v(1); a free end node has none."""
-    d2 = np.zeros((n + 1, n + 1))
-    c = np.arange(1, n)
-    d2[c, c - 1], d2[c, c], d2[c, c + 1] = 1.0, -2.0, 1.0
-    d2[0, 1] = 2.0 if clamped_lo else 0.0
-    d2[n, n - 1] = 2.0 if clamped_hi else 0.0
-    have = np.ones(n + 1)
-    have[0], have[n] = clamped_lo, clamped_hi
-    pick = _two_point(n, have[:-1], have[1:])
-    count = pick.sum(axis=1, keepdims=True)
-    if np.any(count == 0.0):
-        raise ValueError("no curvature stencil available on some cell")
-    return (pick / count) @ d2
+def _node_view(a: np.ndarray, nfy: int, nfx: int, k: int) -> np.ndarray:
+    """(nfy, nfx, k) view of ``a``, k dofs per free node in band order: the
+    faster index along the side with fewer free nodes, x on a tie."""
+    if nfy < nfx:
+        return a.reshape(nfx, nfy, k).swapaxes(0, 1)
+    return a.reshape(nfy, nfx, k)
 
 
-def _slot(r: int, c: int, ncomp: int, scale: float = 1.0) -> np.ndarray:
-    """(6, ncomp): places component c of a node field in strain row r."""
-    m = np.zeros((6, ncomp))
-    m[r, c] = scale
-    return m
+class PlateOperator:
+    """K on the free dofs (w1, w2 of free node f at 2f, 2f + 1, v at
+    2 nf + f; free nodes [j0, j1) x [i0, i1), flat order) from the element
+    matrices of the blocks ``names``. ``ke[name]`` (n, n, my, mx) holds each
+    cell's K_c = B_c^T D_c B_c on the block's local dofs (``LOCAL``), D_c
+    2 hx hy times the form on the block's strain rows, zero between Gauss
+    groups: K_c = sum D_c[q, q'] M_qq' over the pairs q <= q' of one group,
+    M_qq' = B_q[a] B_q'[b] + B_q'[a] B_q[b] (halved for q = q'), symmetric
+    bit for bit, in one GEMM for all cells with the inner run's rows, then
+    one per other run. ``k @ p`` gathers each cell's local dofs by slices
+    of node grids, multiplies them by K_c and adds them back by slices;
+    ``nnz`` counts the element matrix entries and ``indices`` is the int8
+    table of the local dofs."""
 
+    def __init__(self, problem: PlateProblem, names):
+        mx, my, clamped = problem.mx, problem.my, problem.clamped
+        self.mx, self.my = mx, my
+        self.flat_free = free_nodes(my + 1, mx + 1, clamped).ravel()
+        self.i0, self.i1 = int("left" in clamped), mx + 1 - ("right" in clamped)
+        self.j0, self.j1 = int("bottom" in clamped), my + 1 - ("top" in clamped)
+        self.nfy, self.nfx = self.j1 - self.j0, self.i1 - self.i0
+        self.free_rect = np.s_[:, self.j0 + 1:self.j1 + 1, self.i0 + 1:self.i1 + 1]
+        self.shape = (3 * self.nfy * self.nfx,) * 2
+        self.runs = (_cell_rows(mx, "left" in clamped, "right" in clamped),
+                     _cell_rows(my, "bottom" in clamped, "top" in clamped))
+        self.ke = {name: self._element_matrices(problem.forms, name) for name in names}
 
-class _StrainOperators:
-    """Membrane/curvature strain operators of one grid and clamped set.
+    nnz = property(lambda self: sum(ke.size for ke in self.ke.values()))
+    indices = property(lambda self: np.concatenate([LOCAL[n] for n in self.ke]))
 
-    Rows are 6 c + r for cell c = ci + mx cj. Dofs are w1, w2 of node
-    n = i + (mx+1) j at 2n, 2n+1 and v at 2 nn + n, so kron(ay, ax) applies
-    ay along j and ax along i. Membrane rows are the strains of the bilinear
-    w, curvature rows the Mandel coordinates (-v_xx, -v_yy, -sqrt2 v_xy) of
-    M2 = -hess v (``algebra.mandel_pair``): averaged second differences in x
-    and y and the bilinear cross derivative.
+    def strain_rows(self, rows, local: np.ndarray) -> list:
+        """(cells along y, cells along x, B) of each pair of runs, B the
+        strain rows ``rows`` (``STRAIN_TERMS``) of those cells on their
+        local dofs ``local``."""
+        (cxs, xs), (cys, ys) = ((c, np.stack(r)) for c, r in (
+            zip(*runs) for runs in self.runs))
+        comp, i, j = local.astype(np.intp).T + [[0], [1], [1]]
+        b = np.zeros((len(ys), len(xs), len(rows), len(local)))
+        for r, q in enumerate(rows):
+            for c, scale, xr, yr in STRAIN_TERMS[q]:
+                on = comp == c
+                b[:, :, r, on] = ys[:, None, yr, j[on]] * xs[None, :, xr, i[on]] * scale
+        return [(cy, cx, b[v, u]) for v, cy in enumerate(cys)
+                for u, cx in enumerate(cxs)]
 
-    ``center`` holds the cell-center strains on all dofs. The strain at the
-    Gauss point (xi, eta) = (+-g, +-g), g = 1/sqrt(3), is center + xi B_xi +
-    eta B_eta, so the cross terms cancel in the 2x2 Gauss sum:
-    sum_g B_g^T D B_g = 4 (B_c^T D B_c + g^2 B_xi^T D B_xi + g^2 B_eta^T D B_eta).
-    B_xi moves only the e22 and e12 rows and B_eta only e11 and e12, so
-    ``gauss`` stacks, on the free dofs, B_c (six rows per cell), then g B_xi
-    and g B_eta on their two rows per cell only (``GROUP_ROWS``), cell by
-    cell in ascending row order.
-    """
+    def _element_matrices(self, forms: np.ndarray, name: str) -> np.ndarray:
+        rows = list(BLOCKS[name][1])
+        q, r = np.nonzero(np.triu(np.equal.outer(GROUP[rows], GROUP[rows])))
+        d = forms[..., FORM_SLOT[rows][q], FORM_SLOT[rows][r]].T * (
+            2.0 * (1.0 / self.mx) * (1.0 / self.my))    # (P, my, mx)
+        ke = np.empty((len(LOCAL[name]),) * 2 + (self.my, self.mx))
+        for n, (cy, cx, b) in enumerate(self.strain_rows(rows, LOCAL[name])):
+            m = ((b[q, :, None] * b[r, None] + b[r, :, None] * b[q, None])
+                 * np.where(q == r, 0.5, 1.0)[:, None, None]).reshape(q.size, -1).T
+            if n == 0:
+                np.matmul(m, d.reshape(q.size, -1), out=ke.reshape(m.shape[0], -1))
+            else:
+                ke[:, :, cy, cx] = (m @ d[:, cy, cx].reshape(q.size, -1)).reshape(
+                    ke[:, :, cy, cx].shape)
+        return ke
 
-    def __init__(self, mx: int, my: int, clamped: tuple[str, ...]):
-        import scipy.sparse as sp
+    def grids(self, p: np.ndarray) -> np.ndarray:
+        """(3, my + 3, mx + 3, m) node grids of w1, w2 and v, a ghost line
+        past each edge, of the free-dof vectors ``p`` (ndof, m)."""
+        u = np.zeros((3, self.my + 3, self.mx + 3, p.shape[1]))
+        nw, free = 2 * self.nfy * self.nfx, u[self.free_rect]
+        free[:2] = p[:nw].reshape(self.nfy, self.nfx, 2, -1).transpose(2, 0, 1, 3)
+        free[2] = p[nw:].reshape(self.nfy, self.nfx, -1)
+        return u
 
-        self.flat_free = free_nodes(my + 1, mx + 1, clamped).ravel()  # [j, i]
-        self.dof_free = np.concatenate([np.repeat(self.flat_free, 2),
-                                        self.flat_free])
+    def gather(self, u: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """(n, my, mx, m): every cell's values of the node grids ``u`` at
+        its n local dofs ``local``."""
+        return np.stack([u[c, j + 1:j + 1 + self.my, i + 1:i + 1 + self.mx]
+                         for c, i, j in local.tolist()])
 
-        dx, dy = _two_point(mx, -mx, mx), _two_point(my, -my, my)
-        avg_x, avg_y = _two_point(mx, 0.5, 0.5), _two_point(my, 0.5, 0.5)
-        # d/dxi of the interpolant at local coordinate xi in [-1, 1]
-        tilt_x, tilt_y = _two_point(mx, -0.5, 0.5), _two_point(my, -0.5, 0.5)
-        d2x = _second_difference(mx, "left" in clamped, "right" in clamped)
-        d2y = _second_difference(my, "bottom" in clamped, "top" in clamped)
+    def block(self, name: str) -> PlateOperator:
+        """K's block ``name``: K on its dofs, zero on the others."""
+        op = copy.copy(self)
+        op.ke = {name: self.ke[name]}
+        return op
 
-        def strains(gx, gy, vxx, vyy, vxy):
-            """Strain rows from the x and y derivatives of w and the second
-            derivatives of v, each an (ncell, nn) operator."""
-            membrane = sum(sp.kron(op, _slot(r, c, 2, scale), format="csr")
-                           for op, r, c, scale in (
-                               (gx, 0, 0, 1.0), (gy, 1, 1, 1.0),
-                               (gy, 2, 0, 1 / SQRT2), (gx, 2, 1, 1 / SQRT2)))
-            bending = sum(sp.kron(op, _slot(r, 0, 1, scale), format="csr")
-                          for r, op, scale in ((3, vxx, -1.0), (4, vyy, -1.0),
-                                               (5, vxy, -SQRT2)))
-            return sp.hstack([membrane, bending], format="csr")
+    def band(self, name: str) -> np.ndarray:
+        """Lower band of block ``name`` in ``band_layout``'s order, in
+        ``BandedCholesky``'s storage. Each local pair (a, b) sits at one
+        offset in band order; at offset >= 0 it adds K_c[a, b] by one 2-D
+        slice add over the cells whose two nodes are free."""
+        comp, i, j = LOCAL[name].astype(np.intp).T
+        comp -= comp.min()          # the component's place in its node
+        k = comp.max() + 1
+        pos = _node_view(np.arange(self.shape[0] // 3 * k), self.nfy, self.nfx, k)
+        sy, sx, _ = np.array(pos.strides) // pos.itemsize
+        offset = ((j[:, None] - j) * sy + (i[:, None] - i) * sx
+                  + comp[:, None] - comp)
+        x0 = np.maximum(0, self.i0 - np.minimum.outer(i, i))
+        x1 = np.minimum(self.mx, self.i1 - np.maximum.outer(i, i))
+        y0 = np.maximum(0, self.j0 - np.minimum.outer(j, j))
+        y1 = np.minimum(self.my, self.j1 - np.maximum.outer(j, j))
+        a, b = np.nonzero((offset >= 0) & (x0 < x1) & (y0 < y1))
+        x0, x1, y0, y1, offset = (e[a, b] for e in (x0, x1, y0, y1, offset))
+        band = np.zeros((offset.max() + 1, self.shape[0] // 3 * k), order="F")
+        rows = {d: _node_view(band[d], self.nfy, self.nfx, k)
+                for d in np.unique(offset).tolist()}
+        for d, cb, xa, xb, ya, yb, xc, yc, ka, kb in zip(*(e.tolist() for e in (
+                offset, comp[b], x0, x1, y0, y1, i[b] - self.i0, j[b] - self.j0,
+                a, b))):
+            rows[d][ya + yc:yb + yc, xa + xc:xb + xc, cb] += self.ke[name][
+                ka, kb, ya:yb, xa:xb]
+        return band
 
-        zero = sp.csr_matrix((mx * my, (mx + 1) * (my + 1)))
-        self.center = strains(sp.kron(avg_y, dx), sp.kron(dy, avg_x),
-                              sp.kron(avg_y, d2x) * (mx * mx),
-                              sp.kron(d2y, avg_x) * (my * my),
-                              sp.kron(dy, dx))
-        b_xi = strains(zero, sp.kron(dy, tilt_x), zero, zero, zero)
-        b_eta = strains(sp.kron(tilt_y, dx), zero, zero, zero, zero)
-        ncell = mx * my
-        self.gauss = sp.vstack(
-            [b[(6 * np.arange(ncell)[:, None] + rows).ravel()] for b, rows in zip(
-                (self.center, GAUSS * b_xi, GAUSS * b_eta), GROUP_ROWS)],
-            format="csr")[:, self.dof_free]
-
-
-@functools.lru_cache(maxsize=1)
-def _curvature_stencils(mx: int, my: int,
-                        clamped: tuple[str, ...]) -> _StrainOperators:
-    """The strain operators of the last grid and clamped set, so that
-    repeated assemblies and strain evaluations on one grid (a perturbation
-    report makes six) build them once. One set only: it grows with
-    mx * my."""
-    return _StrainOperators(mx, my, clamped)
-
-
-def _form_blocks(forms: np.ndarray):
-    """D of ``assemble_plate``: the CSR block diagonal, over the rows of
-    ``_StrainOperators.gauss``, of each cell's block of the (ncell, 6, 6)
-    ``forms`` on each Gauss group's strain rows (``GROUP_ROWS``), each
-    row's columns in ascending order."""
-    import scipy.sparse as sp
-
-    ncell = forms.shape[0]
-    data, cols, counts, start = [], [], [], 0
-    for rows in map(list, GROUP_ROWS):
-        s = len(rows)
-        data.append(forms[:, rows][:, :, rows].ravel())
-        first = start + np.arange(ncell * s) // s * s   # its cell's first column
-        cols.append((first[:, None] + np.arange(s)).ravel())
-        counts.append(np.full(ncell * s, s))
-        start += ncell * s
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
-                         shape=(start, start))
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        u = self.grids(p.reshape(self.shape[0], -1))
+        out = np.zeros_like(u)
+        for name, ke in self.ke.items():
+            y = np.einsum("abji,bjim->ajim", ke, self.gather(u, LOCAL[name]))
+            for n, (c, i, j) in enumerate(LOCAL[name].tolist()):
+                out[c, j + 1:j + 1 + self.my, i + 1:i + 1 + self.mx] += y[n]
+        w, v, m = out[self.free_rect][:2], out[self.free_rect][2], u.shape[-1]
+        return np.concatenate([w.transpose(1, 2, 0, 3).reshape(-1, m),
+                               v.reshape(-1, m)]).reshape(p.shape)
 
 
 def assemble_plate(problem: PlateProblem):
     """Returns (K, load, free dof mask, free node mask) with energy
-    0.5 u.K u - l.u on the free dofs.
-
-    K = sum_g 2 w_g B_g^T blockdiag(A_c) B_g over the 2x2 Gauss points,
-    summed in closed form (see ``_StrainOperators``): K = sum_q G_q^T (D_q
-    G_q) over the three Gauss groups q, D_q the cells' form blocks on the
-    group's strain rows, as one product G^T (D G) of the stacked groups'
-    nonzero rows (``_form_blocks``). Every entry of K sums the same terms
-    in the same order as the product over all 18 rows per cell would."""
+    0.5 u.K u - l.u on the free dofs: K the ``PlateOperator`` of the blocks
+    the load reaches, the blocks whose minimizer is not 0."""
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
-    ops = _curvature_stencils(mx, my, tuple(problem.clamped))
-    # D G, with D gone before G^T is built; csr @ csr throughout: scipy's
-    # bsr and csc products are slower here. Cell order c = ci + mx cj; 4
-    # Gauss points of weight 2 w_g = hx hy / 2
-    dg = _form_blocks(problem.forms.swapaxes(0, 1).reshape(mx * my, 6, 6)
-                      * (2.0 * hx * hy)) @ ops.gauss
-    k = ops.gauss.T.tocsr() @ dg
-
     # lumped nodal load weights (quarter of each adjacent cell)
     area = np.zeros((mx + 1, my + 1))
-    area[:-1, :-1] += hx * hy / 4.0
-    area[1:, :-1] += hx * hy / 4.0
-    area[:-1, 1:] += hx * hy / 4.0
-    area[1:, 1:] += hx * hy / 4.0
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        area[i:mx + i, j:my + j] += hx * hy / 4.0
     load = (problem.forces * area[..., None]).swapaxes(0, 1).reshape(-1, 3)
-    ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])
-    return k, ell[ops.dof_free], ops.dof_free, ops.flat_free
+    flat_free = free_nodes(my + 1, mx + 1, problem.clamped).ravel()
+    dof_free = np.concatenate([np.repeat(flat_free, 2), flat_free])
+    ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])[dof_free]
+    return PlateOperator(problem, [name for name, order in band_layout(
+        problem, flat_free) if ell[order].any()]), ell, dof_free, flat_free
 
 
 def band_layout(problem: PlateProblem, flat_free: np.ndarray
                 ) -> tuple[tuple[str, np.ndarray], ...]:
-    """The blocks of the free dofs (w1, w2 of free node f at 2f, 2f + 1 and
-    v at 2 nf + f, free nodes in flat order) that ``minimize_plate`` solves
-    one after another: (name, band order) pairs.
+    """The blocks of the free dofs that ``minimize_plate`` solves one after
+    another, (name, band order), nodes in ``_node_view``'s order. With no
+    membrane-bending coupling in any cell form, K has no entry between w
+    and v: a "membrane" block of the w dofs, w1 and w2 together per node,
+    about 2 n sub-diagonals for n free nodes along the shorter side, and a
+    "bending" block of the v dofs, about 3 n; else one "coupled" block of
+    w1, w2, v per node, about 9 n."""
+    free = flat_free.reshape(problem.my + 1, problem.mx + 1)
+    nfy, nfx = int(free.any(axis=1).sum()), int(free.any(axis=0).sum())
+    f = np.arange(nfy * nfx)
 
-    Nodes run with the faster index along the side that has fewer free
-    nodes. When no cell form couples membrane and bending, K has no entry
-    between w and v: a "membrane" block of the w dofs, w1 and w2 together
-    per node, about 2 n sub-diagonals for n free nodes along the shorter
-    side, and a "bending" block of the v dofs, about 3 n. Otherwise one
-    "coupled" block keeps w1, w2, v together per node, about 9 n.
-    """
-    mx, my = problem.mx, problem.my
-    free = flat_free.reshape(my + 1, mx + 1)
-    nodes = band_order(int(free.any(axis=1).sum()), int(free.any(axis=0).sum()))
-    nf = nodes.size
-    w = 2 * nodes[:, None] + np.arange(2)
-    if np.any(problem.forms[..., :3, 3:]) or np.any(problem.forms[..., 3:, :3]):
-        return (("coupled", np.column_stack([w, 2 * nf + nodes]).ravel()),)
-    return ("membrane", w.ravel()), ("bending", 2 * nf + nodes)
+    def order(name):
+        comps = BLOCKS[name][0]
+        dofs = np.stack([2 * f + c if c < 2 else 2 * f.size + f for c in comps])
+        out = np.empty(dofs.size, dtype=np.intp)
+        _node_view(out, nfy, nfx, len(comps))[...] = dofs.T.reshape(nfy, nfx, -1)
+        return name, out
 
-
-def csr_band(k, order: np.ndarray) -> np.ndarray:
-    """Lower band of K[order][:, order] in ``BandedCholesky``'s storage,
-    filled straight from K's CSR: pos[i] is dof i's position in ``order``
-    (-1 off it), and each stored entry (i, j) with pos[i] >= pos[j] >= 0
-    goes to band[pos[i] - pos[j], pos[j]]. One pass over the block's rows
-    of K finds the bandwidth, a second fills the band, ``BAND_FILL_ROWS``
-    rows at a time, so no permuted copy of K is built."""
-    pos = np.full(k.shape[0], -1, dtype=np.intp)
-    pos[order] = np.arange(order.size)
-
-    def entries():
-        """Per row chunk: each entry's band offset (-1 for no band entry),
-        its column and its slice of K's CSR arrays."""
-        stop = int(order.max()) + 1
-        for lo in range(int(order.min()), stop, BAND_FILL_ROWS):
-            hi = min(lo + BAND_FILL_ROWS, stop)
-            a, b = k.indptr[lo], k.indptr[hi]
-            j = pos[k.indices[a:b]]
-            d = np.repeat(pos[lo:hi], np.diff(k.indptr[lo:hi + 1])) - j
-            d[j < 0] = -1
-            yield d, j, slice(a, b)
-
-    width = max(int(d.max()) for d, _, _ in entries())
-    band = np.zeros((width + 1, order.size), order="F")
-    for d, j, rows in entries():
-        keep = d >= 0
-        band[d[keep], j[keep]] = k.data[rows][keep]
-    return band
+    if np.any(problem.forms[..., :3, 3:]):
+        return (order("coupled"),)
+    return order("membrane"), order("bending")
 
 
-def _solve_block(k, ell: np.ndarray, name: str, order: np.ndarray, tol: float):
-    """CG on K itself for one block's load (``ell`` on the block, zero off
-    it), preconditioned by the block's banded Cholesky factor. Returns the
-    solution, its SolveInfo, the bandwidth and r.K_b^-1 r of the residual
-    r = l_b - K u_b. The band is freed on return."""
+def _solve_block(k: PlateOperator, ell: np.ndarray, name: str,
+                 order: np.ndarray, tol: float):
+    """CG on K's block ``name`` for its part of ``ell``, preconditioned by
+    its banded Cholesky factor: the solution, K times it, its SolveInfo,
+    the bandwidth and r.K_b^-1 r, r = l_b - K u_b. Frees the band."""
     what = f"plate operator's {name} block"
-    factor = BandedCholesky(csr_band(k, order), order, what)
+    factor = BandedCholesky(k.band(name), order, what)
     ell_b = np.zeros_like(ell)
     ell_b[order] = ell[order]
     try:
         u, info = pcg(k, ell_b, precond=factor.solve, tol=tol)
     except SolverError as exc:
         raise SolverError(f"{what}: {exc}") from exc
-    r = ell_b - k @ u
-    return u, info, factor.bandwidth, float(r @ factor.solve(r))
+    ku = k @ u
+    r = ell_b - ku
+    return u, ku, info, factor.bandwidth, float(r @ factor.solve(r))
 
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     """Discrete minimizer of the limit plate functional, block by block
-    (``band_layout``). Each block the load reaches goes to CG on K itself,
-    preconditioned by the banded Cholesky factor of K's block
-    (``fem3d.BandedCholesky``), and converges in one or two iterations.
-    Only one block's band is alive at a time. With no membrane-bending
-    coupling K has no entry between the blocks, so the sum of the block
-    solutions minimizes the whole functional, and a block with no load has
-    the minimizer 0: it gets no band, no factor and no CG, and a plate with
-    no load factors nothing. The solve record lists the solved blocks.
+    (``band_layout``). Each block the load reaches goes to CG on its block
+    of K, preconditioned by the block's banded Cholesky factor
+    (``fem3d.BandedCholesky``), and converges in one or two iterations;
+    one band is alive at a time. With no membrane-bending coupling the
+    block solutions sum to the minimizer, and a block with no load has the
+    minimizer 0: it gets no band, no factor and no CG. Each block's K u
+    serves both its residual and the energy. The solve record lists the
+    solved blocks.
 
     Raises ``SolverError``, naming the block, when a solved block of K is
     singular: when its factorization or CG breaks down, or when the
@@ -339,16 +340,13 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     mode that the factor amplifies); the estimate names the block with the
     largest term. A singular block the load does not reach raises nothing.
     """
-    k, ell, dof_free, flat_free = assemble_plate(problem)
+    k, ell, _, flat_free = assemble_plate(problem)
     blocks = [(name, order) for name, order in band_layout(problem, flat_free)
-              if ell[order].any()]
-    u = np.zeros_like(ell)
-    solves = []
-    for name, order in blocks:
-        u_b, *solve = _solve_block(k, ell, name, order, tol)
-        u += u_b
-        solves.append(solve)
-    infos, widths, terms = zip(*solves) if solves else ((), (), ())
+              if name in k.ke]
+    solves = [_solve_block(k.block(name), ell, name, order, tol)
+              for name, order in blocks]
+    us, kus, infos, widths, terms = zip(*solves) if solves else ((),) * 5
+    u, ku = (sum(a, np.zeros_like(ell)) for a in (us, kus))
     names = [name for name, _ in blocks]
     info = SolveInfo(ndof=k.shape[0], nnz=k.nnz,
                      column_iterations=tuple(i.iterations for i in infos),
@@ -365,23 +363,24 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
             f"error estimate {error:.3e} exceeds {tol:.1e} after "
             f"{info.iterations} iterations"
         )
-    mx, my = problem.mx, problem.my
-    full = np.zeros(dof_free.size)
-    full[dof_free] = u
-    nn = (mx + 1) * (my + 1)
-    w = full[:2 * nn].reshape(my + 1, mx + 1, 2).swapaxes(0, 1)
-    v = full[2 * nn:].reshape(my + 1, mx + 1).T
-    energy = float(0.5 * u @ (k @ u) - load_value)
-    return PlateSolution(w=w, v=v, energy=energy, load_value=load_value,
-                         solve=info)
+    grids = k.grids(u[:, None])[:, 1:-1, 1:-1, 0]
+    return PlateSolution(w=grids[:2].T, v=grids[2].T,
+                         energy=float(0.5 * u @ ku - load_value),
+                         load_value=load_value, solve=info)
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:
-    """(mx, my, 6) membrane/curvature pair at cell centers of a solution."""
-    mx, my = problem.mx, problem.my
-    ops = _curvature_stencils(mx, my, tuple(problem.clamped))
-    full = np.concatenate([sol.w.swapaxes(0, 1).ravel(), sol.v.T.ravel()])
-    return (ops.center @ full).reshape(my, mx, 6).swapaxes(0, 1)
+    """(mx, my, 6) membrane/curvature pair at cell centers of a solution:
+    the center strain rows on every cell's local dofs, gathered by slices
+    as in ``PlateOperator``."""
+    grid = PlateOperator(problem, ())
+    u = np.zeros((3, problem.my + 3, problem.mx + 3, 1))
+    u[:, 1:-1, 1:-1, 0] = np.concatenate([sol.w, sol.v[..., None]], axis=-1).T
+    cells = grid.gather(u, LOCAL["coupled"])[..., 0]
+    z = np.empty((6, problem.my, problem.mx))
+    for cy, cx, b in grid.strain_rows(range(6), LOCAL["coupled"]):
+        z[:, cy, cx] = np.einsum("ql,lji->qji", b, cells[:, cy, cx])
+    return z.T
 
 
 @dataclass
@@ -409,11 +408,12 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
     bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
     gaps, sgaps = [], []
     for eta in etas:
-        forms_eta = problem.forms + eta * bdir
-        if np.linalg.eigvalsh(forms_eta)[..., 0].min() <= 0.0:
-            raise ValueError(f"eta={eta} makes a cell form indefinite")
-        pert = PlateProblem(mx=problem.mx, my=problem.my, forms=forms_eta,
-                            forces=problem.forces, clamped=problem.clamped)
+        try:
+            pert = PlateProblem(mx=problem.mx, my=problem.my,
+                                forms=problem.forms + eta * bdir,
+                                forces=problem.forces, clamped=problem.clamped)
+        except ValueError as exc:
+            raise ValueError(f"eta={eta} makes a cell form indefinite") from exc
         sol = minimize_plate(pert, tol=tol)
         gaps.append(abs(sol.energy - base.energy))
         dz = cell_strains(pert, sol) - z0

@@ -144,6 +144,18 @@ def test_plate_solve_zero_load_solves_no_block(tmp_path):
     assert rec["energy_error"] == 0.0
 
 
+def test_plate_solve_asymmetric_form_exit_code(tmp_path, capsys):
+    # a form with an upper-only membrane-bending entry is a validation
+    # error, not a solver failure of the coupled block
+    doc = json.loads(Path(_plate_problem(tmp_path, 8, ["left"])).read_text())
+    doc["form"][3] += 0.3
+    prob = tmp_path / "asymmetric.json"
+    prob.write_text(json.dumps(doc))
+    assert run(["plate-solve", "--problem", str(prob),
+                "--out", str(tmp_path / "a")]) == 1
+    assert "cell form (0, 0) is not symmetric" in capsys.readouterr().err
+
+
 def test_plate_solve_singular_strip_exit_code(tmp_path):
     # an even cell count between two clamped edges has a zero-energy mode;
     # an in-plane load alone does not reach it, so it fails nothing
@@ -206,8 +218,9 @@ def _fresh_stdout(code: str) -> str:
 
 
 def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
-    # both factorizations are banded Cholesky from scipy.linalg; importing
-    # scipy.sparse.linalg would add time and memory to every run
+    # both factorizations are banded Cholesky from scipy.linalg, and the
+    # limit plate is assembled and multiplied cell by cell, so the plate
+    # commands load scipy.linalg and no scipy.sparse module
     m = tmp_path / "m"
     run(["gen-micro", "--kind", "laminate", "--axis", "x3",
          "--fractions", "0.5,0.5", "--res", "4,4,2", "--domain", "plate",
@@ -219,10 +232,12 @@ def test_plate_commands_leave_sparse_linalg_unloaded(tmp_path, phases_file):
          "--h", "0.25", "--f", "0,0,1", "--clamped", "left",
          "--out", str(tmp_path / "t")],
     ]
-    code = ("import sys\nfrom platehom.cli import main\n"
-            + "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
-            + "print('scipy.sparse.linalg' in sys.modules)")
-    assert _fresh_stdout(code).split()[-1] == "False"
+    for argv in commands:
+        code = ("import sys\nfrom platehom.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg',"
+                " 'scipy.linalg') if m in sys.modules))")
+        assert _fresh_stdout(code).splitlines()[-1] == "['scipy.linalg']"
 
 
 def test_clamped_solve_loads_scipy_linalg_alone():

@@ -84,20 +84,19 @@ of the largest displacement in the fields, against a bound of 1e-12.
 ``perturbation_stability``'s report keeps the swap too (over 100 random
 plates its gaps moved by at most 6.0e-14 of the base energy or strain
 scale); its perturbation direction weighs all six slots alike, so it is
-not mirror-invariant. Each relation catches the mutation of
-``plate2d._StrainOperators`` named for it (checked on a copy of the
-code):
+not mirror-invariant. Each relation catches the mutation of a cell's
+strain rows in ``plate2d`` named for it (checked on a copy of the code):
 
-- x-mirror: both averages weighted to a cell's first node,
-  ``_two_point(n, 1.0, 0.0)`` for ``avg_x`` and ``avg_y``;
-- x<->y swap, of the solve and of the report: the membrane shear row's
-  ``_slot`` scale for dw2/dx, 1.0 for ``1 / SQRT2``.
+- x-mirror: the average row of ``_cell_rows`` weighted to a cell's first
+  node, ``[0.0, 1.0, 0.0, 0.0]`` for ``[0.0, 0.5, 0.5, 0.0]``, on x and y;
+- x<->y swap, of the solve and of the report: the scale of the membrane
+  shear row's dw2/dx term in ``STRAIN_TERMS``, 1.0 for ``1 / SQRT2``.
 
 The first is the same on x and y and fails only the mirror; the second
 changes the sign of no term under the mirror and fails only the swaps. A
-sign flip of ``tilt_x`` can fail nothing: B_xi enters K only as B_xi^T D
-B_xi, so K stays bitwise the same, and the cell-center strains do not
-read it.
+sign flip of the tilt row can fail nothing: it flips both rows of each
+Gauss group, which enter K only through their products, so K stays
+bitwise the same, and the cell-center strains do not read it.
 """
 
 import copy

@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from platehom import plate2d
 from platehom.algebra import SQRT2, isotropic_hooke, plane_stress_form
 from platehom.cell import kl_limit_form
-from platehom.fem3d import BandedCholesky, SolverError, energy_error, pcg
+from platehom.fem3d import (BandedCholesky, SolverError, energy_error,
+                            free_nodes, pcg)
 from platehom.microstructure import make_laminate
-from platehom.plate2d import (PlateProblem, PlateSolution, assemble_plate,
-                              band_layout, cell_strains, csr_band,
-                              dump_solution_csv, load_problem, minimize_plate,
-                              perturbation_stability)
+from platehom.plate2d import (GAUSS, GROUP_ROWS, PlateOperator, PlateProblem,
+                              PlateSolution, assemble_plate, band_layout,
+                              cell_strains, dump_solution_csv, load_problem,
+                              minimize_plate, perturbation_stability)
 
 Q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
 
@@ -25,21 +26,27 @@ def cantilever(mx=12, my=12, forms=None, f=(0.0, 0.0, 1.0)):
 
 
 def spy_solves(monkeypatch):
-    """The orders ``minimize_plate`` builds a band for and the number of
+    """The orders ``minimize_plate`` factors a band for and the number of
     its CG calls."""
     seen = {"bands": [], "pcg": 0}
 
-    def band(k, order):
+    def factor(band, order, *args):
         seen["bands"].append(order)
-        return csr_band(k, order)
+        return BandedCholesky(band, order, *args)
 
     def cg(*args, **kwargs):
         seen["pcg"] += 1
         return pcg(*args, **kwargs)
 
-    monkeypatch.setattr(plate2d, "csr_band", band)
+    monkeypatch.setattr(plate2d, "BandedCholesky", factor)
     monkeypatch.setattr(plate2d, "pcg", cg)
     return seen
+
+
+def full_operator(problem):
+    """K with every block of ``band_layout``, whatever the load."""
+    flat_free = assemble_plate(problem)[3]
+    return PlateOperator(problem, [n for n, _ in band_layout(problem, flat_free)])
 
 
 def test_zero_force_zero_solution(monkeypatch):
@@ -108,6 +115,31 @@ def test_validation_errors():
                      clamped=("diagonal",))
 
 
+@pytest.mark.parametrize("entry,value", [((0, 3), 0.3), ((0, 1), 0.05)])
+def test_asymmetric_cell_form_rejected(entry, value):
+    # one cell's form with an upper-only entry: the membrane-bending one
+    # broke the coupled factor, the membrane one solved silently; both are
+    # now rejected, naming the first such cell in (ci, cj) order
+    forms = np.broadcast_to(Q0.a, (8, 8, 6, 6)).copy()
+    forms[2, 5][entry] += value
+    forms[6, 1][entry] += value
+    with pytest.raises(ValueError, match=r"cell form \(2, 5\) is not symmetric"):
+        PlateProblem(mx=8, my=8, forms=forms, forces=np.zeros(3),
+                     clamped=("left",))
+
+
+def test_nearly_symmetric_cell_form_is_symmetrized():
+    # an asymmetry within 1e-12 of the largest entry is stored as the
+    # mean of A and A^T; a symmetric form is stored bit for bit
+    a = Q0.a.copy()
+    a[0, 1] *= 1.0 + 1e-13
+    prob = PlateProblem(mx=4, my=4, forms=a, forces=np.zeros(3),
+                        clamped=("left",))
+    assert np.array_equal(prob.forms, prob.forms.swapaxes(-1, -2))
+    assert prob.forms[0, 0, 0, 1] == 0.5 * (a[0, 1] + a[1, 0])
+    assert np.array_equal(cantilever().forms[3, 2], Q0.a)
+
+
 def test_perturbation_stability_linear_in_eta():
     prob = cantilever()
     rep = perturbation_stability(prob, etas=(1e-3, 1e-4))
@@ -115,16 +147,6 @@ def test_perturbation_stability_linear_in_eta():
     # first-order perturbation: gap ratio ~ eta ratio = 10, within factor 2
     assert 5.0 <= rep.gap_ratio <= 20.0
     assert rep.strain_gaps[0] > 0
-
-
-def test_perturbation_stability_builds_stencils_once():
-    # three solves and three strain evaluations on one grid share one set
-    from platehom import plate2d
-
-    plate2d._curvature_stencils.cache_clear()
-    perturbation_stability(cantilever(mx=8, my=8), etas=(1e-3, 1e-4))
-    info = plate2d._curvature_stencils.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_perturbation_zero_eta_zero_gap():
@@ -201,6 +223,121 @@ def test_problem_file_per_cell_forms_and_nodal_forces(tmp_path):
     stiff = PlateProblem(mx=4, my=4, forms=a_stiff, forces=forces,
                          clamped=("left",))
     assert abs(sol.energy) > abs(minimize_plate(stiff).energy)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Kronecker CSR assembly that the cell-by-cell one replaced
+# ---------------------------------------------------------------------------
+
+def _two_point(n, lo, hi):
+    """(n, n+1): row c holds ``lo`` at node c and ``hi`` at node c + 1."""
+    m = np.zeros((n, n + 1))
+    c = np.arange(n)
+    m[c, c], m[c, c + 1] = lo, hi
+    return m
+
+
+def _second_difference(n, clamped_lo, clamped_hi):
+    """(n, n+1), unscaled: per cell, the mean of the 3-point nodal second
+    differences at those of its two end nodes that have one."""
+    d2 = np.zeros((n + 1, n + 1))
+    c = np.arange(1, n)
+    d2[c, c - 1], d2[c, c], d2[c, c + 1] = 1.0, -2.0, 1.0
+    d2[0, 1] = 2.0 if clamped_lo else 0.0
+    d2[n, n - 1] = 2.0 if clamped_hi else 0.0
+    have = np.ones(n + 1)
+    have[0], have[n] = clamped_lo, clamped_hi
+    pick = _two_point(n, have[:-1], have[1:])
+    return (pick / pick.sum(axis=1, keepdims=True)) @ d2
+
+
+def _slot(r, c, ncomp, scale=1.0):
+    """(6, ncomp): places component c of a node field in strain row r."""
+    m = np.zeros((6, ncomp))
+    m[r, c] = scale
+    return m
+
+
+class KroneckerOperators:
+    """The strain rows of one grid and clamped set as Kronecker products of
+    1-D operators, rows 6 c + r for cell c = ci + mx cj, dofs w1, w2 of
+    node n = i + (mx+1) j at 2n, 2n+1 and v at 2 nn + n. ``center`` holds
+    the cell-center strains on all dofs; ``gauss`` stacks, on the free
+    dofs, the center rows, then GAUSS B_xi and GAUSS B_eta on their rows
+    of ``GROUP_ROWS``, cell by cell."""
+
+    def __init__(self, mx, my, clamped):
+        self.flat_free = free_nodes(my + 1, mx + 1, clamped).ravel()
+        self.dof_free = np.concatenate([np.repeat(self.flat_free, 2),
+                                        self.flat_free])
+        dx, dy = _two_point(mx, -mx, mx), _two_point(my, -my, my)
+        avg_x, avg_y = _two_point(mx, 0.5, 0.5), _two_point(my, 0.5, 0.5)
+        tilt_x, tilt_y = _two_point(mx, -0.5, 0.5), _two_point(my, -0.5, 0.5)
+        d2x = _second_difference(mx, "left" in clamped, "right" in clamped)
+        d2y = _second_difference(my, "bottom" in clamped, "top" in clamped)
+
+        def strains(gx, gy, vxx, vyy, vxy):
+            membrane = sum(sp.kron(op, _slot(r, c, 2, scale), format="csr")
+                           for op, r, c, scale in (
+                               (gx, 0, 0, 1.0), (gy, 1, 1, 1.0),
+                               (gy, 2, 0, 1 / SQRT2), (gx, 2, 1, 1 / SQRT2)))
+            bending = sum(sp.kron(op, _slot(r, 0, 1, scale), format="csr")
+                          for r, op, scale in ((3, vxx, -1.0), (4, vyy, -1.0),
+                                               (5, vxy, -SQRT2)))
+            return sp.hstack([membrane, bending], format="csr")
+
+        zero = sp.csr_matrix((mx * my, (mx + 1) * (my + 1)))
+        self.center = strains(sp.kron(avg_y, dx), sp.kron(dy, avg_x),
+                              sp.kron(avg_y, d2x) * (mx * mx),
+                              sp.kron(d2y, avg_x) * (my * my),
+                              sp.kron(dy, dx))
+        b_xi = strains(zero, sp.kron(dy, tilt_x), zero, zero, zero)
+        b_eta = strains(sp.kron(tilt_y, dx), zero, zero, zero, zero)
+        ncell = mx * my
+        self.gauss = sp.vstack(
+            [b[(6 * np.arange(ncell)[:, None] + rows).ravel()] for b, rows in zip(
+                (self.center, GAUSS * b_xi, GAUSS * b_eta), GROUP_ROWS)],
+            format="csr")[:, self.dof_free]
+
+
+def _form_blocks(forms):
+    """The CSR block diagonal, over the rows of ``gauss``, of each cell's
+    block of the (ncell, 6, 6) ``forms`` on each Gauss group's rows."""
+    ncell = forms.shape[0]
+    data, cols, counts, start = [], [], [], 0
+    for rows in map(list, GROUP_ROWS):
+        s = len(rows)
+        data.append(forms[:, rows][:, :, rows].ravel())
+        first = start + np.arange(ncell * s) // s * s
+        cols.append((first[:, None] + np.arange(s)).ravel())
+        counts.append(np.full(ncell * s, s))
+        start += ncell * s
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                         shape=(start, start))
+
+
+def kronecker_k(prob):
+    """K on the free dofs as the CSR product G^T (D G) of the stacked Gauss
+    groups' rows, every block."""
+    mx, my = prob.mx, prob.my
+    ops = KroneckerOperators(mx, my, tuple(prob.clamped))
+    dg = _form_blocks(prob.forms.swapaxes(0, 1).reshape(mx * my, 6, 6)
+                      * (2.0 * (1.0 / mx) * (1.0 / my))) @ ops.gauss
+    return ops.gauss.T.tocsr() @ dg
+
+
+def random_plate(mx, my, clamped, coupled, seed):
+    """Per-cell random positive definite forms, decoupled or not, and
+    random nodal forces."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((mx, my, 6, 6))
+    forms = g @ g.swapaxes(-1, -2) + 0.5 * np.eye(6)
+    if not coupled:
+        forms[..., :3, 3:] = forms[..., 3:, :3] = 0.0
+    return PlateProblem(mx=mx, my=my, forms=forms,
+                        forces=rng.standard_normal((mx + 1, my + 1, 3)),
+                        clamped=clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +474,14 @@ def _loop_cell_strains(problem, w, v):
                                      ("bottom", "top"),
                                      ("left", "right", "bottom", "top")])
 def test_kronecker_assembly_matches_element_loop(mx, my, clamped):
+    # the reference K, the program's load and cell strains
     rng = np.random.default_rng(mx * 10 + my + len(clamped))
     g = rng.standard_normal((mx, my, 6, 6))
     forms = g @ g.swapaxes(-1, -2) + 0.5 * np.eye(6)
     forces = rng.standard_normal((mx + 1, my + 1, 3))
     prob = PlateProblem(mx=mx, my=my, forms=forms, forces=forces,
                         clamped=clamped)
-    k, ell, dof_free, _ = assemble_plate(prob)
+    k, (_, ell, dof_free, _) = kronecker_k(prob), assemble_plate(prob)
     k_ref, ell_ref, free_ref = _loop_assemble(prob)
     assert np.array_equal(dof_free, free_ref)
     scale = abs(k_ref).max()
@@ -445,7 +583,7 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
     # its left edge clamped
     prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
-    k, _, _, flat_free = assemble_plate(prob)
+    k, flat_free = full_operator(prob), assemble_plate(prob)[3]
     blocks = band_layout(prob, flat_free)
     free = flat_free.reshape(my + 1, mx + 1)
     n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
@@ -455,10 +593,11 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
     assert np.array_equal(np.sort(np.concatenate([o for _, o in blocks])),
                           np.arange(k.shape[0]))
     b = np.random.default_rng(mx).standard_normal((k.shape[0], 2))
+    dense = k @ np.eye(k.shape[0])
     for name, order in blocks:
-        factor = BandedCholesky(csr_band(k, order), order)
+        factor = BandedCholesky(k.band(name), order)
         assert factor.bandwidth == widths[name]
-        want = np.linalg.solve(k[order][:, order].toarray(), b[order])
+        want = np.linalg.solve(dense[order][:, order], b[order])
         got = factor.solve(b)
         assert np.linalg.norm(got[order] - want) <= 1e-12 * np.linalg.norm(want)
         off = np.ones(k.shape[0], dtype=bool)
@@ -467,9 +606,8 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
 
 
 def tril_band(k, order):
-    """The band as ``BandedCholesky.from_sparse`` built it before
-    ``csr_band``: scattered from the COO of the permuted K's lower
-    triangle."""
+    """The band of a CSR K's block ``order``, scattered from the COO of the
+    permuted K's lower triangle."""
     low = sp.tril(k[order][:, order], format="coo")
     band = np.zeros((int((low.row - low.col).max()) + 1, order.size),
                     order="F")
@@ -482,25 +620,63 @@ def tril_band(k, order):
                                      ("left", "right", "bottom", "top")])
 @pytest.mark.parametrize("coupled", [False, True])
 def test_csr_band_is_the_permuted_tril_band(mx, my, clamped, coupled):
-    # every block of either layout, filled straight from K's CSR, is the
-    # band of the permuted K's lower triangle byte for byte
-    prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
-                        forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
-    k, _, _, flat_free = assemble_plate(prob)
-    for _, order in band_layout(prob, flat_free):
-        got, want = csr_band(k, order), tril_band(k, order)
+    # every block of either layout (membrane and bending, or coupled), its
+    # pairs added cell by cell, is the band of the permuted lower triangle
+    # of the reference CSR K, per-cell forms: same width, entries within
+    # 1e-14 of the largest (they sum in another order)
+    prob = random_plate(mx, my, clamped, coupled, mx * my + len(clamped))
+    k, k_ref = full_operator(prob), kronecker_k(prob)
+    for name, order in band_layout(prob, assemble_plate(prob)[3]):
+        got, want = k.band(name), tril_band(k_ref, order)
         assert got.flags.f_contiguous
         assert got.shape == want.shape
-        assert got.tobytes(order="F") == want.tobytes(order="F")
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mx,my", [(5, 4), (4, 6), (2, 7), (16, 16)])
+@pytest.mark.parametrize("clamped", [("left",), ("left", "right"),
+                                     ("top", "right"),
+                                     ("left", "right", "bottom", "top")])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_cell_by_cell_products_are_the_kronecker_products(mx, my, clamped,
+                                                          coupled):
+    # K p by gathered slices, one vector or a block of them, each block of
+    # K alone, and the cell-center strains, against the reference CSR
+    # products: within 1e-14 of the largest entry
+    prob = random_plate(mx, my, clamped, coupled, mx + 10 * my + len(clamped))
+    k, k_ref = full_operator(prob), kronecker_k(prob)
+    rng = np.random.default_rng(mx)
+    p = rng.standard_normal((k.shape[0], 3))
+    want = k_ref @ p
+    assert np.abs(k @ p - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(k @ p[:, 0], (k @ p[:, :1])[:, 0])
+    assert np.array_equal(sum(k.block(name) @ p for name in k.ke), k @ p)
+    w = rng.standard_normal((mx + 1, my + 1, 2))
+    v = rng.standard_normal((mx + 1, my + 1))
+    sol = PlateSolution(w=w, v=v, energy=0.0, load_value=0.0, solve=None)
+    want = (KroneckerOperators(mx, my, clamped).center @ np.concatenate(
+        [w.swapaxes(0, 1).ravel(), v.T.ravel()])).reshape(my, mx, 6).swapaxes(0, 1)
+    assert np.abs(cell_strains(prob, sol) - want).max() <= (
+        1e-14 * np.abs(want).max())
 
 
 def whole_band_minimize(problem, tol=1e-12):
     """``minimize_plate`` as it was before its block solves: one factor of
-    K's whole band (w before v in the split layout), one CG and the energy
-    error estimate r.K_c^-1 r / |l.u| of the whole residual."""
-    k, ell, dof_free, flat_free = assemble_plate(problem)
-    order = np.concatenate([o for _, o in band_layout(problem, flat_free)])
-    factor = BandedCholesky(tril_band(k, order), order)
+    K's whole band (w before v in the split layout: the blocks' bands side
+    by side, as K has no entry between them), one CG on every block of K
+    and the energy error estimate r.K_c^-1 r / |l.u| of the whole
+    residual."""
+    _, ell, dof_free, flat_free = assemble_plate(problem)
+    k = full_operator(problem)
+    layout = band_layout(problem, flat_free)
+    bands = [k.band(name) for name, _ in layout]
+    band = np.zeros((max(b.shape[0] for b in bands), k.shape[0]), order="F")
+    start = 0
+    for b in bands:
+        band[:b.shape[0], start:start + b.shape[1]] = b
+        start += b.shape[1]
+    order = np.concatenate([o for _, o in layout])
+    factor = BandedCholesky(band, order)
     u, info = pcg(k, ell, precond=factor.solve, tol=tol)
     ku = k @ u
     info.energy_error = energy_error(ell, u, ku, factor.solve)
@@ -612,9 +788,10 @@ def test_even_strip_with_in_plane_load_solves_the_membrane_block(m, clamped):
     sol = minimize_plate(prob)
     assert not sol.v.any()
     assert sol.solve.preconditioner["blocks"] == ["membrane"]
-    k, ell, dof_free, flat_free = assemble_plate(prob)
+    _, ell, dof_free, flat_free = assemble_plate(prob)
+    k = full_operator(prob)
     (_, order), _ = band_layout(prob, flat_free)
-    factor = BandedCholesky(csr_band(k, order), order)
+    factor = BandedCholesky(k.band("membrane"), order)
     u, _ = pcg(k, ell, precond=factor.solve, tol=1e-12)
     full = np.zeros(dof_free.size)
     full[dof_free] = u
@@ -671,11 +848,9 @@ def test_solution_csv_is_the_per_scalar_writer(tmp_path):
 def eighteen_row_k(prob):
     """K as the one product over all 18 strain rows per cell, the three
     Gauss groups' zero rows included, with the 18 ncell-square block
-    diagonal of the forms: the reference ``assemble_plate`` sums by its
+    diagonal of the forms: the reference ``kronecker_k`` sums by its
     nonzero rows only."""
-    from platehom.plate2d import GROUP_ROWS, _curvature_stencils
-
-    ops = _curvature_stencils(prob.mx, prob.my, tuple(prob.clamped))
+    ops = KroneckerOperators(prob.mx, prob.my, tuple(prob.clamped))
     ncell = prob.mx * prob.my
     # row r of cell c of group q goes to row 6 (q ncell + c) + r
     rows = np.concatenate([(6 * (q * ncell + np.arange(ncell)[:, None])
@@ -695,10 +870,11 @@ def eighteen_row_k(prob):
 @pytest.mark.parametrize("clamped", [("left",), ("left", "right", "bottom", "top")])
 @pytest.mark.parametrize("coupled", [False, True])
 def test_group_rows_sum_k_bitwise(mx, my, clamped, coupled):
-    # the groups' nonzero rows, stacked, sum each entry's terms in the
-    # order of the product over all 18 rows per cell: every entry of K is
-    # its bit for bit, with per-cell forms, coupled or not (compared by
-    # sorted indices: the reference stores a row's entries in another order)
+    # the reference's check on itself: the groups' nonzero rows, stacked,
+    # sum each entry's terms in the order of the product over all 18 rows
+    # per cell, so every entry of the reference K is its bit for bit, with
+    # per-cell forms, coupled or not (compared by sorted indices: the
+    # 18-row product stores a row's entries in another order)
     rng = np.random.default_rng(mx * my + len(clamped))
     g = rng.standard_normal((mx, my, 6, 6))
     forms = g @ g.swapaxes(-1, -2) + 0.5 * np.eye(6)
@@ -706,7 +882,7 @@ def test_group_rows_sum_k_bitwise(mx, my, clamped, coupled):
         forms[..., :3, 3:] = forms[..., 3:, :3] = 0.0
     prob = PlateProblem(mx=mx, my=my, forms=forms,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
-    k, want = assemble_plate(prob)[0].sorted_indices(), eighteen_row_k(prob)
+    k, want = kronecker_k(prob).sorted_indices(), eighteen_row_k(prob)
     want.sort_indices()
     assert np.array_equal(k.indptr, want.indptr)
     assert np.array_equal(k.indices, want.indices)
@@ -715,9 +891,11 @@ def test_group_rows_sum_k_bitwise(mx, my, clamped, coupled):
 
 @pytest.mark.parametrize("forms", ["plane stress", "coupled"])
 def test_warm_assembly_peak_is_a_small_multiple_of_k(forms):
-    # with its strain operators cached, a 32 x 32 assembly peaks at 4.3
-    # (plane stress) and 2.9 (coupled) times K's CSR bytes, where the
-    # product over 18 rows per cell peaked at 9.0 and 5.1
+    # a 32 x 32 assembly under a transverse load (the bending block of the
+    # plane-stress form, the coupled block of the other) peaks at 1.36 and
+    # 3.98 MB, 1.15 and 1.22 times its element matrices (1.18 and 3.28 MB);
+    # the Kronecker CSR assembly was bounded by 4.5 times K's CSR bytes,
+    # 3.42 and 6.86 MB, with its strain operators cached
     import tracemalloc
 
     prob = PlateProblem(mx=32, my=32,
@@ -730,22 +908,19 @@ def test_warm_assembly_peak_is_a_small_multiple_of_k(forms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
+    assert peak <= {"plane stress": 1.5e6, "coupled": 4.4e6}[forms]
+    assert peak <= 1.25 * 8 * k.nnz
 
 
 def test_block_solve_peak_is_k_and_one_block_band():
-    # with warm strain operators, a 64 x 64 decoupled solve holds K's CSR
-    # and one block's band at a time: measured peak K + 1.17 times the
-    # membrane band (3.0 + 10.3 MB); the whole band and its permuted copy
-    # of K took it to 25.7 MB
+    # a 64 x 64 decoupled solve under a transverse load holds the bending
+    # block's element matrices (4.72 MB) and band (6.49 MB) and CG's
+    # vectors: measured peak 13.14 MB. The Kronecker CSR solve was bounded
+    # by K's CSR (3.0 MB) plus 1.2 times the membrane band (8.8 MB), 13.55
+    # MB; the whole band and its permuted copy of K took it to 25.7 MB
     import tracemalloc
 
     prob = cantilever(mx=64, my=64, forms=ortho_form())
-    k, _, _, flat_free = assemble_plate(prob)
-    band = max(csr_band(k, order).nbytes
-               for _, order in band_layout(prob, flat_free))
-    k_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
-    del k
     minimize_plate(prob)    # the lazy imports, so that only the solve counts
     tracemalloc.start()
     try:
@@ -753,4 +928,4 @@ def test_block_solve_peak_is_k_and_one_block_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= k_bytes + 1.2 * band
+    assert peak <= 13.5e6
