@@ -29,10 +29,10 @@ stiffness, and ``np.add.at`` adds the results back over the same index.
 No operator has an assembled K: a cell's and a clamped plate's ``k`` are
 their element products. A plate's preconditioner reads what it needs from
 the element stiffnesses too: the smoother's diagonal corner by corner,
-and the coarse operator from one table per (tensor, layer), row
-of elements by row; its coarse basis is applied on the node-column
-lattice. A cell's reference preconditioner needs only the element
-stiffness of its reference tensor.
+and the coarse operator from one table per (tensor, layer), banded by
+``fill_band`` in ``node_view``'s order as the limit plate's blocks are;
+its coarse basis is applied on the node-column lattice. A cell's reference
+preconditioner needs only the element stiffness of its reference tensor.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
              allow_soft: bool = False) -> Operator:
     """Assemble the scaled-gradient stiffness operator for a voxel grid.
 
-    ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires a
-    nonempty set of clamped edges from {"left", "right", "bottom", "top"}.
+    ``scale`` is gamma (cell mode) or h (plate mode). Plate mode requires
+    one or more clamped edges of ``EDGES`` that leave a free node.
     No K is assembled: the operator's ``k`` is its ``ElementProduct``,
     built from the element stiffness of each tensor.
     """
@@ -270,6 +270,8 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     stencil = _stencil(grid.shape, mode,
                        tuple(sorted(set(clamped))) if mode == "plate" else ())
     ndof = 3 * int(stencil.rows.sum())
+    if ndof == 0:
+        raise ValueError(f"the clamped edges {tuple(clamped)} leave no free node")
     kes = np.stack([element_stiffness(kit, t) for t in tensors])
     op = Operator(k=None, mode=mode, scale=scale, grid=grid, kit=kit,
                   tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
@@ -565,12 +567,53 @@ def energy_error(ell: np.ndarray, u: np.ndarray, ku: np.ndarray,
     return float(abs(r @ precond(r)) / max(abs(ell @ u), np.finfo(float).tiny))
 
 
-def band_order(ny: int, nx: int) -> np.ndarray:
-    """The ids of an ny x nx node rectangle numbered x fastest, listed with
-    the faster index along the side that has fewer nodes (x on a tie): for
-    an operator that couples neighbouring nodes only, a band order."""
-    lines = np.arange(ny * nx).reshape(ny, nx)
-    return (lines.T if ny < nx else lines).ravel()
+def node_view(a: np.ndarray, nfy: int, nfx: int, k: int) -> np.ndarray:
+    """(nfy, nfx, k) view of ``a``, k dofs per node of an nfy x nfx node
+    rectangle in band order: the faster index along the side with fewer
+    nodes, x on a tie. For an operator that couples neighbouring nodes only,
+    a band order."""
+    if nfy < nfx:
+        return a.reshape(nfx, nfy, k).swapaxes(0, 1)
+    return a.reshape(nfy, nfx, k)
+
+
+def fill_band(free: np.ndarray, local, slabs) -> np.ndarray:
+    """Lower band, in ``BandedCholesky``'s storage and ``node_view``'s
+    order, of a symmetric operator assembled cell by cell on the nonempty
+    rectangle of nodes ``free`` (my + 1, mx + 1) marks, k dofs each: local
+    dof (c, i, j) of cell (cy, cx) is dof c - min c of node (cy + j, cx + i).
+    ``slabs`` yields (y, ke), ke (n, n, rows, mx) the element matrices of
+    cell rows [y, y + rows) on the n dofs ``local``. Each local pair (a, b)
+    sits at one offset in band order; at offset >= 0 it adds ke[a, b] by one
+    2-D slice add over the slab's cells whose two nodes are free, so a band
+    entry adds its terms from zero, slab by slab, pair by pair. With
+    ``local`` in descending y offset that is cell-row order, whatever the
+    slabs."""
+    comp, i, j = np.asarray(local, dtype=np.intp).T
+    comp, k = comp - comp.min(), np.ptp(comp) + 1
+    (j0, nfy), (i0, nfx) = ((a.argmax(), a.sum()) for a in (free.any(1), free.any(0)))
+    j1, i1 = j0 + nfy, i0 + nfx
+    pos = node_view(np.arange(nfy * nfx * k), nfy, nfx, k)
+    sy, sx, _ = np.array(pos.strides) // pos.itemsize
+    offset = ((j[:, None] - j) * sy + (i[:, None] - i) * sx
+              + comp[:, None] - comp)
+    x0 = np.maximum(0, i0 - np.minimum.outer(i, i))
+    x1 = np.minimum(free.shape[1] - 1, i1 - np.maximum.outer(i, i))
+    y0 = np.maximum(0, j0 - np.minimum.outer(j, j))
+    y1 = np.minimum(free.shape[0] - 1, j1 - np.maximum.outer(j, j))
+    a, b = np.nonzero((offset >= 0) & (x0 < x1) & (y0 < y1))
+    x0, x1, y0, y1, offset = (e[a, b] for e in (x0, x1, y0, y1, offset))
+    pairs = list(zip(*(e.tolist() for e in (
+        offset, comp[b], x0, x1, y0, y1, i[b] - i0, j[b] - j0, a, b))))
+    band = np.zeros((offset.max() + 1, nfy * nfx * k), order="F")
+    rows = {d: node_view(band[d], nfy, nfx, k) for d in set(offset.tolist())}
+    for y, ke in slabs:
+        for d, cb, xa, xb, ya, yb, xc, yc, ka, kb in pairs:
+            ya, yb = max(ya, y), min(yb, y + ke.shape[2])
+            if ya < yb:
+                rows[d][ya + yc:yb + yc, xa + xc:xb + xc, cb] += ke[
+                    ka, kb, ya - y:yb - y, xa:xb]
+    return band
 
 
 class BandedCholesky:
@@ -630,21 +673,18 @@ _COARSE_FIELDS = ((0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0),  # translations
                   (1, 0.0, -1.0), (0, 0.0, 1.0))      # u2 -= x3 r1, u1 += x3 r2
 
 
-def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
-    """Lower band of a plate's coarse operator Kc = P^T K P, in ``order``
-    (see ``BandedCholesky``), from element tables.
+def _coarse_band(op: Operator) -> np.ndarray:
+    """Lower band of a plate's coarse operator Kc = P^T K P (see
+    ``BandedCholesky``), from element tables, through ``fill_band``.
 
     P_k, (24, 20), maps an element's dofs in layer k to the 5 coarse fields
     (``_COARSE_FIELDS``) of its 4 node columns q = ax + 2 ay, at the
     layer's two node-plane z values. It builds one table P_k^T K_e P_k per
-    (tensor, layer). Then, one row of in-plane elements at a time, it sums
-    each element position's layers by a one-hot GEMM, drops the dofs of
-    clamped columns and adds the 20x20 blocks into the band by
-    ``np.add.at``: each band entry adds its terms in element order, from
-    zero. An element's 20 coarse dofs couple each other only, so the band
-    is as wide as the widest element's spread of positions; a first pass
-    over the rows finds it. Nothing larger than a row of tables is built
-    next to the band.
+    (tensor, layer). Then, a slab of whole element rows (at most
+    ``_CHUNK`` elements, or one row) at a time, in reused buffers, it sums
+    each element's layers by a one-hot GEMM and hands the 20x20 blocks to
+    ``fill_band`` with the coarse dofs listed last first, so each band entry
+    adds its terms in element order, from zero.
     """
     nx, ny, nz = op.grid.shape
     ntens = len(op.tensors)
@@ -659,38 +699,21 @@ def _coarse_band(op: Operator, order: np.ndarray) -> np.ndarray:
     # the (tensor, layer) table of every element, (nz, ny, nx)
     index = (op.tensor_of_elem.reshape(nz, ny, nx) * nz
              + np.arange(nz)[:, None, None])
+    local = [(j, ax, ay) for ay in (0, 1) for ax in (0, 1) for j in range(5)]
+    rows = min(ny, max(1, _CHUNK // nx))
+
+    def slabs():
+        layers = np.empty((rows * nx, ntens * nz))
+        blocks = np.empty((rows * nx, 400))
+        for y in range(0, ny, rows):
+            n = min(rows, ny - y) * nx
+            layers[:n] = 0.0
+            layers[np.arange(n), index[:, y:y + rows].reshape(nz, n)] = 1.0
+            ke = np.matmul(layers[:n], tables, out=blocks[:n])
+            yield y, ke.reshape(-1, nx, 20, 20).transpose(2, 3, 0, 1)[::-1, ::-1]
 
     free = op.stencil.rows.reshape(op.stencil.lattice)[0]
-    column = np.where(free, np.cumsum(free).reshape(free.shape) - 1, -1)
-    pos = np.empty(order.size, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    # the band positions of every node column's 5 coarse dofs, -1 clamped
-    at = np.where(column[..., None] >= 0,
-                  pos[5 * column[..., None] + np.arange(5)], -1)
-
-    def positions(ey):
-        """(nx, 20) band positions of row ey's elements, column q's five
-        at 5 q."""
-        return np.concatenate([at[ey + ay, ax:ax + nx]
-                               for ay in (0, 1) for ax in (0, 1)], axis=1)
-
-    width = 1 + max(int((pe.max(axis=1) - np.where(pe >= 0, pe, order.size)
-                         .min(axis=1)).max())
-                    for pe in map(positions, range(ny)))
-    # entry (i, j) of the lower triangle sits at band[i - j, j]: flat
-    # position j * width + i - j of the Fortran-ordered band
-    band = np.zeros((width, order.size), order="F")
-    flat = band.T.reshape(-1)
-    layers = np.zeros((nx, ntens * nz))
-    for ey in range(ny):
-        layers[:] = 0.0
-        layers[np.arange(nx), index[:, ey]] = 1.0
-        row = (layers @ tables).reshape(nx, 20, 20)
-        pe = positions(ey)
-        lower = (pe[:, :, None] >= pe[:, None, :]) & (pe[:, None, :] >= 0)
-        np.add.at(flat, (pe[:, None, :] * (width - 1) + pe[:, :, None])[lower],
-                  row[lower])
-    return band
+    return fill_band(free, local[::-1], slabs())
 
 
 class PlatePreconditioner:
@@ -720,11 +743,10 @@ class PlatePreconditioner:
     ``prolong`` (P) adds each column's fields onto its nodes. Both round as
     the CSR product of P's nonzeros would.
 
-    Kc couples neighbouring columns only, so with the faster index running
-    along the side with fewer free columns it is a band matrix of about
-    5 (min(nx, ny) + 2) sub-diagonals; its ``BandedCholesky`` factor is
-    stored in that order, and a Kc that is not positive definite (an
-    indefinite phase) raises ``SolverError``.
+    Kc couples neighbouring columns only, so in ``node_view``'s order it is
+    a band matrix of about 5 (min(nx, ny) + 2) sub-diagonals; its
+    ``BandedCholesky`` factor is stored in that order, and a Kc that is not
+    positive definite (an indefinite phase) raises ``SolverError``.
     """
 
     name = "two-level"
@@ -739,11 +761,12 @@ class PlatePreconditioner:
         d = _diagonal(op)
         d[d == 0.0] = 1.0
         self.inverse_diagonal = 1.0 / d
-        # the free columns fill a rectangle, numbered x fastest
-        ny_free = int(free.any(axis=1).sum())
-        columns = band_order(ny_free, self.ncol // ny_free)
-        order = (5 * columns[:, None] + np.arange(5)).ravel()
-        self.coarse = BandedCholesky(_coarse_band(op, order), order,
+        # the free columns fill a nonempty rectangle (``assemble``), x fastest
+        nfy, nfx = int(free.any(axis=1).sum()), int(free.any(axis=0).sum())
+        order = np.empty(5 * self.ncol, dtype=np.intp)
+        node_view(order, nfy, nfx, 5)[...] = np.arange(order.size).reshape(
+            nfy, nfx, 5)
+        self.coarse = BandedCholesky(_coarse_band(op), order,
                                      "coarse plate operator")
 
     def describe(self) -> dict:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SQRT2
-from .fem3d import BandedCholesky, SolveInfo, SolverError, free_nodes, pcg
+from .fem3d import (BandedCholesky, SolveInfo, SolverError, fill_band,
+                    free_nodes, node_view, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 # the strain rows of each Gauss group (the center, xi, eta); a cell's ten
@@ -79,6 +80,16 @@ class PlateProblem:
             forms = np.broadcast_to(forms, (self.mx, self.my, 6, 6)).copy()
         if forms.shape != (self.mx, self.my, 6, 6):
             raise ValueError(f"forms shape {forms.shape} invalid")
+        forces = np.asarray(self.forces, dtype=float)
+        if forces.shape == (3,):
+            forces = np.broadcast_to(forces, (self.mx + 1, self.my + 1, 3)).copy()
+        if forces.shape != (self.mx + 1, self.my + 1, 3):
+            raise ValueError(f"forces shape {forces.shape} invalid")
+        # NaN would pass the symmetry and Cholesky checks
+        for what, a in (("cell form", forms), ("nodal force", forces)):
+            bad = np.argwhere(~np.isfinite(a.reshape(*a.shape[:2], -1)).all(axis=-1))
+            if bad.size:
+                raise ValueError(f"{what} {tuple(bad[0].tolist())} is not finite")
         # symmetric to 1e-12 of max|A|, each cell; stored as 0.5 (A + A^T)
         i, j = np.triu_indices(6, 1)
         asym = np.abs(forms[..., i, j] - forms[..., j, i]).max(axis=-1)
@@ -92,11 +103,6 @@ class PlateProblem:
             np.linalg.cholesky(forms)
         except np.linalg.LinAlgError:
             raise ValueError("every cell form must be positive definite") from None
-        forces = np.asarray(self.forces, dtype=float)
-        if forces.shape == (3,):
-            forces = np.broadcast_to(forces, (self.mx + 1, self.my + 1, 3)).copy()
-        if forces.shape != (self.mx + 1, self.my + 1, 3):
-            raise ValueError(f"forces shape {forces.shape} invalid")
         forms.flags.writeable = False
         forces.flags.writeable = False
         object.__setattr__(self, "forms", forms)
@@ -130,14 +136,6 @@ def _cell_rows(n: int, clamped_lo: bool, clamped_hi: bool) -> list:
         if cells.start < cells.stop]
 
 
-def _node_view(a: np.ndarray, nfy: int, nfx: int, k: int) -> np.ndarray:
-    """(nfy, nfx, k) view of ``a``, k dofs per free node in band order: the
-    faster index along the side with fewer free nodes, x on a tie."""
-    if nfy < nfx:
-        return a.reshape(nfx, nfy, k).swapaxes(0, 1)
-    return a.reshape(nfy, nfx, k)
-
-
 class PlateOperator:
     """K on the free dofs (w1, w2 of free node f at 2f, 2f + 1, v at
     2 nf + f; free nodes [j0, j1) x [i0, i1), flat order) from the element
@@ -155,11 +153,11 @@ class PlateOperator:
     def __init__(self, problem: PlateProblem, names):
         mx, my, clamped = problem.mx, problem.my, problem.clamped
         self.mx, self.my = mx, my
-        self.flat_free = free_nodes(my + 1, mx + 1, clamped).ravel()
-        self.i0, self.i1 = int("left" in clamped), mx + 1 - ("right" in clamped)
-        self.j0, self.j1 = int("bottom" in clamped), my + 1 - ("top" in clamped)
-        self.nfy, self.nfx = self.j1 - self.j0, self.i1 - self.i0
-        self.free_rect = np.s_[:, self.j0 + 1:self.j1 + 1, self.i0 + 1:self.i1 + 1]
+        self.free = free_nodes(my + 1, mx + 1, clamped)
+        i0, i1 = int("left" in clamped), mx + 1 - ("right" in clamped)
+        j0, j1 = int("bottom" in clamped), my + 1 - ("top" in clamped)
+        self.nfy, self.nfx = j1 - j0, i1 - i0
+        self.free_rect = np.s_[:, j0 + 1:j1 + 1, i0 + 1:i1 + 1]
         self.shape = (3 * self.nfy * self.nfx,) * 2
         self.runs = (_cell_rows(mx, "left" in clamped, "right" in clamped),
                      _cell_rows(my, "bottom" in clamped, "top" in clamped))
@@ -221,32 +219,9 @@ class PlateOperator:
         return op
 
     def band(self, name: str) -> np.ndarray:
-        """Lower band of block ``name`` in ``band_layout``'s order, in
-        ``BandedCholesky``'s storage. Each local pair (a, b) sits at one
-        offset in band order; at offset >= 0 it adds K_c[a, b] by one 2-D
-        slice add over the cells whose two nodes are free."""
-        comp, i, j = LOCAL[name].astype(np.intp).T
-        comp -= comp.min()          # the component's place in its node
-        k = comp.max() + 1
-        pos = _node_view(np.arange(self.shape[0] // 3 * k), self.nfy, self.nfx, k)
-        sy, sx, _ = np.array(pos.strides) // pos.itemsize
-        offset = ((j[:, None] - j) * sy + (i[:, None] - i) * sx
-                  + comp[:, None] - comp)
-        x0 = np.maximum(0, self.i0 - np.minimum.outer(i, i))
-        x1 = np.minimum(self.mx, self.i1 - np.maximum.outer(i, i))
-        y0 = np.maximum(0, self.j0 - np.minimum.outer(j, j))
-        y1 = np.minimum(self.my, self.j1 - np.maximum.outer(j, j))
-        a, b = np.nonzero((offset >= 0) & (x0 < x1) & (y0 < y1))
-        x0, x1, y0, y1, offset = (e[a, b] for e in (x0, x1, y0, y1, offset))
-        band = np.zeros((offset.max() + 1, self.shape[0] // 3 * k), order="F")
-        rows = {d: _node_view(band[d], self.nfy, self.nfx, k)
-                for d in np.unique(offset).tolist()}
-        for d, cb, xa, xb, ya, yb, xc, yc, ka, kb in zip(*(e.tolist() for e in (
-                offset, comp[b], x0, x1, y0, y1, i[b] - self.i0, j[b] - self.j0,
-                a, b))):
-            rows[d][ya + yc:yb + yc, xa + xc:xb + xc, cb] += self.ke[name][
-                ka, kb, ya:yb, xa:xb]
-        return band
+        """Lower band of block ``name`` in ``band_layout``'s order: its
+        element matrices through ``fem3d.fill_band``, in one slab."""
+        return fill_band(self.free, LOCAL[name], [(0, self.ke[name])])
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         u = self.grids(p.reshape(self.shape[0], -1))
@@ -281,7 +256,7 @@ def assemble_plate(problem: PlateProblem):
 def band_layout(problem: PlateProblem, flat_free: np.ndarray
                 ) -> tuple[tuple[str, np.ndarray], ...]:
     """The blocks of the free dofs that ``minimize_plate`` solves one after
-    another, (name, band order), nodes in ``_node_view``'s order. With no
+    another, (name, band order), nodes in ``fem3d.node_view``'s order. With no
     membrane-bending coupling in any cell form, K has no entry between w
     and v: a "membrane" block of the w dofs, w1 and w2 together per node,
     about 2 n sub-diagonals for n free nodes along the shorter side, and a
@@ -295,7 +270,7 @@ def band_layout(problem: PlateProblem, flat_free: np.ndarray
         comps = BLOCKS[name][0]
         dofs = np.stack([2 * f + c if c < 2 else 2 * f.size + f for c in comps])
         out = np.empty(dofs.size, dtype=np.intp)
-        _node_view(out, nfy, nfx, len(comps))[...] = dofs.T.reshape(nfy, nfx, -1)
+        node_view(out, nfy, nfx, len(comps))[...] = dofs.T.reshape(nfy, nfx, -1)
         return name, out
 
     if np.any(problem.forms[..., :3, 3:]):

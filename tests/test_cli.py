@@ -156,6 +156,21 @@ def test_plate_solve_asymmetric_form_exit_code(tmp_path, capsys):
     assert "cell form (0, 0) is not symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [0, 21])
+def test_plate_solve_non_finite_form_exit_code(tmp_path, capsys, entry):
+    # a NaN in form slot [0, 0] (the unloaded membrane block) used to exit
+    # 0 with a finite energy, one in [3, 3] (the bending block) exit 2 as a
+    # solver failure; both are validation errors
+    doc = json.loads(Path(_plate_problem(tmp_path, 8, ["left"])).read_text())
+    doc["form"][entry] = float("nan")
+    prob = tmp_path / "nan.json"
+    prob.write_text(json.dumps(doc))
+    assert run(["plate-solve", "--problem", str(prob),
+                "--out", str(tmp_path / "a")]) == 1
+    assert "cell form (0, 0) is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "energy.json").exists()
+
+
 def test_plate_solve_singular_strip_exit_code(tmp_path):
     # an even cell count between two clamped edges has a zero-energy mode;
     # an in-plane load alone does not reach it, so it fails nothing

@@ -333,6 +333,20 @@ def test_clamped_reflection_symmetry():
     assert np.max(np.abs(u3 - u3[::-1, :, :])) < 1e-9 * np.max(np.abs(u3))
 
 
+@pytest.mark.parametrize("shape, clamped", [
+    ((1, 4, 2), ("left", "right")), ((4, 1, 2), ("bottom", "top")),
+    ((1, 1, 2), fem3d.EDGES)])
+def test_plate_mode_without_free_node_rejected(shape, clamped):
+    # clamped edges that leave no free node are a validation error of the
+    # operator, before the preconditioner divides by its free rows
+    grid = uniform_grid(*shape, domain="plate")
+    phases = {1: isotropic_hooke(1.0, 1.0)}
+    with pytest.raises(ValueError, match="leave no free node"):
+        assemble(grid, phases, scale=0.25, mode="plate", clamped=clamped)
+    with pytest.raises(ValueError, match="leave no free node"):
+        solve_clamped(grid, phases, 0.25, (0, 0, 1.0), clamped)
+
+
 def test_plate_mode_requires_clamped_edge():
     grid = uniform_grid(2, 2, 2, domain="plate")
     with pytest.raises(ValueError):
@@ -598,34 +612,33 @@ def unband(band, order):
     return out
 
 
-def band_orders(op):
-    """The preconditioner's band order of a plate's coarse dofs, flat order
-    and a random one."""
+def coarse_order(op):
+    """The preconditioner's band order of a plate's coarse dofs: the free
+    columns numbered x fastest, listed with the faster index along the side
+    that has fewer free columns (x on a tie), five dofs each."""
     free = op.stencil.rows.reshape(op.stencil.lattice)[0]
-    columns = fem3d.band_order(int(free.any(axis=1).sum()),
-                               int(free.any(axis=0).sum()))
-    n = 5 * int(free.sum())
-    return ((5 * columns[:, None] + np.arange(5)).ravel(), np.arange(n),
-            np.random.default_rng(n).permutation(n))
+    lines = np.arange(free.sum()).reshape(int(free.any(axis=1).sum()), -1)
+    columns = (lines.T if lines.shape[0] < lines.shape[1] else lines).ravel()
+    return (5 * columns[:, None] + np.arange(5)).ravel()
 
 
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
 def test_coarse_tables_match_ptkp(shape, mode, clamped):
     # Kc from the (tensor, layer) tables, written into the band, is P^T K P
-    # with P and K built test-side, in the preconditioner's band order, in
-    # flat order and in a random one; nothing lies outside the band
+    # with P and K built test-side, in the preconditioner's band order;
+    # nothing lies outside the band
     op = plate_case(shape, clamped)
     p = coarse_basis(op)
     kc = p.T @ (csr_k(op) @ p)
-    for order in band_orders(op):
-        got = unband(fem3d._coarse_band(op, order), order)
-        assert np.abs(got - kc).max() <= 1e-14 * np.abs(kc).max()
+    order = coarse_order(op)
+    got = unband(fem3d._coarse_band(op), order)
+    assert np.abs(got - kc).max() <= 1e-14 * np.abs(kc).max()
 
 
 def one_shot_coarse_band(op, order):
     """The coarse band as one ``bincount`` over every in-plane element's
     20x20 block, its tables, positions and masks built for the whole plate
-    at once: the reference that ``_coarse_band`` streams row by row."""
+    at once: the reference that ``_coarse_band`` streams slab by slab."""
     nx, ny, nz = op.grid.shape
     ntens = len(op.tensors)
     z = np.linspace(-0.5, 0.5, nz + 1)
@@ -658,15 +671,81 @@ def one_shot_coarse_band(op, order):
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES + [
     ((32, 32, 8), "plate", ("left", "bottom"))])
 def test_coarse_band_rows_match_one_shot_bincount(shape, mode, clamped):
-    # row by row, np.add.at adds each band entry's terms in the order of
-    # the one-shot bincount, so the band is its bit for bit, in a Fortran
+    # slab by slab, the band fill adds each band entry's terms in the order
+    # of the one-shot bincount, so the band is its bit for bit, in a Fortran
     # array of the same shape
     op = plate_case(shape, clamped)
-    for order in band_orders(op):
-        band = fem3d._coarse_band(op, order)
-        want = one_shot_coarse_band(op, order)
-        assert band.shape == want.shape and band.flags.f_contiguous
-        assert np.array_equal(band, want)
+    order = coarse_order(op)
+    band = fem3d._coarse_band(op)
+    want = one_shot_coarse_band(op, order)
+    assert band.shape == want.shape and band.flags.f_contiguous
+    assert np.array_equal(band, want)
+
+
+# local dof sets of the band fill, (component, x, y offset), in descending
+# y offset: the limit plate's coupled block, w on the corners and v on the
+# cross that reaches past the cell, and the coarse operator's 20 dofs,
+# listed last first
+FILL_LOCALS = (
+    sorted([(c, i, j) for c in (0, 1) for i in (0, 1) for j in (0, 1)]
+           + [(2, i, j) for i in (-1, 0, 1, 2) for j in (0, 1)]
+           + [(2, i, j) for i in (0, 1) for j in (-1, 2)],
+           key=lambda d: -d[2]),
+    [(c, i, j) for j in (0, 1) for i in (0, 1) for c in range(5)][::-1])
+CLAMP_SETS = [tuple(e for n, e in enumerate(fem3d.EDGES) if bits >> n & 1)
+              for bits in range(16)]
+
+
+def dense_fill(free, local, ke):
+    """The symmetric matrix of the element matrices ``ke`` (n, n, my, mx)
+    on the free nodes of ``free``, k dofs each, numbered test-side in band
+    order: x fastest on a tie or when the free rows are not fewer, else y
+    fastest. Each cell adds ke[a, b] at its two local dofs' nodes when both
+    are free."""
+    comp, i, j = np.array(local).T
+    k = comp.max() + 1
+    ys, xs = np.flatnonzero(free.any(axis=1)), np.flatnonzero(free.any(axis=0))
+    nfy, nfx = ys.size, xs.size
+    cy, cx = np.meshgrid(np.arange(ke.shape[2]), np.arange(ke.shape[3]),
+                         indexing="ij")
+    ny, nx = cy[..., None] + j, cx[..., None] + i        # (my, mx, n) nodes
+    on = ((ny >= ys[0]) & (ny <= ys[-1]) & (nx >= xs[0]) & (nx <= xs[-1]))
+    node = ((nx - xs[0]) * nfy + ny - ys[0] if nfy < nfx
+            else (ny - ys[0]) * nfx + nx - xs[0])
+    dof = k * node + comp
+    both = on[..., :, None] & on[..., None, :]
+    rows = np.broadcast_to(dof[..., :, None], both.shape)[both]
+    cols = np.broadcast_to(dof[..., None, :], both.shape)[both]
+    out = np.zeros((k * nfy * nfx,) * 2)
+    np.add.at(out, (rows, cols), ke.transpose(2, 3, 0, 1)[both])
+    return out
+
+
+@pytest.mark.parametrize("clamped", CLAMP_SETS)
+def test_band_fill_is_slab_invariant_and_dense(clamped):
+    # random symmetric per-cell element matrices on node rectangles whose
+    # free nodes are fewer along y, fewer along x and as many: with the
+    # local dofs in descending y offset, every band entry adds its terms
+    # in cell-row order, so filled in slabs of 1, 2, 3 and all cell rows
+    # the band is one call's bit for bit; it is the lower band of a dense
+    # assembly in band order
+    rng = np.random.default_rng(len(clamped))
+    for nfy, nfx in ((3, 5), (5, 3), (4, 4)):
+        my = nfy - 1 + ("bottom" in clamped) + ("top" in clamped)
+        mx = nfx - 1 + ("left" in clamped) + ("right" in clamped)
+        free = fem3d.free_nodes(my + 1, mx + 1, clamped)
+        for local in FILL_LOCALS:
+            ke = rng.standard_normal((len(local),) * 2 + (my, mx))
+            ke += ke.transpose(1, 0, 2, 3)
+            band = fem3d.fill_band(free, local, [(0, ke)])
+            for rows in (1, 2, 3):
+                slabs = [(y, ke[:, :, y:y + rows]) for y in range(0, my, rows)]
+                got = fem3d.fill_band(free, local, iter(slabs))
+                assert got.flags.f_contiguous and np.array_equal(got, band)
+            want = dense_fill(free, local, ke)
+            order = np.arange(want.shape[0])
+            assert np.abs(unband(band, order) - want).max() <= (
+                1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
@@ -913,11 +992,11 @@ def test_corrector_loads_peak_is_a_small_multiple_of_g():
 def test_plate_setup_peak_stays_under_k_bytes():
     # a clamped solve's set-up (the operator with its element product, and
     # the two-level preconditioner) assembles no K and builds no CSR
-    # pattern, and the coarse band is built row by row: on the benchmark's
-    # 32x32x8 plate it peaks at 0.43 of the bytes a CSR K would take, where
-    # assembling K and P^T K P peaked at 2.2 times and the band's
-    # whole-plate tables at 0.78; scipy.linalg is loaded first, so that its
-    # import is not traced
+    # pattern, and the coarse band is built a slab of element rows at a
+    # time: on the benchmark's 32x32x8 plate it peaks at 0.47 of the bytes
+    # a CSR K would take (0.41 row by row), where assembling K and P^T K P
+    # peaked at 2.2 times and the band's whole-plate tables at 0.78;
+    # scipy.linalg is loaded first, so that its import is not traced
     import scipy.linalg  # noqa: F401
 
     fem3d._stencil.cache_clear()
@@ -936,12 +1015,12 @@ def test_plate_setup_peak_stays_under_k_bytes():
 
 def test_plate_transients_are_block_sized():
     # on the benchmark's 32x32x8 plate nothing plate-sized is built next to
-    # the coarse band, which the one-shot band doubled (2.05 times); a warm
+    # the coarse band, which the one-shot band doubled (2.05 times): a slab
+    # of 512 elements' blocks takes it to 1.28 (1.08 row by row); a warm
     # product allocates its padded input, its output and a block's work
     # rows, 2.9 vectors, where whole-array work rows took it to 16.8
     op = build_plate((32, 32, 8))
-    order = band_orders(op)[0]
-    band, _, peak = traced(lambda: fem3d._coarse_band(op, order))
+    band, _, peak = traced(lambda: fem3d._coarse_band(op))
     assert peak <= 1.3 * band.nbytes
     p = np.random.default_rng(0).standard_normal(op.ndof)
     op.k(p)

@@ -128,6 +128,31 @@ def test_asymmetric_cell_form_rejected(entry, value):
                      clamped=("left",))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (3, 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_cell_form_rejected(entry, value):
+    # NaN passes the symmetry test and the Cholesky check; a NaN in the
+    # membrane slot of a transversely loaded plate solved silently, one in
+    # the bending slot failed the solve. Both are input errors, naming the
+    # first such cell in (ci, cj) order
+    forms = np.broadcast_to(Q0.a, (8, 8, 6, 6)).copy()
+    forms[2, 5][entry] = value
+    forms[6, 1][entry] = value
+    with pytest.raises(ValueError, match=r"cell form \(2, 5\) is not finite"):
+        PlateProblem(mx=8, my=8, forms=forms, forces=(0.0, 0.0, 1.0),
+                     clamped=("left",))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_force_rejected(value):
+    forces = np.zeros((9, 9, 3))
+    forces[..., 2] = 1.0
+    forces[4, 7, 0] = value
+    forces[5, 2, 2] = value
+    with pytest.raises(ValueError, match=r"nodal force \(4, 7\) is not finite"):
+        PlateProblem(mx=8, my=8, forms=Q0.a, forces=forces, clamped=("left",))
+
+
 def test_nearly_symmetric_cell_form_is_symmetrized():
     # an asymmetry within 1e-12 of the largest entry is stored as the
     # mean of A and A^T; a symmetric form is stored bit for bit
