@@ -150,13 +150,14 @@ class BoundsReport:
 
 def check_bounds(form, alpha: float, beta: float,
                  voigt: PlateForm | None = None) -> BoundsReport:
-    """Verify eigenvalues of A against [alpha/12, beta] and the Voigt ceiling.
+    """Verify eigenvalues of A against [alpha/12, beta] and the Voigt ceiling,
+    each to 1e-12 of beta (of max|Voigt| for the ceiling).
 
     With non-coercive (soft) phases pass alpha <= 0: the coercivity check is
     skipped with a warning, mirroring the bound's precondition.
     """
     a = form.a
-    slack = 1e-9        # each eigenvalue check allows this much rounding
+    slack = 1e-12 * beta
     eig = np.linalg.eigvalsh(a)
     check_coercivity = alpha > 0.0
     if not check_coercivity:
@@ -168,7 +169,7 @@ def check_bounds(form, alpha: float, beta: float,
     if voigt is not None:
         diff = np.linalg.eigvalsh(voigt.a - a)
         voigt_margin = float(diff[0])
-        voigt_ok = bool(voigt_margin >= -slack)
+        voigt_ok = bool(voigt_margin >= -1e-12 * np.abs(voigt.a).max())
     passed = coercivity_ok and boundedness_ok and (voigt_ok is not False)
     return BoundsReport(
         eig_min=float(eig[0]), eig_max=float(eig[-1]),

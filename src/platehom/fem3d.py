@@ -29,10 +29,11 @@ stiffness, and ``np.add.at`` adds the results back over the same index.
 No operator has an assembled K: a cell's and a clamped plate's ``k`` are
 their element products. A plate's preconditioner reads what it needs from
 the element stiffnesses too: the smoother's diagonal corner by corner,
-and the coarse operator from one table per (tensor, layer), banded by
-``fill_band`` in ``node_view``'s order as the limit plate's blocks are;
-its coarse basis is applied on the node-column lattice. A cell's reference
-preconditioner needs only the element stiffness of its reference tensor.
+and the coarse operator from one table per (tensor, layer), banded and
+factored (``fill_band``, ``BandedCholesky``) as the limit plate's blocks
+are; its coarse basis is applied on the node-column lattice. A cell's
+reference preconditioner needs only the element stiffness of its
+reference tensor.
 """
 
 from __future__ import annotations
@@ -206,6 +207,14 @@ def free_nodes(ny: int, nx: int, clamped: tuple[str, ...]) -> np.ndarray:
         if edge in clamped:
             free[line] = False
     return free
+
+
+def free_rectangle(free: np.ndarray) -> tuple[int, int, int, int]:
+    """(j0, j1, i0, i1): the nonempty rectangle [j0, j1) x [i0, i1) of the
+    nodes that the mask ``free`` marks."""
+    (j0, ny), (i0, nx) = ((int(a.argmax()), int(a.sum()))
+                          for a in (free.any(1), free.any(0)))
+    return j0, j0 + ny, i0, i0 + nx
 
 
 @functools.lru_cache(maxsize=1)
@@ -567,33 +576,34 @@ def energy_error(ell: np.ndarray, u: np.ndarray, ku: np.ndarray,
     return float(abs(r @ precond(r)) / max(abs(ell @ u), np.finfo(float).tiny))
 
 
-def node_view(a: np.ndarray, nfy: int, nfx: int, k: int) -> np.ndarray:
-    """(nfy, nfx, k) view of ``a``, k dofs per node of an nfy x nfx node
-    rectangle in band order: the faster index along the side with fewer
-    nodes, x on a tie. For an operator that couples neighbouring nodes only,
-    a band order."""
+def _node_view(a: np.ndarray, free: np.ndarray, k: int) -> np.ndarray:
+    """(nfy, nfx, k) view of ``a``, k dofs at each node of the nfy x nfx
+    rectangle ``free`` marks, in band order: the faster index along the
+    side with fewer nodes, x on a tie. The one order of every band and
+    factor: for an operator that couples neighbouring nodes, a band."""
+    nfy, nfx = free.any(1).sum(), free.any(0).sum()
     if nfy < nfx:
         return a.reshape(nfx, nfy, k).swapaxes(0, 1)
     return a.reshape(nfy, nfx, k)
 
 
 def fill_band(free: np.ndarray, local, slabs) -> np.ndarray:
-    """Lower band, in ``BandedCholesky``'s storage and ``node_view``'s
-    order, of a symmetric operator assembled cell by cell on the nonempty
-    rectangle of nodes ``free`` (my + 1, mx + 1) marks, k dofs each: local
-    dof (c, i, j) of cell (cy, cx) is dof c - min c of node (cy + j, cx + i).
-    ``slabs`` yields (y, ke), ke (n, n, rows, mx) the element matrices of
-    cell rows [y, y + rows) on the n dofs ``local``. Each local pair (a, b)
-    sits at one offset in band order; at offset >= 0 it adds ke[a, b] by one
-    2-D slice add over the slab's cells whose two nodes are free, so a band
+    """Lower band, in ``BandedCholesky``'s storage and band order, of a
+    symmetric operator assembled cell by cell on the nonempty rectangle of
+    nodes ``free`` (my + 1, mx + 1) marks, k dofs each: local dof (c, i, j)
+    of cell (cy, cx) is dof c - min c of node (cy + j, cx + i). ``slabs``
+    yields (y, ke), ke (n, n, rows, mx) the element matrices of cell rows
+    [y, y + rows) on the n dofs ``local``. Each local pair (a, b) sits at
+    one offset in band order; at offset >= 0 it adds ke[a, b] by one 2-D
+    slice add over the slab's cells whose two nodes are free, so a band
     entry adds its terms from zero, slab by slab, pair by pair. With
     ``local`` in descending y offset that is cell-row order, whatever the
     slabs."""
     comp, i, j = np.asarray(local, dtype=np.intp).T
     comp, k = comp - comp.min(), np.ptp(comp) + 1
-    (j0, nfy), (i0, nfx) = ((a.argmax(), a.sum()) for a in (free.any(1), free.any(0)))
-    j1, i1 = j0 + nfy, i0 + nfx
-    pos = node_view(np.arange(nfy * nfx * k), nfy, nfx, k)
+    j0, j1, i0, i1 = free_rectangle(free)
+    nfy, nfx = j1 - j0, i1 - i0
+    pos = _node_view(np.arange(nfy * nfx * k), free, k)
     sy, sx, _ = np.array(pos.strides) // pos.itemsize
     offset = ((j[:, None] - j) * sy + (i[:, None] - i) * sx
               + comp[:, None] - comp)
@@ -606,7 +616,7 @@ def fill_band(free: np.ndarray, local, slabs) -> np.ndarray:
     pairs = list(zip(*(e.tolist() for e in (
         offset, comp[b], x0, x1, y0, y1, i[b] - i0, j[b] - j0, a, b))))
     band = np.zeros((offset.max() + 1, nfy * nfx * k), order="F")
-    rows = {d: node_view(band[d], nfy, nfx, k) for d in set(offset.tolist())}
+    rows = {d: _node_view(band[d], free, k) for d in set(offset.tolist())}
     for y, ke in slabs:
         for d, cb, xa, xb, ya, yb, xc, yc, ka, kb in pairs:
             ya, yb = max(ya, y), min(yb, y + ke.shape[2])
@@ -618,30 +628,33 @@ def fill_band(free: np.ndarray, local, slabs) -> np.ndarray:
 
 class BandedCholesky:
     """Banded Cholesky factor of a symmetric positive definite matrix K, or
-    of its principal block on some of its dofs, stored in a given dof order.
+    of its principal block on k dofs at each node that ``free`` marks.
 
-    ``order`` lists the block's dofs of K in band order. ``band`` is the
-    lower band of K[order][:, order] in LAPACK's lower storage,
-    band[i - j, j] holding entry (i, j) of its ``bandwidth`` sub-diagonals,
-    in Fortran order; LAPACK factors it in place. ``solve`` takes and
-    returns vectors in K's own order, zero on the dofs outside ``order``. A
-    block that is not positive definite in working precision raises
-    ``SolverError``, naming it ``what``.
+    ``dofs`` (free nodes, k) gives K's dof of each component at each free
+    node, flat order, x fastest; ``order`` lists them in band order, as
+    ``fill_band`` does. ``band`` is the lower band of K[order][:, order] in
+    LAPACK's lower storage, band[i - j, j] holding entry (i, j) of its
+    ``bandwidth`` sub-diagonals, in Fortran order; LAPACK factors it in
+    place. ``solve`` takes and returns vectors in K's own order, zero on
+    the dofs outside ``order``. A block that is not positive definite in
+    working precision raises ``SolverError``, naming it ``what``.
     """
 
-    def __init__(self, band: np.ndarray, order: np.ndarray,
+    def __init__(self, band: np.ndarray, free: np.ndarray, dofs: np.ndarray,
                  what: str = "matrix"):
         # scipy.linalg is imported where it is used, so that a command that
         # builds no matrix does not pay for it at start
         from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-        self.order = order
         self.bandwidth = band.shape[0] - 1
         try:
             self.band = cholesky_banded(band, overwrite_ab=True, lower=True,
                                         check_finite=False)
         except LinAlgError as exc:
             raise SolverError(f"{what} is not positive definite: {exc}") from exc
+        self.order = np.empty(dofs.size, dtype=np.intp)
+        view = _node_view(self.order, free, dofs.shape[1])
+        view[...] = dofs.reshape(view.shape)
         self._cho_solve = cho_solve_banded
 
     def solve(self, y: np.ndarray) -> np.ndarray:
@@ -743,8 +756,8 @@ class PlatePreconditioner:
     ``prolong`` (P) adds each column's fields onto its nodes. Both round as
     the CSR product of P's nonzeros would.
 
-    Kc couples neighbouring columns only, so in ``node_view``'s order it is
-    a band matrix of about 5 (min(nx, ny) + 2) sub-diagonals; its
+    Kc couples neighbouring columns only, so in band order it is a band
+    matrix of about 5 (min(nx, ny) + 2) sub-diagonals; its
     ``BandedCholesky`` factor is stored in that order, and a Kc that is not
     positive definite (an indefinite phase) raises ``SolverError``.
     """
@@ -761,12 +774,8 @@ class PlatePreconditioner:
         d = _diagonal(op)
         d[d == 0.0] = 1.0
         self.inverse_diagonal = 1.0 / d
-        # the free columns fill a nonempty rectangle (``assemble``), x fastest
-        nfy, nfx = int(free.any(axis=1).sum()), int(free.any(axis=0).sum())
-        order = np.empty(5 * self.ncol, dtype=np.intp)
-        node_view(order, nfy, nfx, 5)[...] = np.arange(order.size).reshape(
-            nfy, nfx, 5)
-        self.coarse = BandedCholesky(_coarse_band(op), order,
+        self.coarse = BandedCholesky(_coarse_band(op), free,
+                                     np.arange(5 * self.ncol).reshape(-1, 5),
                                      "coarse plate operator")
 
     def describe(self) -> dict:

@@ -13,7 +13,8 @@ K is assembled cell by cell (``PlateOperator``) and solved block by block
 (``minimize_plate``). With the two edges of one axis clamped, the other
 two free and an even cell count between them, the averaged second
 differences leave an exact zero-energy deflection (0, 1, 0, 1, ... across
-node lines): K is singular, and ``minimize_plate`` raises ``SolverError``.
+node lines): K's bending block is singular, and ``minimize_plate`` raises
+``SolverError`` when the load reaches that block, not on in-plane loads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .algebra import SQRT2
 from .fem3d import (BandedCholesky, SolveInfo, SolverError, fill_band,
-                    free_nodes, node_view, pcg)
+                    free_nodes, free_rectangle, pcg)
 
 GAUSS = 1.0 / np.sqrt(3.0)
 # the strain rows of each Gauss group (the center, xi, eta); a cell's ten
@@ -138,24 +139,23 @@ def _cell_rows(n: int, clamped_lo: bool, clamped_hi: bool) -> list:
 
 class PlateOperator:
     """K on the free dofs (w1, w2 of free node f at 2f, 2f + 1, v at
-    2 nf + f; free nodes [j0, j1) x [i0, i1), flat order) from the element
-    matrices of the blocks ``names``. ``ke[name]`` (n, n, my, mx) holds each
-    cell's K_c = B_c^T D_c B_c on the block's local dofs (``LOCAL``), D_c
-    2 hx hy times the form on the block's strain rows, zero between Gauss
-    groups: K_c = sum D_c[q, q'] M_qq' over the pairs q <= q' of one group,
-    M_qq' = B_q[a] B_q'[b] + B_q'[a] B_q[b] (halved for q = q'), symmetric
-    bit for bit, in one GEMM for all cells with the inner run's rows, then
-    one per other run. ``k @ p`` gathers each cell's local dofs by slices
-    of node grids, multiplies them by K_c and adds them back by slices;
-    ``nnz`` counts the element matrix entries and ``indices`` is the int8
-    table of the local dofs."""
+    2 nf + f; free nodes [j0, j1) x [i0, i1), flat order, ``dofs``) from the
+    element matrices of the blocks ``names``. ``ke[name]`` (n, n, my, mx)
+    holds each cell's K_c = B_c^T D_c B_c on the block's local dofs
+    (``LOCAL``), D_c 2 hx hy times the form on the block's strain rows, zero
+    between Gauss groups: K_c = sum D_c[q, q'] M_qq' over the pairs q <= q'
+    of one group, M_qq' = B_q[a] B_q'[b] + B_q'[a] B_q[b] (halved for
+    q = q'), symmetric bit for bit, in one GEMM for all cells with the inner
+    run's rows, then one per other run. ``k @ p`` gathers each cell's local
+    dofs by slices of node grids, multiplies them by K_c and adds them back
+    by slices; ``nnz`` counts the element matrix entries and ``indices`` is
+    the int8 table of the local dofs."""
 
     def __init__(self, problem: PlateProblem, names):
         mx, my, clamped = problem.mx, problem.my, problem.clamped
         self.mx, self.my = mx, my
         self.free = free_nodes(my + 1, mx + 1, clamped)
-        i0, i1 = int("left" in clamped), mx + 1 - ("right" in clamped)
-        j0, j1 = int("bottom" in clamped), my + 1 - ("top" in clamped)
+        j0, j1, i0, i1 = free_rectangle(self.free)
         self.nfy, self.nfx = j1 - j0, i1 - i0
         self.free_rect = np.s_[:, j0 + 1:j1 + 1, i0 + 1:i1 + 1]
         self.shape = (3 * self.nfy * self.nfx,) * 2
@@ -218,9 +218,15 @@ class PlateOperator:
         op.ke = {name: self.ke[name]}
         return op
 
+    def dofs(self, name: str) -> np.ndarray:
+        """(free nodes, k): the dof of each of block ``name``'s k node field
+        components at each free node, flat order."""
+        f = np.arange(self.nfy * self.nfx)[:, None]
+        return np.hstack([2 * f, 2 * f + 1, 2 * f.size + f])[:, BLOCKS[name][0]]
+
     def band(self, name: str) -> np.ndarray:
-        """Lower band of block ``name`` in ``band_layout``'s order: its
-        element matrices through ``fem3d.fill_band``, in one slab."""
+        """Lower band of block ``name`` in band order: its element matrices
+        through ``fem3d.fill_band``, in one slab."""
         return fill_band(self.free, LOCAL[name], [(0, self.ke[name])])
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
@@ -236,9 +242,13 @@ class PlateOperator:
 
 
 def assemble_plate(problem: PlateProblem):
-    """Returns (K, load, free dof mask, free node mask) with energy
-    0.5 u.K u - l.u on the free dofs: K the ``PlateOperator`` of the blocks
-    the load reaches, the blocks whose minimizer is not 0."""
+    """Returns (K, load) with energy 0.5 u.K u - l.u on the free dofs, K
+    the ``PlateOperator`` of the blocks the load reaches, the blocks whose
+    minimizer is not 0. With no membrane-bending coupling in any cell form,
+    K has no entry between w and v: a "membrane" block of the w dofs, w1
+    and w2 together per node, about 2 n sub-diagonals in band order for n
+    free nodes along the shorter side, and a "bending" block of the v dofs,
+    about 3 n; else one "coupled" block of w1, w2, v per node, about 9 n."""
     mx, my = problem.mx, problem.my
     hx, hy = 1.0 / mx, 1.0 / my
     # lumped nodal load weights (quarter of each adjacent cell)
@@ -246,47 +256,23 @@ def assemble_plate(problem: PlateProblem):
     for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
         area[i:mx + i, j:my + j] += hx * hy / 4.0
     load = (problem.forces * area[..., None]).swapaxes(0, 1).reshape(-1, 3)
-    flat_free = free_nodes(my + 1, mx + 1, problem.clamped).ravel()
-    dof_free = np.concatenate([np.repeat(flat_free, 2), flat_free])
-    ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])[dof_free]
-    return PlateOperator(problem, [name for name, order in band_layout(
-        problem, flat_free) if ell[order].any()]), ell, dof_free, flat_free
+    load = load[free_nodes(my + 1, mx + 1, problem.clamped).ravel()]
+    ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])
+    nw = 2 * len(load)          # the w dofs come first, then v
+    parts = ({"coupled": ell} if np.any(problem.forms[..., :3, 3:])
+             else {"membrane": ell[:nw], "bending": ell[nw:]})
+    return PlateOperator(problem, [n for n, part in parts.items()
+                                   if part.any()]), ell
 
 
-def band_layout(problem: PlateProblem, flat_free: np.ndarray
-                ) -> tuple[tuple[str, np.ndarray], ...]:
-    """The blocks of the free dofs that ``minimize_plate`` solves one after
-    another, (name, band order), nodes in ``fem3d.node_view``'s order. With no
-    membrane-bending coupling in any cell form, K has no entry between w
-    and v: a "membrane" block of the w dofs, w1 and w2 together per node,
-    about 2 n sub-diagonals for n free nodes along the shorter side, and a
-    "bending" block of the v dofs, about 3 n; else one "coupled" block of
-    w1, w2, v per node, about 9 n."""
-    free = flat_free.reshape(problem.my + 1, problem.mx + 1)
-    nfy, nfx = int(free.any(axis=1).sum()), int(free.any(axis=0).sum())
-    f = np.arange(nfy * nfx)
-
-    def order(name):
-        comps = BLOCKS[name][0]
-        dofs = np.stack([2 * f + c if c < 2 else 2 * f.size + f for c in comps])
-        out = np.empty(dofs.size, dtype=np.intp)
-        node_view(out, nfy, nfx, len(comps))[...] = dofs.T.reshape(nfy, nfx, -1)
-        return name, out
-
-    if np.any(problem.forms[..., :3, 3:]):
-        return (order("coupled"),)
-    return order("membrane"), order("bending")
-
-
-def _solve_block(k: PlateOperator, ell: np.ndarray, name: str,
-                 order: np.ndarray, tol: float):
+def _solve_block(k: PlateOperator, ell: np.ndarray, name: str, tol: float):
     """CG on K's block ``name`` for its part of ``ell``, preconditioned by
     its banded Cholesky factor: the solution, K times it, its SolveInfo,
     the bandwidth and r.K_b^-1 r, r = l_b - K u_b. Frees the band."""
     what = f"plate operator's {name} block"
-    factor = BandedCholesky(k.band(name), order, what)
+    factor = BandedCholesky(k.band(name), k.free, k.dofs(name), what)
     ell_b = np.zeros_like(ell)
-    ell_b[order] = ell[order]
+    ell_b[factor.order] = ell[factor.order]
     try:
         u, info = pcg(k, ell_b, precond=factor.solve, tol=tol)
     except SolverError as exc:
@@ -298,7 +284,7 @@ def _solve_block(k: PlateOperator, ell: np.ndarray, name: str,
 
 def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     """Discrete minimizer of the limit plate functional, block by block
-    (``band_layout``). Each block the load reaches goes to CG on its block
+    (``assemble_plate``). Each block the load reaches goes to CG on its block
     of K, preconditioned by the block's banded Cholesky factor
     (``fem3d.BandedCholesky``), and converges in one or two iterations;
     one band is alive at a time. With no membrane-bending coupling the
@@ -315,14 +301,11 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     mode that the factor amplifies); the estimate names the block with the
     largest term. A singular block the load does not reach raises nothing.
     """
-    k, ell, _, flat_free = assemble_plate(problem)
-    blocks = [(name, order) for name, order in band_layout(problem, flat_free)
-              if name in k.ke]
-    solves = [_solve_block(k.block(name), ell, name, order, tol)
-              for name, order in blocks]
+    k, ell = assemble_plate(problem)
+    names = list(k.ke)
+    solves = [_solve_block(k.block(name), ell, name, tol) for name in names]
     us, kus, infos, widths, terms = zip(*solves) if solves else ((),) * 5
     u, ku = (sum(a, np.zeros_like(ell)) for a in (us, kus))
-    names = [name for name, _ in blocks]
     info = SolveInfo(ndof=k.shape[0], nnz=k.nnz,
                      column_iterations=tuple(i.iterations for i in infos),
                      column_residuals=tuple(i.residual for i in infos),

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from test_fem3d import block_fill_stiffness
 
 from platehom import cell
-from platehom.algebra import (isotropic_hooke, plane_stress_form,
+from platehom.algebra import (PlateForm, isotropic_hooke, plane_stress_form,
                               rotation90_pair, soft_hooke)
 from platehom.cell import (check_bounds, evaluate, gamma_sweep, homogenize,
                            kl_limit_form, voigt_form)
@@ -136,6 +136,26 @@ def test_check_bounds_single_phase(single_phase_form):
     assert rep.eig_min >= 1.0 / 12.0 - 1e-9
     assert rep.eig_min < 1.0 / 12.0 + 0.01
     assert rep.eig_max <= 2.5 + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_check_bounds_slack_is_relative(scale):
+    # the checks allow 1e-12 of beta and of max|Voigt|: a form pushed
+    # 1e-6 max|A| past the Voigt ceiling fails at either scale, and the
+    # Voigt ceiling itself passes
+    phases = {1: isotropic_hooke(scale, scale),
+              2: isotropic_hooke(10 * scale, 10 * scale)}
+    grid = make_laminate("x3", [0.5, 0.5], (4, 4, 4))
+    hf = homogenize(grid, phases, 1.0)
+    voigt = voigt_form(grid, phases)
+    alpha, beta = phases[1].alpha, phases[2].beta
+    assert check_bounds(hf, alpha, beta, voigt=voigt).passed
+    assert check_bounds(voigt, alpha, beta, voigt=voigt).voigt_ok
+    e = np.ones(6) / np.sqrt(6.0)
+    pushed = PlateForm(voigt.a + 1e-6 * np.abs(hf.a).max() * np.outer(e, e))
+    rep = check_bounds(pushed, alpha, beta, voigt=voigt)
+    assert not rep.voigt_ok and not rep.passed
+    assert rep.voigt_margin < -5e-7 * np.abs(hf.a).max()
 
 
 def test_check_bounds_soft_phase_skips_coercivity():

@@ -328,6 +328,34 @@ def test_griso_command(tmp_path):
     assert (out / "residual.vtk").exists()
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_griso_check_scales_with_the_field(tmp_path, scale):
+    # the reconstruction identity holds to about 1e-16 of max|field|: a
+    # seeded 9^3 field scaled by 1e4 reads 7.3e-12, by 1e6 4.7e-10, which
+    # an absolute 1e-12 bound failed
+    field = scale * np.random.default_rng(9).standard_normal((10, 10, 10, 3))
+    np.save(tmp_path / "field.npy", field)
+    out = tmp_path / "g"
+    assert run(["griso", "--field", str(tmp_path / "field.npy"), "--check",
+                "--out", str(out)]) == 0
+    err = json.loads((out / "griso.json").read_text())["reconstruction_error"]
+    assert 1e-12 < err <= 1e-13 * np.abs(field).max()
+
+
+@pytest.mark.parametrize("command", ["gen-micro", "griso", "gclosure-sample"])
+@pytest.mark.parametrize("res", ["4,4", "4,4,4,4", "4,x,4", "0,4,4", "4,-1,4",
+                                 ""])
+def test_res_needs_three_positive_ints(tmp_path, phases_file, capsys, command, res):
+    argv = {"gen-micro": ["gen-micro", "--kind", "random"],
+            "griso": ["griso"],
+            "gclosure-sample": ["gclosure-sample", "--phases", phases_file,
+                                "--theta", "0.5,0.5", "--generators",
+                                "laminate:x1"]}[command]
+    assert run(argv + ["--res", res, "--out", str(tmp_path / "o")]) == 1
+    assert (f"--res needs three positive ints nx,ny,nz, got {res!r}"
+            in capsys.readouterr().err)
+
+
 def test_gclosure_sample_command(tmp_path, phases_file):
     out = tmp_path / "s"
     rc = run(["gclosure-sample", "--phases", phases_file, "--theta", "0.5,0.5",
@@ -358,6 +386,24 @@ def test_patchwork_command(tmp_path, phases_file):
     assert rep["basis"] == "mandel-pair-v1"
     assert rep["patches"][0]["form_gap"] <= 0.05
     assert rep["patches"][0]["theta_exact"]
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e10])
+def test_bounds_check_at_si_scale(tmp_path, scale):
+    # an x3 laminate with SI-scale moduli: rounding alone read a Voigt
+    # margin of -2.2e-7 at 1e9, past an absolute 1e-9 slack
+    doc = {"phases": [
+        {"id": 1, "model": "isotropic", "lambda": scale, "mu": scale},
+        {"id": 2, "model": "isotropic", "lambda": 10 * scale, "mu": 10 * scale},
+    ]}
+    (tmp_path / "phases.json").write_text(json.dumps(doc))
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3",
+         "--fractions", "0.5,0.5", "--res", "4,4,4", "--out", str(tmp_path)])
+    assert run(["homogenize", "--micro", str(tmp_path / "micro.json"),
+                "--phases", str(tmp_path / "phases.json"), "--gamma", "1.0",
+                "--out", str(tmp_path / "hom"), "--check"]) == 0
+    rep = json.loads((tmp_path / "hom" / "bounds.json").read_text())
+    assert rep["passed"] and rep["voigt_ok"]
 
 
 def test_check_command():

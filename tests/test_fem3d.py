@@ -748,6 +748,32 @@ def test_band_fill_is_slab_invariant_and_dense(clamped):
                 1e-14 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("clamped", CLAMP_SETS)
+def test_factor_order_runs_along_the_shorter_side(clamped):
+    # on node rectangles whose free nodes are fewer along y, fewer along x
+    # and as many, a factor's order is a permutation of its dofs table,
+    # node by node, k dofs each in table order, the node index running
+    # fastest along the side with fewer free nodes, x on a tie
+    rng = np.random.default_rng(len(clamped))
+    for nfy, nfx in ((3, 5), (5, 3), (4, 4)):
+        my = nfy - 1 + ("bottom" in clamped) + ("top" in clamped)
+        mx = nfx - 1 + ("left" in clamped) + ("right" in clamped)
+        free = fem3d.free_nodes(my + 1, mx + 1, clamped)
+        for k in (1, 2, 5):
+            dofs = rng.permutation(nfy * nfx * k).reshape(-1, k)
+            factor = fem3d.BandedCholesky(np.ones((1, dofs.size), order="F"),
+                                          free, dofs)
+            # each position's entry of the table: free node (y, x), component
+            node, comp = np.divmod(np.argsort(dofs.ravel())[factor.order], k)
+            y, x = np.divmod(node, nfx)
+            step = np.arange(dofs.size) // k
+            fast, slow = (y, x) if nfy < nfx else (x, y)
+            short = min(nfy, nfx)
+            assert np.array_equal(comp, np.arange(dofs.size) % k)
+            assert np.array_equal(fast, step % short)
+            assert np.array_equal(slow, step // short)
+
+
 @pytest.mark.parametrize("shape, mode, clamped", PLATE_CASES)
 def test_lattice_transfer_is_csr_p_bitwise(shape, mode, clamped):
     # restrict and prolong on the column lattice round as the CSR product
@@ -756,6 +782,7 @@ def test_lattice_transfer_is_csr_p_bitwise(shape, mode, clamped):
     # stiff phases, so that the preconditioner has a coarse factor
     op = plate_case(shape, clamped, PLATE_PHASES)
     m = fem3d.PlatePreconditioner(op)
+    assert np.array_equal(m.coarse.order, coarse_order(op))
     p = sp.csr_matrix(coarse_basis(op))
     pt = p.T.tocsr()
     rng = np.random.default_rng(op.ndof)

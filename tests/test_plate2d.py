@@ -1,5 +1,7 @@
 """Limit plate solver: decoupling, energy identity, coupling, stability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,10 +13,10 @@ from platehom.cell import kl_limit_form
 from platehom.fem3d import (BandedCholesky, SolverError, energy_error,
                             free_nodes, pcg)
 from platehom.microstructure import make_laminate
-from platehom.plate2d import (GAUSS, GROUP_ROWS, PlateOperator, PlateProblem,
-                              PlateSolution, assemble_plate, band_layout,
-                              cell_strains, dump_solution_csv, load_problem,
-                              minimize_plate, perturbation_stability)
+from platehom.plate2d import (GAUSS, GROUP_ROWS, PlateProblem, PlateSolution,
+                              assemble_plate, cell_strains, dump_solution_csv,
+                              load_problem, minimize_plate,
+                              perturbation_stability)
 
 Q0 = plane_stress_form(isotropic_hooke(1.0, 1.0))
 
@@ -30,9 +32,10 @@ def spy_solves(monkeypatch):
     its CG calls."""
     seen = {"bands": [], "pcg": 0}
 
-    def factor(band, order, *args):
-        seen["bands"].append(order)
-        return BandedCholesky(band, order, *args)
+    def factor(*args):
+        out = BandedCholesky(*args)
+        seen["bands"].append(out.order)
+        return out
 
     def cg(*args, **kwargs):
         seen["pcg"] += 1
@@ -44,9 +47,21 @@ def spy_solves(monkeypatch):
 
 
 def full_operator(problem):
-    """K with every block of ``band_layout``, whatever the load."""
-    flat_free = assemble_plate(problem)[3]
-    return PlateOperator(problem, [n for n, _ in band_layout(problem, flat_free)])
+    """K with every block, whatever the load: ``assemble_plate``'s K under
+    a load that reaches every free dof."""
+    return assemble_plate(dataclasses.replace(problem, forces=np.ones(3)))[0]
+
+
+def block_order(k, name):
+    """The band order of K's block ``name``, read from its factor."""
+    return BandedCholesky(k.band(name), k.free, k.dofs(name)).order
+
+
+def dof_mask(problem):
+    """The free dofs among all node dofs, w1, w2 per node, then v."""
+    flat_free = free_nodes(problem.my + 1, problem.mx + 1,
+                           problem.clamped).ravel()
+    return np.concatenate([np.repeat(flat_free, 2), flat_free])
 
 
 def test_zero_force_zero_solution(monkeypatch):
@@ -506,9 +521,9 @@ def test_kronecker_assembly_matches_element_loop(mx, my, clamped):
     forces = rng.standard_normal((mx + 1, my + 1, 3))
     prob = PlateProblem(mx=mx, my=my, forms=forms, forces=forces,
                         clamped=clamped)
-    k, (_, ell, dof_free, _) = kronecker_k(prob), assemble_plate(prob)
+    k, (_, ell) = kronecker_k(prob), assemble_plate(prob)
     k_ref, ell_ref, free_ref = _loop_assemble(prob)
-    assert np.array_equal(dof_free, free_ref)
+    assert np.array_equal(dof_mask(prob), free_ref)
     scale = abs(k_ref).max()
     assert abs(k - k_ref).max() <= 1e-14 * scale
     assert_allclose(ell, ell_ref, rtol=1e-14, atol=1e-14 * abs(ell_ref).max())
@@ -608,19 +623,18 @@ def test_banded_factor_matches_dense_solve(mx, my, clamped, coupled):
     # its left edge clamped
     prob = PlateProblem(mx=mx, my=my, forms=coupled_form() if coupled else Q0.a,
                         forces=np.array([0.0, 0.0, 1.0]), clamped=clamped)
-    k, flat_free = full_operator(prob), assemble_plate(prob)[3]
-    blocks = band_layout(prob, flat_free)
-    free = flat_free.reshape(my + 1, mx + 1)
-    n = min(free.any(axis=0).sum(), free.any(axis=1).sum())
+    k = full_operator(prob)
+    n = min(k.free.any(axis=0).sum(), k.free.any(axis=1).sum())
     widths = {"coupled": 9 * n + 3, "membrane": 2 * n + 3, "bending": 3 * n + 1}
-    assert [name for name, _ in blocks] == (["coupled"] if coupled
-                                            else ["membrane", "bending"])
-    assert np.array_equal(np.sort(np.concatenate([o for _, o in blocks])),
-                          np.arange(k.shape[0]))
+    assert list(k.ke) == (["coupled"] if coupled else ["membrane", "bending"])
+    factors = {name: BandedCholesky(k.band(name), k.free, k.dofs(name))
+               for name in k.ke}
+    assert np.array_equal(np.sort(np.concatenate(
+        [f.order for f in factors.values()])), np.arange(k.shape[0]))
     b = np.random.default_rng(mx).standard_normal((k.shape[0], 2))
     dense = k @ np.eye(k.shape[0])
-    for name, order in blocks:
-        factor = BandedCholesky(k.band(name), order)
+    for name, factor in factors.items():
+        order = factor.order
         assert factor.bandwidth == widths[name]
         want = np.linalg.solve(dense[order][:, order], b[order])
         got = factor.solve(b)
@@ -651,8 +665,8 @@ def test_csr_band_is_the_permuted_tril_band(mx, my, clamped, coupled):
     # 1e-14 of the largest (they sum in another order)
     prob = random_plate(mx, my, clamped, coupled, mx * my + len(clamped))
     k, k_ref = full_operator(prob), kronecker_k(prob)
-    for name, order in band_layout(prob, assemble_plate(prob)[3]):
-        got, want = k.band(name), tril_band(k_ref, order)
+    for name in k.ke:
+        got, want = k.band(name), tril_band(k_ref, block_order(k, name))
         assert got.flags.f_contiguous
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -691,23 +705,25 @@ def whole_band_minimize(problem, tol=1e-12):
     by side, as K has no entry between them), one CG on every block of K
     and the energy error estimate r.K_c^-1 r / |l.u| of the whole
     residual."""
-    _, ell, dof_free, flat_free = assemble_plate(problem)
+    _, ell = assemble_plate(problem)
     k = full_operator(problem)
-    layout = band_layout(problem, flat_free)
-    bands = [k.band(name) for name, _ in layout]
+    bands = [k.band(name) for name in k.ke]
     band = np.zeros((max(b.shape[0] for b in bands), k.shape[0]), order="F")
     start = 0
     for b in bands:
         band[:b.shape[0], start:start + b.shape[1]] = b
         start += b.shape[1]
-    order = np.concatenate([o for _, o in layout])
-    factor = BandedCholesky(band, order)
+    # the blocks' orders side by side, as the dofs of a 1 x n node line
+    order = np.concatenate([block_order(k, name) for name in k.ke])
+    factor = BandedCholesky(band, np.ones((1, order.size), dtype=bool),
+                            order[:, None])
     u, info = pcg(k, ell, precond=factor.solve, tol=tol)
     ku = k @ u
     info.energy_error = energy_error(ell, u, ku, factor.solve)
     if not info.energy_error <= tol:
         raise SolverError("singular")
     mx, my = problem.mx, problem.my
+    dof_free = dof_mask(problem)
     full = np.zeros(dof_free.size)
     full[dof_free] = u
     nn = (mx + 1) * (my + 1)
@@ -813,11 +829,11 @@ def test_even_strip_with_in_plane_load_solves_the_membrane_block(m, clamped):
     sol = minimize_plate(prob)
     assert not sol.v.any()
     assert sol.solve.preconditioner["blocks"] == ["membrane"]
-    _, ell, dof_free, flat_free = assemble_plate(prob)
+    _, ell = assemble_plate(prob)
     k = full_operator(prob)
-    (_, order), _ = band_layout(prob, flat_free)
-    factor = BandedCholesky(k.band("membrane"), order)
+    factor = BandedCholesky(k.band("membrane"), k.free, k.dofs("membrane"))
     u, _ = pcg(k, ell, precond=factor.solve, tol=1e-12)
+    dof_free = dof_mask(prob)
     full = np.zeros(dof_free.size)
     full[dof_free] = u
     w = full[:2 * (m + 1) ** 2].reshape(m + 1, m + 1, 2).swapaxes(0, 1)
@@ -827,10 +843,9 @@ def test_even_strip_with_in_plane_load_solves_the_membrane_block(m, clamped):
 
 def test_transverse_load_bands_only_the_bending_block(monkeypatch):
     prob = cantilever(mx=64, my=64, forms=ortho_form())
-    (_, _), (name, bending) = band_layout(prob, assemble_plate(prob)[3])
+    bending = block_order(full_operator(prob), "bending")
     seen = spy_solves(monkeypatch)
     sol = minimize_plate(prob)
-    assert name == "bending"
     assert len(seen["bands"]) == seen["pcg"] == 1
     assert np.array_equal(seen["bands"][0], bending)
     assert sol.solve.preconditioner["blocks"] == ["bending"]
