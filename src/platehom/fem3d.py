@@ -33,7 +33,8 @@ and the coarse operator from one table per (tensor, layer), banded and
 factored (``fill_band``, ``BandedCholesky``) as the limit plate's blocks
 are; its coarse basis is applied on the node-column lattice. A cell's
 reference preconditioner needs only the element stiffness of its
-reference tensor.
+reference tensor, so it is built from the grid shape, gamma and the phase
+tensors, and cells that share those share it.
 """
 
 from __future__ import annotations
@@ -237,6 +238,26 @@ def _stencil(shape: tuple[int, int, int], mode: str,
     return _Stencil(lattice=lattice, corners=corners, rows=rows)
 
 
+def phase_tensors(grid: VoxelGrid, phases: dict[int, HookeTensor3],
+                  allow_soft: bool = False
+                  ) -> tuple[list[int], list[HookeTensor3]]:
+    """The sorted ids of the phases present in ``grid`` and their tensors.
+    An id not in ``phases`` is a ``ValueError``, and so is a non-coercive
+    phase unless ``allow_soft``."""
+    ids = sorted(int(p) for p in grid.phase_ids())
+    missing = [p for p in ids if p not in phases]
+    if missing:
+        raise ValueError(f"grid references unknown phase ids {missing}")
+    tensors = [phases[p] for p in ids]
+    for p, t in zip(ids, tensors):
+        if t.alpha <= 0.0 and not allow_soft:
+            raise ValueError(
+                f"phase {p} is not coercive (alpha={t.alpha:.3e}); "
+                "pass allow_soft=True to accept it"
+            )
+    return ids, tensors
+
+
 def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
              mode: str | None = None, clamped: tuple[str, ...] = (),
              allow_soft: bool = False) -> Operator:
@@ -252,17 +273,7 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     mode = mode or grid.domain
     nx, ny, nz = grid.shape
 
-    ids = sorted(int(p) for p in grid.phase_ids())
-    missing = [p for p in ids if p not in phases]
-    if missing:
-        raise ValueError(f"grid references unknown phase ids {missing}")
-    tensors = [phases[p] for p in ids]
-    for p, t in zip(ids, tensors):
-        if t.alpha <= 0.0 and not allow_soft:
-            raise ValueError(
-                f"phase {p} is not coercive (alpha={t.alpha:.3e}); "
-                "pass allow_soft=True to accept it"
-            )
+    ids, tensors = phase_tensors(grid, phases, allow_soft)
     tensor_of_elem = np.searchsorted(np.array(ids), grid.data).astype(np.int32)
 
     # plate mode uses assumed-natural-strain transverse shear: the thin-limit
@@ -440,19 +451,28 @@ class ReferencePreconditioner:
     place of log n, so the gain narrows as the cell widens: six columns on
     one thread took 0.26-0.29 / 3.4-3.5 / 16-18 ms at 8^3 / 16^3 / 24^3,
     against 0.5-0.9 / 5.3-6.4 / 19-24 ms through numpy's FFT.
+
+    It depends on the grid ``shape`` (nx, ny, nz), ``gamma`` and the
+    ``tensors`` of the phases present, in sorted id order, alone: every cell
+    operator with the same three gets the same preconditioner, bit for bit,
+    so one instance serves them all (``cell.homogenize``'s ``precond``).
     """
 
     name = "fft-reference"
 
-    def __init__(self, op: Operator):
-        if op.mode != "cell":
-            raise ValueError("the reference preconditioner needs a cell operator")
-        nx, ny, nz = op.grid.shape
+    def __init__(self, shape: tuple[int, int, int], gamma: float,
+                 tensors: list[HookeTensor3]):
+        if gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        nx, ny, nz = shape
         self.shape = (nz + 1, ny, nx)
+        self.gamma, self.tensors = gamma, tuple(tensors)
         # every element stiffness sum_g w B^T C B is monotone in C, so
         # K >= m K0 on the mean-free fields: pcg's bound on the energy error
-        self.c0, self.m = reference_tensor(op.tensors)
-        ke = element_stiffness(op.kit, self.c0).reshape(8, 3, 8, 3)
+        self.c0, self.m = reference_tensor(tensors)
+        # the cell element at scale gamma, as ``assemble`` builds it
+        kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, gamma)
+        ke = element_stiffness(kit, self.c0).reshape(8, 3, 8, 3)
         corner = _local_corners().astype(int)
         # K u for u = exp(i theta.(x, y)) u_hat picks up exp(i theta.(b - a))
         # between local corners a (row) and b (column)

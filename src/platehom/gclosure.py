@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cell as cellmod
+from . import fem3d
 from .algebra import HookeTensor3
 from .fem3d import SolverError
 from .microstructure import (VoxelGrid, adjust_volume_fraction, load_grid,
@@ -78,25 +79,41 @@ def sample_ptheta(phases: dict[int, HookeTensor3], theta, generators,
                   gammas, resolution=(8, 8, 8),
                   tol: float = 1e-10) -> SampleSet:
     """One homogenized form per (generator, gamma), every generator adjusted
-    to the target fractions first; failures are recorded, not raised."""
+    to the target fractions first; failures are recorded, not raised.
+
+    The entries run generator by generator, each over ``gammas``, but the
+    solves run gamma by gamma: the cells at one gamma that hold the same
+    phases (all have the shape ``resolution``) share one reference
+    preconditioner, built once for that shape, gamma and phase tensors
+    (``cell.homogenize``'s ``precond``) and dropped before the next gamma's.
+    """
     theta = np.asarray(theta, dtype=float)
     out = SampleSet(theta=tuple(theta.tolist()))
     ids = sorted(phases)
+    cells = []
     for spec in generators:
         grid = build_generator(spec, theta, resolution)
         grid = adjust_volume_fraction(grid, theta, phase_ids=ids)
-        realized = tuple(volume_fractions(grid, ids).tolist())
-        for g in gammas:
+        present, tensors = fem3d.phase_tensors(grid, phases)
+        cells.append((spec.describe(), grid, tuple(present), tensors,
+                      tuple(volume_fractions(grid, ids).tolist())))
+    rows = [[] for _ in cells]
+    for g in map(float, gammas):
+        preconds = {}
+        for row, (name, grid, present, tensors, realized) in zip(rows, cells):
+            if present not in preconds:
+                preconds[present] = fem3d.ReferencePreconditioner(
+                    grid.shape, g, tensors)
             try:
-                hf = cellmod.homogenize(grid, phases, float(g), tol=tol)
-                out.entries.append(SampleEntry(generator=spec.describe(),
-                                               gamma=float(g), form=hf,
-                                               realized_theta=realized))
+                hf = cellmod.homogenize(grid, phases, g, tol=tol,
+                                        precond=preconds[present])
+                row.append(SampleEntry(generator=name, gamma=g, form=hf,
+                                       realized_theta=realized))
             except SolverError as exc:
-                out.entries.append(SampleEntry(generator=spec.describe(),
-                                               gamma=float(g), form=None,
-                                               realized_theta=realized,
-                                               error=str(exc)))
+                row.append(SampleEntry(generator=name, gamma=g, form=None,
+                                       realized_theta=realized,
+                                       error=str(exc)))
+    out.entries = [e for row in rows for e in row]
     return out
 
 
@@ -157,6 +174,9 @@ def windowed_recovery(grid: VoxelGrid, spec: PatchworkSpec,
 
     The window is period-aligned and at least ``MARGIN_PERIODS`` periods from
     every patch interface; a patch too small for that margin is an error.
+    ``grid`` must be ``patchwork_construct(spec)``: the cell and its window
+    share one reference preconditioner, which ``cell.homogenize`` rejects
+    for a window that holds other phases.
 
     A period-aligned window of the tiling is bit-for-bit the patch cell, so
     by construction every patch's form gap is exactly 0 and its volume
@@ -180,8 +200,14 @@ def windowed_recovery(grid: VoxelGrid, spec: PatchworkSpec,
         wi = i0 + mx * px
         wj = j0 + my * py
         sub = window(grid, wi, wj, px, py)
-        target = cellmod.homogenize(p.cell, phases, spec.gamma, tol=tol)
-        got = cellmod.homogenize(sub, phases, spec.gamma, tol=tol)
+        # the window is the cell, so one preconditioner serves both solves
+        precond = fem3d.ReferencePreconditioner(
+            p.cell.shape, spec.gamma, fem3d.phase_tensors(p.cell, phases)[1])
+        target = cellmod.homogenize(p.cell, phases, spec.gamma, tol=tol,
+                                    precond=precond)
+        got = cellmod.homogenize(sub, phases, spec.gamma, tol=tol,
+                                 precond=precond)
+        del precond
         gap = float(np.max(np.abs(got.a - target.a))
                     / max(np.max(np.abs(target.a)), 1e-300))
 

@@ -105,6 +105,37 @@ def test_homogenize_validates_inputs():
         homogenize(uniform_cell(2), {7: H11}, gamma=1.0)
 
 
+@pytest.mark.parametrize("shape, gamma, tensors, what", [
+    ((4, 4, 2), 1.0, [H11, H1010], "lattice shape"),
+    ((4, 4, 4), 2.0, [H11, H1010], "gamma"),
+    ((4, 4, 4), 1.0, [H11, isotropic_hooke(10.0, 9.0)], "phase tensors"),
+    ((4, 4, 4), 1.0, [H11], "phase tensors"),
+])
+def test_homogenize_rejects_a_foreign_preconditioner(shape, gamma, tensors,
+                                                     what):
+    # each case differs from the cell's operator in one thing only, so each
+    # comparison of the guard is the only one that can reject it; the last
+    # tensor case is a prefix of the cell's phases
+    from platehom import fem3d
+
+    grid = make_checkerboard(2, (4, 4, 4))
+    precond = fem3d.ReferencePreconditioner(shape, gamma, tensors)
+    with pytest.raises(ValueError, match=what):
+        homogenize(grid, {1: H11, 2: H1010}, 1.0, precond=precond)
+
+
+def test_homogenize_with_its_own_preconditioner_is_bitwise():
+    from platehom import fem3d
+
+    grid = make_checkerboard(2, (4, 4, 4))
+    phases = {1: H11, 2: isotropic_hooke(10.0, 10.0)}
+    precond = fem3d.ReferencePreconditioner((4, 4, 4), 0.5, [H11, H1010])
+    shared = homogenize(grid, phases, 0.5, precond=precond)
+    own = homogenize(grid, phases, 0.5)
+    assert np.array_equal(shared.a, own.a)
+    assert shared.solve.record() == own.solve.record()
+
+
 def test_form_symmetry_defect(single_phase_form):
     a = single_phase_form.a
     assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
@@ -256,9 +287,9 @@ def test_corrector_mean_free_per_component():
     grid = make_checkerboard(2, (4, 4, 4))
     op = fem3d.assemble(grid, phases, scale=1.0)
     gmat, _ = fem3d.corrector_loads(op)
+    precond = fem3d.ReferencePreconditioner(grid.shape, 1.0, op.tensors)
     for a in (0, 3, 5):
-        u, info = fem3d.pcg(op.k, -gmat[:, a],
-                            fem3d.ReferencePreconditioner(op), tol=1e-11)
+        u, info = fem3d.pcg(op.k, -gmat[:, a], precond, tol=1e-11)
         for c in range(3):
             assert abs(u[c::3].mean()) < 1e-12
 
@@ -373,7 +404,7 @@ def _corrector_solve(grid, phases, gamma, tol=1e-10, bound=True):
     op = fem3d.assemble(grid, phases, scale=gamma, mode="cell",
                         allow_soft=True)
     gmat, e0 = fem3d.corrector_loads(op)
-    precond = fem3d.ReferencePreconditioner(op)
+    precond = fem3d.ReferencePreconditioner(grid.shape, gamma, op.tensors)
     u, info = fem3d.pcg(op.k, op.project(-gmat), precond=precond, tol=tol,
                         bound=(precond.m, np.diag(e0)) if bound else None)
     u = op.project(u)

@@ -33,11 +33,16 @@ def jacobi(k):
     return apply
 
 
+def reference(op):
+    """The reference preconditioner of the cell operator ``op``."""
+    return fem3d.ReferencePreconditioner(op.grid.shape, op.scale, op.tensors)
+
+
 def cell_pcg(op, b, **kw):
     """CG on a cell operator as ``cell.homogenize`` runs it: the Fourier
     reference preconditioner, the translations projected out of the loads
     and the result."""
-    x, info = pcg(op.k, op.project(b), fem3d.ReferencePreconditioner(op), **kw)
+    x, info = pcg(op.k, op.project(b), reference(op), **kw)
     return op.project(x), info
 
 
@@ -1193,7 +1198,7 @@ def test_reference_symbol_inverts_homogeneous_cell(gamma):
                                     isotropic_hooke(10.0, 10.0)])
     grid = VoxelGrid(5, 4, 3, np.ones(60, dtype=np.int32), "cell")
     op = assemble(grid, {1: c0}, scale=gamma)
-    m = fem3d.ReferencePreconditioner(op)
+    m = reference(op)
     v = np.random.default_rng(3).standard_normal((op.ndof, 2))
     pv = op.project(v)
     assert np.abs(m(op.k @ v) - pv).max() < 1e-10 * np.abs(pv).max()
@@ -1217,7 +1222,7 @@ def test_reference_dft_matrices_match_fft(shape):
     # Nyquist bins, the sine rows' sign and the axes all show
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
     op = assemble(random_grid(shape, "cell", seed=sum(shape)), phases, scale=0.5)
-    m = fem3d.ReferencePreconditioner(op)
+    m = reference(op)
     r = np.random.default_rng(4).standard_normal((op.ndof, 6))
     for rr in (r, r[:, 0]):
         ref = fft_reference_apply(m, rr)
@@ -1238,9 +1243,9 @@ def einsum_layer_symbol(ke, phase):
 def test_reference_symbol_matches_four_operand_einsum(shape, monkeypatch):
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
     op = assemble(random_grid(shape, "cell", seed=sum(shape)), phases, scale=0.5)
-    inv = fem3d.ReferencePreconditioner(op).inv
+    inv = reference(op).inv
     monkeypatch.setattr(fem3d, "_layer_symbol", einsum_layer_symbol)
-    assert np.array_equal(fem3d.ReferencePreconditioner(op).inv, inv)
+    assert np.array_equal(reference(op).inv, inv)
 
 
 def plane_table_layer_symbol(ke, phase):
@@ -1332,7 +1337,7 @@ def test_reference_preconditioner_keeps_cg_mean_free(gamma):
                   allow_soft=True)
     gmat, _ = fem3d.corrector_loads(op)
     b = op.project(-gmat)
-    x, _ = pcg(op.k, b, fem3d.ReferencePreconditioner(op))
+    x, _ = pcg(op.k, b, reference(op))
     r = b - op.k @ x
     for c in range(3):
         assert np.abs(x[c::3].mean(axis=0)).max() <= 1e-14 * np.abs(x).max()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from platehom import fem3d
 from platehom.algebra import isotropic_hooke, rotation90_pair
-from platehom.cell import check_bounds
+from platehom.cell import check_bounds, homogenize
 from platehom.gclosure import (GeneratorSpec, Patch, PatchworkSpec,
-                               dump_samples_csv, load_patchwork_spec,
-                               patchwork_construct, sample_ptheta,
-                               windowed_recovery)
-from platehom.microstructure import make_laminate
+                               build_generator, dump_samples_csv,
+                               load_patchwork_spec, patchwork_construct,
+                               sample_ptheta, windowed_recovery)
+from platehom.microstructure import adjust_volume_fraction, make_laminate
 
 PHASES = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
 
@@ -82,6 +83,68 @@ def test_samples_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The (shape, gamma) of every reference preconditioner built."""
+    made = []
+
+    class Counting(fem3d.ReferencePreconditioner):
+        def __init__(self, shape, gamma, tensors):
+            made.append((tuple(shape), gamma))
+            super().__init__(shape, gamma, tensors)
+
+    monkeypatch.setattr(fem3d, "ReferencePreconditioner", Counting)
+    return made
+
+
+SHARED_GENS = ("laminate:x1", "laminate:45", "checkerboard:2")
+
+
+def test_sample_builds_one_preconditioner_per_gamma(builds):
+    gens = [GeneratorSpec.parse(t) for t in SHARED_GENS]
+    out = sample_ptheta(PHASES, [0.5, 0.5], gens, [0.5, 2.0],
+                        resolution=(4, 4, 4))
+    # every cell holds both phases: one (gamma, phase set) pair per gamma
+    assert builds == [((4, 4, 4), 0.5), ((4, 4, 4), 2.0)]
+    assert [(e.generator, e.gamma) for e in out.entries] == [
+        (t, g) for t in SHARED_GENS for g in (0.5, 2.0)]
+
+
+def test_sample_forms_match_standalone_homogenize():
+    gens = [GeneratorSpec.parse(t) for t in SHARED_GENS]
+    out = sample_ptheta(PHASES, [0.5, 0.5], gens, [0.5, 2.0],
+                        resolution=(4, 4, 4))
+    for e in out.entries:
+        spec = GeneratorSpec.parse(e.generator)
+        grid = adjust_volume_fraction(
+            build_generator(spec, [0.5, 0.5], (4, 4, 4)), [0.5, 0.5],
+            phase_ids=[1, 2])
+        own = homogenize(grid, PHASES, e.gamma)
+        assert np.array_equal(e.form.a, own.a)
+        assert e.form.solve.record() == own.solve.record()
+
+
+def test_sample_repeated_gamma_gives_two_rows(builds):
+    gens = [GeneratorSpec.parse(t) for t in SHARED_GENS[:2]]
+    out = sample_ptheta(PHASES, [0.5, 0.5], gens, [1.0, 1.0],
+                        resolution=(4, 4, 4))
+    assert [(e.generator, e.gamma) for e in out.entries] == [
+        (t, 1.0) for t in SHARED_GENS[:2] for _ in range(2)]
+    for first, second in zip(out.entries[::2], out.entries[1::2]):
+        assert np.array_equal(first.form.a, second.form.a)
+    assert len(builds) == 2
+
+
+def test_sample_validates_gamma_and_phases():
+    gens = [GeneratorSpec.parse("laminate:x1")]
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        sample_ptheta(PHASES, [0.5, 0.5], gens, [1.0, 0.0],
+                      resolution=(4, 4, 4))
+    with pytest.raises(ValueError, match="unknown phase ids"):
+        sample_ptheta({1: PHASES[1], 3: PHASES[2]}, [0.5, 0.5], gens, [1.0],
+                      resolution=(4, 4, 4))
+
+
 def two_patch_spec(period=4, reps=3):
     cell_a = make_laminate("x1", [0.5, 0.5], (period, period, period))
     cell_b = make_laminate("x2", [0.5, 0.5], (period, period, period))
@@ -113,6 +176,13 @@ def test_windowed_recovery_two_patches():
         assert rep.form_gap <= 1e-8   # window reproduces the generating cell
         assert rep.theta_exact
         assert_allclose(rep.window_theta, rep.target_theta)
+
+
+def test_windowed_recovery_builds_one_preconditioner_per_patch(builds):
+    spec = two_patch_spec()
+    reports = windowed_recovery(patchwork_construct(spec), spec, PHASES)
+    assert builds == [((4, 4, 4), 1.0)] * 2
+    assert all(rep.form_gap == 0.0 for rep in reports)
 
 
 def test_windowed_recovery_margin_violation():
