@@ -98,8 +98,8 @@ def homogenize(grid: VoxelGrid, phases: dict[int, HookeTensor3], gamma: float,
     present in this grid (``fem3d.phase_tensors``), else ``ValueError``. The
     form is then bit for bit the one built without it.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     if grid.domain != "cell":
         raise ValueError("homogenize expects a cell-domain grid")
     op = fem3d.assemble(grid, phases, scale=gamma, mode="cell",
@@ -231,8 +231,8 @@ def gamma_sweep(grid: VoxelGrid, phases: dict[int, HookeTensor3], gammas,
     """Homogenize over a sorted list of gammas; endpoint behavior is
     Aitken-extrapolated, never solved at gamma = 0 or infinity."""
     gammas = [float(g) for g in gammas]
-    if any(g <= 0 for g in gammas):
-        raise ValueError("all gammas must be positive")
+    if not all(0.0 < g < np.inf for g in gammas):
+        raise ValueError("all gammas must be positive and finite")
     if sorted(gammas) != gammas:
         raise ValueError("gammas must be sorted ascending")
     result = SweepResult(gammas=gammas, forms=[])

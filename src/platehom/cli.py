@@ -109,14 +109,25 @@ def _res(text: str) -> tuple[int, ...]:
 
 
 def _gammas(text: str) -> list[float]:
-    """Either "a:b:n" (n log-spaced values, inclusive) or a comma list."""
+    """Either "a:b:n" (n log-spaced values from a to b, inclusive, a and b
+    positive and finite, n >= 1) or a nonempty comma list."""
     if ":" in text:
-        a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
-        if a <= 0 or b <= 0 or n < 1:
-            raise CliError(f"invalid gamma range {text!r}")
+        bad = CliError(f"invalid gamma range {text!r}: a range is \"a:b:n\", "
+                       "n >= 1 log-spaced values from a to b, a and b "
+                       "positive and finite")
+        try:
+            a, b, n = text.split(":")
+            a, b, n = float(a), float(b), int(n)
+        except ValueError:
+            raise bad from None
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf and n >= 1):
+            raise bad
         return np.geomspace(a, b, n).tolist()
-    return _floats(text)
+    gammas = _floats(text)
+    if not gammas:
+        raise CliError(f"no gamma in {text!r}: give a comma list or a range "
+                       "\"a:b:n\"")
+    return gammas
 
 
 def _outdir(args) -> str:

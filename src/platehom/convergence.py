@@ -157,8 +157,8 @@ def korn_ratio(field: np.ndarray, h: float) -> float:
     """Measured quotient of the thin-domain Korn inequality:
     [ |sym grad_h elementary|^2 + |grad_h bar|^2 + h^-2 |bar|^2 ] over
     |sym grad_h field|^2."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     den = sym_grad_energy(field, h)
     if den == 0.0:
         raise ValueError("field has vanishing symmetrized scaled gradient")
@@ -194,8 +194,8 @@ def extract_kl(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     of the Kirchhoff-Love ansatz (w - x3 grad v, v/h) and its reported norm is
     ||(psi1, psi2, h psi3)||_L2.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     u = np.asarray(u, dtype=float)
     nx, ny = u.shape[0] - 1, u.shape[1] - 1
     nz = u.shape[2] - 1
@@ -260,8 +260,8 @@ def theorem1_harness(grid: VoxelGrid, phases: dict[int, HookeTensor3],
     or, for in-plane-invariant microstructures, the exact layered form).
     """
     h_list = [float(h) for h in h_list]
-    if any(h <= 0 for h in h_list):
-        raise ValueError("thicknesses must be positive")
+    if not all(0.0 < h < np.inf for h in h_list):
+        raise ValueError("thicknesses must be positive and finite")
     if sorted(h_list, reverse=True) != h_list:
         raise ValueError("h list must be decreasing")
     nx, ny, _ = grid.shape

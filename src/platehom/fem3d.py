@@ -34,7 +34,10 @@ factored (``fill_band``, ``BandedCholesky``) as the limit plate's blocks
 are; its coarse basis is applied on the node-column lattice. A cell's
 reference preconditioner needs only the element stiffness of its
 reference tensor, so it is built from the grid shape, gamma and the phase
-tensors, and cells that share those share it.
+tensors, and cells that share those share it. That tensor is orthotropic,
+so the preconditioner is real: one real symmetric inverse per in-plane
+wavenumber pair (ky, kx) >= 0, applied through real cos/-sin DFT
+matrices.
 """
 
 from __future__ import annotations
@@ -268,8 +271,8 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     No K is assembled: the operator's ``k`` is its ``ElementProduct``,
     built from the element stiffness of each tensor.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be positive and finite")
     mode = mode or grid.domain
     nx, ny, nz = grid.shape
 
@@ -398,31 +401,45 @@ class ElementProduct:
 # reference-medium preconditioner for cell operators
 # ---------------------------------------------------------------------------
 
-def reference_tensor(tensors: list[HookeTensor3]) -> tuple[HookeTensor3, float]:
-    """Log-Euclidean mean C0 = expm(mean(logm(c_p))) of the phase
-    stiffnesses, and m = min_p lambda_min(C0^-1/2 C_p C0^-1/2), the largest
-    m with C_p >= m C0 for every phase.
+# the Mandel strains that the grid's mirrors flip: x1 -> -x1 negates e13 and
+# e12, x2 -> -x2 negates e23 and e12. A tensor is orthotropic when both
+# mirrors leave it as it is, that is when its odd entries, those between a
+# strain that one mirror flips and one it does not, are 0: the 24 that
+# couple a normal strain to a shear strain or two shear strains
+_MIRRORS = np.array([[1, 1, 1, 1, -1, -1], [1, 1, 1, -1, 1, -1]])
+_EVEN = np.all(_MIRRORS[:, :, None] * _MIRRORS[:, None] > 0, axis=0)
 
-    Each phase's eigenvalues are clamped from below at 1e-12 times its
-    largest in the mean, so soft phases stay finite; a phase with no
-    stiffness at all is left out of it, and gives m = 0. For isotropic
-    phases with lambda = mu, C0 is the geometric mean.
+
+def reference_tensor(tensors: list[HookeTensor3]) -> tuple[HookeTensor3, float]:
+    """Log-Euclidean mean C0 = expm(O(mean(logm(c_p)))) of the phase
+    stiffnesses and their mirror images, and m = min_p lambda_min(C0^-1/2
+    C_p C0^-1/2), the largest m with C_p >= m C0 for every phase.
+
+    O is the orthotropic part, the mean over the grid's mirror group: the
+    mean of the logs with its odd entries (``_EVEN``) multiplied by 0, so
+    C0 is orthotropic. The mean of isotropic and of orthotropic phases has
+    only zero odd entries, and O leaves it as it is, bit for bit. Each
+    phase's eigenvalues are clamped from below at 1e-12 times its largest
+    in the mean, so soft phases stay finite; a phase with no stiffness at
+    all is left out of it, and gives m = 0. For isotropic phases with
+    lambda = mu, C0 is the geometric mean.
     """
     logs = []
     for t in tensors:
         w, v = np.linalg.eigh(t.c)
         if w[-1] > 0.0:
             logs.append((v * np.log(np.maximum(w, 1e-12 * w[-1]))) @ v.T)
-    w, v = np.linalg.eigh(np.mean(logs, axis=0))
+    w, v = np.linalg.eigh(np.mean(logs, axis=0) * _EVEN)
     s = (v * np.exp(-0.5 * w)) @ v.T                       # C0^-1/2
     m = min(np.linalg.eigvalsh(s @ t.c @ s)[0] for t in tensors)
     return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T), float(m)
 
 
 def _layer_symbol(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """(ny, nx//2+1, 2, 3, 2, 3) symbol of one element layer between its two
+    """(ny, nx, 2, 3, 2, 3) symbol of one element layer between its two
     node planes, from the (8, 3, 8, 3) element stiffness and the in-plane
-    phase factor (ny, nx//2+1, 8, 8) of each local corner pair (a, b)."""
+    phase factor (ny, nx, 8, 8) of each local corner pair (a, b) at ny x nx
+    wavenumbers."""
     # corner a = 4 z + a' lies on node plane z, so the pairs between planes
     # z and w are one 4x4 block of (a, b): each plane pair sums its own
     ny, nk = phase.shape[:2]
@@ -430,27 +447,58 @@ def _layer_symbol(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
                      phase.reshape(ny, nk, 2, 4, 2, 4))
 
 
+def _real_dft(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2(n//2+1), n) real DFT matrix over n points, the cos rows over the
+    -sin rows of the wavenumbers 0..n//2, and its (n, 2(n//2+1)) inverse on
+    real data: the transpose weighted 2/n, the zero and Nyquist rows 1/n."""
+    angle = np.outer(np.arange(n // 2 + 1), np.arange(n)) * (2.0 * np.pi / n)
+    f = np.concatenate((np.cos(angle), -np.sin(angle)))
+    w = np.full(n // 2 + 1, 2.0 / n)
+    w[0] = 1.0 / n
+    if n % 2 == 0:
+        w[-1] = 1.0 / n
+    return f, f.T * np.concatenate((w, w))
+
+
+# after the cos/-sin transforms over y and x, the four real classes of a
+# wavenumber pair (ky, kx), each the quadrant (y row, x row: 0 cos, 1 -sin)
+# and sign of its u1, u2 and u3: with A = (0, 0), B = (1, 1), C = (0, 1)
+# and D = (1, 0), (A, -B, C), (-B, A, D), (C, D, -A) and (D, C, B)
+_CLASSES = ((((0, 0), 1), ((1, 1), -1), ((0, 1), 1)),
+            (((1, 1), -1), ((0, 0), 1), ((1, 0), 1)),
+            (((0, 1), 1), ((1, 0), 1), ((0, 0), -1)),
+            (((1, 0), 1), ((0, 1), 1), ((1, 1), 1)))
+
+
 class ReferencePreconditioner:
     """Inverse of the cell operator of one homogeneous reference tensor.
 
     For a homogeneous tensor the periodic cell operator is block-circulant
     in-plane: a 2-D Fourier transform over (y, x) splits it into one
-    3(nz+1)-square system per wavenumber, which couples neighbouring node
-    planes only. Their inverses are stored, complex, (nx//2+1) * ny *
-    (3(nz+1))^2 * 16 bytes; at wavenumber (0, 0), which carries the three
-    translations, the pseudo-inverse (Moulinec & Suquet 1998; Ladecky et
-    al. 2023).
+    3(nz+1)-square symbol K(ky, kx) per wavenumber, which couples
+    neighbouring node planes only; at wavenumber (0, 0), which carries the
+    three translations, the pseudo-inverse stands in for the inverse
+    (Moulinec & Suquet 1998; Ladecky et al. 2023).
 
-    The in-plane transform is a pair of small dense DFT matrices over the
-    symbol's own angles, not an FFT: a real x matrix to the half spectrum
-    (cos rows over -sin rows), a complex y matrix, and their inverses. One
-    application is a transpose, a real product over x, a complex product
-    over y, the batched product with the inverses over all columns, the two
-    inverse products and a transpose back: a few BLAS calls, where an FFT
-    transforms one short line at a time. The work per point grows like n in
-    place of log n, so the gain narrows as the cell widens: six columns on
-    one thread took 0.26-0.29 / 3.4-3.5 / 16-18 ms at 8^3 / 16^3 / 24^3,
-    against 0.5-0.9 / 5.3-6.4 / 19-24 ms through numpy's FFT.
+    The reference tensor is orthotropic (``reference_tensor``), so the
+    operator commutes with the grid's x and y mirrors. Then K(ky, kx) with
+    its u3 rows and columns times i is real symmetric, and the mirror in y
+    flips its u2 sign: K(-ky, kx) = S K(ky, kx) S. A real field of the
+    wavenumbers (+-ky, +-kx) splits into four real classes, each of which
+    K maps through that one real matrix (``_CLASSES``). So one real inverse
+    per (ky, kx) >= 0 serves them all: (ny//2+1) (nx//2+1) (3(nz+1))^2 * 8
+    bytes.
+
+    The transforms are small dense real DFT matrices over the symbol's own
+    angles, cos rows over -sin rows, one over y and one over x, and their
+    inverses (``_real_dft``), not an FFT. One application is the y and the
+    x product, one signed gather of every (ky, kx)'s four classes, the
+    batched product with the inverses over all four classes and columns at
+    once, the signed gather back and the inverse x and y products: a few
+    BLAS calls, where an FFT transforms one short line at a time, and no
+    complex arithmetic. Six columns on one thread took 0.12-0.21 /
+    1.1-1.8 / 5.5-8.7 ms at 8^3 / 16^3 / 24^3, against 0.19-0.26 /
+    2.4-3.1 / 10.9-13.7 ms through complex inverses of the half spectrum.
 
     It depends on the grid ``shape`` (nx, ny, nz), ``gamma`` and the
     ``tensors`` of the phases present, in sorted id order, alone: every cell
@@ -462,8 +510,8 @@ class ReferencePreconditioner:
 
     def __init__(self, shape: tuple[int, int, int], gamma: float,
                  tensors: list[HookeTensor3]):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         nx, ny, nz = shape
         self.shape = (nz + 1, ny, nx)
         self.gamma, self.tensors = gamma, tuple(tensors)
@@ -476,14 +524,18 @@ class ReferencePreconditioner:
         corner = _local_corners().astype(int)
         # K u for u = exp(i theta.(x, y)) u_hat picks up exp(i theta.(b - a))
         # between local corners a (row) and b (column)
-        tx = 2.0 * np.pi * np.fft.rfftfreq(nx)
-        ty = 2.0 * np.pi * np.fft.fftfreq(ny)
+        nky, nkx = ny // 2 + 1, nx // 2 + 1
+        ty = 2.0 * np.pi * np.arange(nky) / ny
+        tx = 2.0 * np.pi * np.arange(nkx) / nx
         dxy = corner[None, :, :2] - corner[:, None, :2]            # (a, b, 2)
         phase = np.exp(1j * (ty[:, None, None, None] * dxy[..., 1]
                              + tx[None, :, None, None] * dxy[..., 0]))
-        layer = _layer_symbol(ke, phase).reshape(ny, nx // 2 + 1, 6, 6)
+        layer = _layer_symbol(ke, phase)
+        layer[:, :, :, 2] *= -1j                  # u3 rows and columns times i
+        layer[..., 2] *= 1j
+        layer = layer.real.reshape(nky, nkx, 6, 6)
         m = 3 * (nz + 1)
-        khat = np.zeros((ny, nx // 2 + 1, m, m), dtype=complex)
+        khat = np.zeros((nky, nkx, m, m))
         for k in range(nz):
             khat[:, :, 3 * k:3 * k + 6, 3 * k:3 * k + 6] += layer
         # wavenumber (0, 0): the pseudo-inverse on the complement of the
@@ -493,22 +545,27 @@ class ReferencePreconditioner:
         t = np.tile(np.eye(3), (nz + 1, 1)) / np.sqrt(nz + 1)
         proj = np.eye(m) - t @ t.T
         k00 = khat[0, 0]
-        khat[0, 0] = proj @ k00 @ proj + np.trace(k00).real / m * (t @ t.T)
+        khat[0, 0] = proj @ k00 @ proj + np.trace(k00) / m * (t @ t.T)
         self.inv = np.linalg.inv(khat)
         del khat
         self.inv[0, 0] = proj @ self.inv[0, 0] @ proj
-        # the in-plane DFT over the same angles: x real to half-spectrum, as
-        # the cos rows over the -sin rows; y complex; the inverse x keeps the
-        # real part, the paired bins counted twice
-        ax = np.outer(tx, np.arange(nx))
-        self.fx = np.concatenate((np.cos(ax), -np.sin(ax)))
-        w = np.full(nx // 2 + 1, 2.0 / nx)
-        w[0] = 1.0 / nx
-        if nx % 2 == 0:
-            w[-1] = 1.0 / nx
-        self.gx = self.fx.T * np.concatenate((w, w))
-        self.fy = np.exp(-1j * np.outer(ty, np.arange(ny)))
-        self.gy = self.fy.conj().T / ny
+        self.fy, self.gy = _real_dft(ny)
+        self.fx, self.gx = _real_dft(nx)
+        # the transforms leave (z, y row, ky, x row, kx, component) in flat
+        # order; the gather reads from it, with the class's sign, every
+        # (ky, kx, z, component, class) in the inverses' order. Each
+        # (quadrant, component) is in one class, so the gather is a signed
+        # permutation and its inverse gathers back
+        quadrant, sign = (np.array([[c[i] for c in row] for row in _CLASSES])
+                          for i in (0, 1))                  # (class, u)
+        z, ky, kx, u, c = np.ogrid[:nz + 1, :nky, :nkx, :3, :4]
+        qy, qx = quadrant[c, u].transpose(5, 0, 1, 2, 3, 4)
+        src = ((((z * 2 + qy) * nky + ky) * 2 + qx) * nkx + kx) * 3 + u
+        sign = np.broadcast_to(sign[c, u], src.shape)
+        self._gather = src.transpose(1, 2, 0, 3, 4).ravel()
+        self._sign = sign.transpose(1, 2, 0, 3, 4).reshape(-1, 1).astype(float)
+        self._scatter = np.argsort(self._gather)
+        self._scatter_sign = self._sign[self._scatter]
 
     def describe(self) -> dict:
         """Name and reference tensor: (lambda0, mu0) when isotropic, else a digest."""
@@ -522,17 +579,17 @@ class ReferencePreconditioner:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         nz1, ny, nx = self.shape
-        nk = nx // 2 + 1
-        # (z, y, x, 3 m) -> (y, x, z 3 m): the x product is one GEMM per y,
-        # and the y product's result is in the inverses' (ky, kx, z 3, m) order
-        rt = r.reshape(nz1, ny, nx, -1).transpose(1, 2, 0, 3).reshape(ny, nx, -1)
-        s = self.fx @ rt                                  # (y, re|im kx, ...)
-        rh = np.empty((ny, nk, s.shape[2]), dtype=complex)
-        rh.real, rh.imag = s[:, :nk], s[:, nk:]
-        rh = (self.fy @ rh.reshape(ny, -1)).reshape(ny, nk, 3 * nz1, -1)
-        zh = (self.gy @ (self.inv @ rh).reshape(ny, -1)).reshape(ny, nk, -1)
-        z = self.gx @ np.concatenate((zh.real, zh.imag), axis=1)   # (y, x, ...)
-        return z.reshape(ny, nx, nz1, -1).transpose(2, 0, 1, 3).reshape(r.shape)
+        nky, nkx, m = self.inv.shape[:3]
+        q = r.size // (nz1 * ny * nx)                     # 3 per column
+        s = self.fy @ r.reshape(nz1, ny, nx * q)          # (z, y row ky, x ...)
+        t = (self.fx @ s.reshape(-1, nx, q)).reshape(-1, q // 3)
+        g = t.take(self._gather, axis=0)
+        g *= self._sign
+        z = (self.inv @ g.reshape(nky, nkx, m, -1)).reshape(t.shape)
+        g = z.take(self._scatter, axis=0)
+        g *= self._scatter_sign
+        u = self.gx @ g.reshape(-1, 2 * nkx, q)           # (z y row ky, x, ...)
+        return (self.gy @ u.reshape(nz1, 2 * nky, nx * q)).reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +929,11 @@ def pcg(k, b: np.ndarray, precond, tol: float = 1e-10,
     c_i - E tends to twice the form's diagonal entry A_ii, and as the
     form's error is e_i.K e_j / 2, the rule bounds it by tau max|A| up to
     rounding. The info records m and each column's r.z / (m (c_i - E)) at
-    its stop.
+    its stop. A ``tol`` that is not positive and finite raises
+    ``ValueError``: no stop rule could be met.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = k.shape[0]
     if max_iter is None:
         max_iter = max(200, int(50 * np.sqrt(n)))
@@ -1050,8 +1110,8 @@ def solve_clamped(grid: VoxelGrid, phases: dict[int, HookeTensor3], h: float,
     is reported, not checked: the residual tolerance stops bounding the
     energy error as the operator's condition number grows.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     op = assemble(grid, phases, scale=h, mode="plate", clamped=clamped,
                   allow_soft=allow_soft)
     ell = body_load(op, f)

@@ -775,3 +775,151 @@ def test_patchwork_inline_micro(tmp_path, phases_file):
     rc = run(["patchwork", "--spec", str(spath), "--phases", phases_file,
               "--check", "--out", str(out)])
     assert rc == 0
+
+
+def _cell_micro(tmp_path, res="4,4,4"):
+    m = tmp_path / "m"
+    run(["gen-micro", "--kind", "checkerboard", "--period", "2",
+         "--res", res, "--out", str(m)])
+    return str(m / "micro.json")
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+def test_homogenize_needs_a_finite_positive_gamma(tmp_path, phases_file,
+                                                  capsys, gamma):
+    out = tmp_path / "o"
+    assert run(["homogenize", "--micro", _cell_micro(tmp_path),
+                "--phases", phases_file, "--gamma", gamma,
+                "--out", str(out)]) == 1
+    assert "gamma must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gammas, message", [
+    ("nan", "all gammas must be positive and finite"),
+    ("0.5,inf", "all gammas must be positive and finite"),
+    ("0.1:inf:3", '"a:b:n"'), ("nan:1:3", '"a:b:n"'), ("0:1:3", '"a:b:n"'),
+    ("0.1:1", '"a:b:n"'), ("0.1:1:2:3", '"a:b:n"'), ("0.1:1:x", '"a:b:n"'),
+    ("", '"a:b:n"'), (",", '"a:b:n"')])
+def test_gamma_sweep_needs_finite_positive_gammas(tmp_path, phases_file,
+                                                  capsys, gammas, message):
+    # a NaN gamma used to write a partial sweep.csv before it failed, an
+    # infinite one NaN rows, and an empty list a header-only sweep
+    out = tmp_path / "o"
+    assert run(["gamma-sweep", "--micro", _cell_micro(tmp_path),
+                "--phases", phases_file, "--gammas", gammas,
+                "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _plate_micro(tmp_path, res="4,4,2"):
+    m = tmp_path / "pm"
+    run(["gen-micro", "--kind", "laminate", "--axis", "x3", "--res", res,
+         "--domain", "plate", "--out", str(m)])
+    return str(m / "micro.json")
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0.25,nan", "0"])
+def test_theorem1_needs_finite_positive_thicknesses(tmp_path, phases_file,
+                                                    capsys, h):
+    out = tmp_path / "o"
+    assert run(["theorem1", "--micro", _plate_micro(tmp_path),
+                "--phases", phases_file, "--h", h, "--out", str(out)]) == 1
+    assert "thicknesses must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0"])
+def test_griso_needs_a_finite_positive_h(tmp_path, capsys, h):
+    out = tmp_path / "o"
+    assert run(["griso", "--res", "4,4,4", "--h", h, "--out", str(out)]) == 1
+    assert "h must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+@pytest.mark.parametrize("command", ["homogenize", "plate-solve", "theorem1"])
+def test_tol_must_be_positive_and_finite(tmp_path, phases_file, capsys,
+                                         command, tol):
+    # a validation error, not a solver failure: CG used to run into a
+    # breakdown (tol 0) or a stall after 0 iterations (tol NaN) first
+    argv = {"homogenize": ["homogenize", "--micro", _cell_micro(tmp_path),
+                           "--phases", phases_file, "--gamma", "1"],
+            "plate-solve": ["plate-solve", "--problem",
+                            _plate_problem(tmp_path, 4, ["left"])],
+            "theorem1": ["theorem1", "--micro", _plate_micro(tmp_path),
+                         "--phases", phases_file, "--h", "0.25"]}[command]
+    out = tmp_path / "o"
+    assert run(argv + [f"--tol={tol}", "--out", str(out)]) == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the artifacts of the thread-count test and the bound on each move from
+# the README (Determinism): relative to the value's own size, or, for a
+# form or a field, to its largest entry
+THREAD_BOUNDS = {"F_h": 1e-10, "F0": 1e-9, "rel_gap": 1e-7, "kl_gap": 1e-7,
+                 "corrector_norm": 1e-7, "energy": 2e-9, "load_value": 2e-9,
+                 "form": 1e-13, "solution": 2e-9}
+
+
+def test_thread_count_moves_stay_within_the_stated_bounds(tmp_path,
+                                                          phases_file):
+    # byte-identity holds for one BLAS thread count. One thread against two
+    # moves the 16^3 form (the element product's GEMMs thread), the 64x64
+    # cantilever's energy and fields and theorem1's values on a 32x32x8
+    # laminate at h = 1/16 (the banded factors thread); every move stays
+    # within the README's bound on the digits that record summation order.
+    # On inputs too small to thread nothing moves, and the test would
+    # check nothing
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("two BLAS threads need two cores")
+    cell16 = tmp_path / "c"
+    run(["gen-micro", "--kind", "random", "--seed", "1", "--res", "16,16,16",
+         "--out", str(cell16)])
+    plate = _plate_micro(tmp_path, "32,32,8")
+    problem = _plate_problem(tmp_path, 64, ["left"])
+    import platehom
+
+    src = str(Path(platehom.__file__).parents[1])
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        code = ("from platehom.cli import main\n"
+                f"assert main(['homogenize', '--micro', {str(cell16 / 'micro.json')!r},"
+                f" '--phases', {phases_file!r}, '--gamma', '1',"
+                f" '--out', {str(out / 'h')!r}]) == 0\n"
+                f"assert main(['plate-solve', '--problem', {problem!r},"
+                f" '--out', {str(out / 'p')!r}]) == 0\n"
+                f"assert main(['theorem1', '--micro', {plate!r}, '--phases',"
+                f" {phases_file!r}, '--h', '0.0625', '--out', {str(out / 't')!r}]) == 0\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    one, two = tmp_path / "1", tmp_path / "2"
+    moves = {}
+    forms = [np.array(json.loads((d / "h" / "form.json").read_text())["matrix"])
+             for d in (one, two)]
+    moves["form"] = np.abs(forms[0] - forms[1]).max() / np.abs(forms[0]).max()
+    energies = [json.loads((d / "p" / "energy.json").read_text()) for d in (one, two)]
+    for key in ("energy", "load_value"):
+        moves[key] = abs(energies[0][key] / energies[1][key] - 1.0)
+    fields = [np.loadtxt(d / "p" / "solution.csv", delimiter=",", skiprows=1)[:, 2:]
+              for d in (one, two)]
+    moves["solution"] = np.abs(fields[0] - fields[1]).max() / np.abs(fields[0]).max()
+    rows = [(d / "t" / "theorem1.csv").read_text().splitlines() for d in (one, two)]
+    header = rows[0][0].split(",")
+    for a, b in zip(rows[0][1:], rows[1][1:]):
+        for key, x, y in zip(header, map(float, a.split(",")), map(float, b.split(","))):
+            if key != "h":
+                moves[key] = abs(x / y - 1.0)
+    summaries = [json.loads((d / "t" / "summary.json").read_text())["rows"]
+                 for d in (one, two)]
+    for a, b in zip(*summaries):
+        for key in ("f_h", "f_0", "rel_gap", "kl_gap", "corrector_norm"):
+            bound = THREAD_BOUNDS[{"f_h": "F_h", "f_0": "F0"}.get(key, key)]
+            assert abs(a[key] / b[key] - 1.0) <= bound
+    assert max(moves.values()) > 0.0, "no artifact moved: the inputs do not thread"
+    for key, move in moves.items():
+        assert move <= THREAD_BOUNDS[key], (key, move)

@@ -1189,43 +1189,88 @@ def test_project_needs_a_cell_operator():
 # reference-medium preconditioner and block CG
 # ---------------------------------------------------------------------------
 
+# an orthotropic tensor that is not isotropic: distinct normal-block and
+# shear entries, no odd ones
+ORTHOTROPIC = HookeTensor3.from_mandel(np.block([
+    [np.array([[5.0, 1.2, 0.9], [1.2, 4.0, 1.1], [0.9, 1.1, 3.0]]),
+     np.zeros((3, 3))],
+    [np.zeros((3, 3)), np.diag([2.2, 1.6, 2.8])]]))
+# an anisotropic tensor: every Mandel entry nonzero
+_G = np.random.default_rng(5).standard_normal((6, 6))
+ANISOTROPIC = HookeTensor3.from_mandel(_G @ _G.T + np.eye(6))
+
+
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
 def test_reference_symbol_inverts_homogeneous_cell(gamma):
     # on a cell of the reference tensor itself the preconditioner is the
     # pseudo-inverse: M K v = P v; nx != ny and odd nx catch a swapped axis,
-    # and a sign or phase error in the symbol fails at every wavenumber
+    # and a sign or phase error in the symbol or the class table fails at
+    # every wavenumber. The orthotropic tensor's own shear entries tell u1,
+    # u2 and u3 apart, where an isotropic one's do not; the reference of an
+    # anisotropic phase must be orthotropic for the real solve to invert it
     c0, _ = fem3d.reference_tensor([isotropic_hooke(1.0, 1.0),
                                     isotropic_hooke(10.0, 10.0)])
+    mixed, _ = fem3d.reference_tensor([isotropic_hooke(1.0, 2.0), ANISOTROPIC])
     grid = VoxelGrid(5, 4, 3, np.ones(60, dtype=np.int32), "cell")
-    op = assemble(grid, {1: c0}, scale=gamma)
-    m = reference(op)
-    v = np.random.default_rng(3).standard_normal((op.ndof, 2))
-    pv = op.project(v)
-    assert np.abs(m(op.k @ v) - pv).max() < 1e-10 * np.abs(pv).max()
-    assert np.abs(m(op.k @ v[:, 0]) - pv[:, 0]).max() < 1e-10 * np.abs(pv).max()
+    for tensor in (c0, ORTHOTROPIC, mixed):
+        op = assemble(grid, {1: tensor}, scale=gamma)
+        m = reference(op)
+        assert np.abs(m.c0.c - tensor.c).max() < 1e-14 * np.abs(tensor.c).max()
+        v = np.random.default_rng(3).standard_normal((op.ndof, 2))
+        pv = op.project(v)
+        assert np.abs(m(op.k @ v) - pv).max() < 1e-10 * np.abs(pv).max()
+        assert (np.abs(m(op.k @ v[:, 0]) - pv[:, 0]).max()
+                < 1e-10 * np.abs(pv).max())
 
 
-def fft_reference_apply(m, r):
-    """The preconditioner's apply through numpy's FFT: rfft2 over (y, x),
-    the per-wavenumber inverses, irfft2."""
+def complex_reference_apply(m, r):
+    """The preconditioner ``m``'s apply as the complex route: the Hermitian
+    symbol of every wavenumber of numpy's rfft2 over (y, x), built here from
+    the element stiffness of ``m.c0`` at ``m.gamma`` through the
+    four-operand einsum, its inverses (at (0, 0) the pseudo-inverse off the
+    translations), rfft2 and irfft2."""
     nz1, ny, nx = m.shape
+    nk, n = nx // 2 + 1, 3 * nz1
+    kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / (nz1 - 1), m.gamma)
+    ke = element_stiffness(kit, m.c0).reshape(8, 3, 8, 3)
+    corner = fem3d._local_corners().astype(int)
+    dxy = corner[None, :, :2] - corner[:, None, :2]
+    tx = 2.0 * np.pi * np.fft.rfftfreq(nx)
+    ty = 2.0 * np.pi * np.fft.fftfreq(ny)
+    phase = np.exp(1j * (ty[:, None, None, None] * dxy[..., 1]
+                         + tx[None, :, None, None] * dxy[..., 0]))
+    layer = einsum_layer_symbol(ke, phase).reshape(ny, nk, 6, 6)
+    khat = np.zeros((ny, nk, n, n), dtype=complex)
+    for k in range(nz1 - 1):
+        khat[:, :, 3 * k:3 * k + 6, 3 * k:3 * k + 6] += layer
+    t = np.tile(np.eye(3), (nz1, 1)) / np.sqrt(nz1)
+    proj = np.eye(n) - t @ t.T
+    khat[0, 0] = proj @ khat[0, 0] @ proj + np.trace(khat[0, 0]) / n * (t @ t.T)
+    inv = np.linalg.inv(khat)
+    inv[0, 0] = proj @ inv[0, 0] @ proj
     rh = np.fft.rfft2(r.reshape(nz1, ny, nx, 3, -1), axes=(1, 2))
-    rh = rh.transpose(1, 2, 0, 3, 4).reshape(ny, nx // 2 + 1, 3 * nz1, -1)
-    zh = (m.inv @ rh).reshape(ny, nx // 2 + 1, nz1, 3, -1)
+    rh = rh.transpose(1, 2, 0, 3, 4).reshape(ny, nk, n, -1)
+    zh = (inv @ rh).reshape(ny, nk, nz1, 3, -1)
     z = np.fft.irfft2(zh.transpose(2, 0, 1, 3, 4), s=(ny, nx), axes=(1, 2))
     return z.reshape(r.shape)
 
 
-@pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 2), (5, 4, 3), (8, 8, 8)])
+@pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 2), (5, 4, 3), (8, 8, 8),
+                                   (2, 5, 3), (6, 1, 2), (4, 7, 2)])
 def test_reference_dft_matrices_match_fft(shape):
-    # in-plane sizes of one, two, odd and even nodes, nx != ny: the zero and
-    # Nyquist bins, the sine rows' sign and the axes all show
+    # the real solve against the complex one: in-plane sizes of one, two,
+    # odd and even nodes, nx != ny, so the zero and Nyquist bins, the sine
+    # rows' sign, the axes and every class of the table show. One real
+    # inverse per (ky, kx) >= 0 is stored
     phases = {1: isotropic_hooke(1.0, 1.0), 2: isotropic_hooke(10.0, 10.0)}
     op = assemble(random_grid(shape, "cell", seed=sum(shape)), phases, scale=0.5)
     m = reference(op)
+    nx, ny, nz = shape
+    assert m.inv.dtype == float
+    assert m.inv.nbytes == (ny // 2 + 1) * (nx // 2 + 1) * (3 * (nz + 1)) ** 2 * 8
     r = np.random.default_rng(4).standard_normal((op.ndof, 6))
     for rr in (r, r[:, 0]):
-        ref = fft_reference_apply(m, rr)
+        ref = complex_reference_apply(m, rr)
         z = m(rr)
         assert z.shape == rr.shape
         assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -1302,6 +1347,46 @@ def test_reference_tensor_log_euclidean_mean():
     want = min(scipy.linalg.eigh(t.c, c0.c, eigvals_only=True)[0]
                for t in tensors)
     assert m == pytest.approx(want, rel=1e-10)
+
+
+def plain_log_mean(tensors):
+    """expm(mean(logm(c_p))) and its m, with no orthotropic part taken: the
+    reference for isotropic phases, whose mean has no odd entries."""
+    logs = []
+    for t in tensors:
+        w, v = np.linalg.eigh(t.c)
+        logs.append((v * np.log(np.maximum(w, 1e-12 * w[-1]))) @ v.T)
+    w, v = np.linalg.eigh(np.mean(logs, axis=0))
+    s = (v * np.exp(-0.5 * w)) @ v.T
+    m = min(np.linalg.eigvalsh(s @ t.c @ s)[0] for t in tensors)
+    return HookeTensor3.from_mandel((v * np.exp(w)) @ v.T).c, m
+
+
+def test_reference_tensor_is_the_orthotropic_part():
+    import scipy.linalg
+
+    # isotropic phases: C0 and m are the plain log-Euclidean mean's, bit
+    # for bit, and so is an orthotropic phase's own tensor to rounding
+    for tensors in ([isotropic_hooke(1.0, 1.0), isotropic_hooke(10.0, 10.0)],
+                    [isotropic_hooke(3.2, 1.7), isotropic_hooke(1.0, 2.0)]):
+        c0, m = fem3d.reference_tensor(tensors)
+        want, want_m = plain_log_mean(tensors)
+        assert c0.c.tobytes() == want.tobytes() and m == want_m
+    c0, m = fem3d.reference_tensor([ORTHOTROPIC])
+    assert_allclose(c0.c, ORTHOTROPIC.c, rtol=0, atol=1e-14 * 5.0)
+    # an anisotropic phase: the 24 odd entries are 0, C0 stays positive
+    # definite, and m is still the minimum of the pencil (C_p, C0)
+    odd = ~fem3d._EVEN
+    assert odd.sum() == 24 and np.array_equal(odd, odd.T)
+    tensors = [isotropic_hooke(1.0, 2.0), ANISOTROPIC]
+    c0, m = fem3d.reference_tensor(tensors)
+    assert np.all(c0.c[odd] == 0.0) and np.all(plain_log_mean(tensors)[0][odd])
+    assert np.linalg.eigvalsh(c0.c)[0] > 0.0
+    want = min(scipy.linalg.eigh(t.c, c0.c, eigvals_only=True)[0]
+               for t in tensors)
+    assert m == pytest.approx(want, rel=1e-10)
+    for t in tensors:
+        assert np.linalg.eigvalsh(t.c - m * c0.c)[0] > -1e-12 * np.abs(t.c).max()
 
 
 def test_block_pcg_zero_column_and_projected_loads():
@@ -1436,3 +1521,11 @@ def test_indefinite_coarse_operator_raises_solver_error():
                   scale=0.25, mode="plate", clamped=("left",), allow_soft=True)
     with pytest.raises(fem3d.SolverError, match="not positive definite"):
         fem3d.PlatePreconditioner(op)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_pcg_needs_a_positive_finite_tol(tol):
+    # no stop rule can be met: CG would run into a breakdown or stall first
+    k = sp.identity(4, format="csr")
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        pcg(k, np.ones(4), lambda r: r, tol=tol)
