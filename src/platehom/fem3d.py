@@ -129,11 +129,22 @@ def element_kit(hx: float, hy: float, hz: float, scale: float,
 
 
 def element_stiffness(kit: ElementKit, hooke: HookeTensor3) -> np.ndarray:
+    """The 24x24 element stiffness; at a scale far from 1 it may overflow
+    to inf or NaN, silently: its callers check it (``_check_finite``)."""
     ke = np.zeros((24, 24))
-    for g in range(8):
-        bg = kit.b[g]
-        ke += kit.wdet * (bg.T @ hooke.c @ bg)
-    return 0.5 * (ke + ke.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in range(8):
+            bg = kit.b[g]
+            ke += kit.wdet * (bg.T @ hooke.c @ bg)
+        return 0.5 * (ke + ke.T)
+
+
+def _check_finite(ke: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless every entry of the
+    element stiffnesses ``ke`` is finite: 1/scale squared overflows for
+    a scale below about 1e-154."""
+    if not np.isfinite(ke).all():
+        raise ValueError(f"the element stiffness at {what} is not finite")
 
 
 @dataclass
@@ -296,6 +307,7 @@ def assemble(grid: VoxelGrid, phases: dict[int, HookeTensor3], scale: float,
     if ndof == 0:
         raise ValueError(f"the clamped edges {tuple(clamped)} leave no free node")
     kes = np.stack([element_stiffness(kit, t) for t in tensors])
+    _check_finite(kes, f"scale {scale!r}")
     op = Operator(k=None, mode=mode, scale=scale, grid=grid, kit=kit,
                   tensors=tensors, tensor_of_elem=tensor_of_elem, ndof=ndof,
                   stencil=stencil, kes=kes, clamped=tuple(clamped))
@@ -521,6 +533,7 @@ class ReferencePreconditioner:
         # the cell element at scale gamma, as ``assemble`` builds it
         kit = element_kit(1.0 / nx, 1.0 / ny, 1.0 / nz, gamma)
         ke = element_stiffness(kit, self.c0).reshape(8, 3, 8, 3)
+        _check_finite(ke, f"gamma {gamma!r}")
         corner = _local_corners().astype(int)
         # K u for u = exp(i theta.(x, y)) u_hat picks up exp(i theta.(b - a))
         # between local corners a (row) and b (column)
@@ -546,7 +559,11 @@ class ReferencePreconditioner:
         proj = np.eye(m) - t @ t.T
         k00 = khat[0, 0]
         khat[0, 0] = proj @ k00 @ proj + np.trace(k00) / m * (t @ t.T)
-        self.inv = np.linalg.inv(khat)
+        try:
+            self.inv = np.linalg.inv(khat)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"the reference operator's symbol at gamma "
+                             f"{gamma!r} is singular") from None
         del khat
         self.inv[0, 0] = proj @ self.inv[0, 0] @ proj
         self.fy, self.gy = _real_dft(ny)

@@ -20,7 +20,6 @@ node lines): K's bending block is singular, and ``minimize_plate`` raises
 from __future__ import annotations
 
 import copy
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -229,6 +228,11 @@ class PlateOperator:
         through ``fem3d.fill_band``, in one slab."""
         return fill_band(self.free, LOCAL[name], [(0, self.ke[name])])
 
+    def factor(self, name: str) -> BandedCholesky:
+        """The banded Cholesky factor of block ``name``, from its band."""
+        return BandedCholesky(self.band(name), self.free, self.dofs(name),
+                              f"plate operator's {name} block")
+
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         u = self.grids(p.reshape(self.shape[0], -1))
         out = np.zeros_like(u)
@@ -259,24 +263,30 @@ def assemble_plate(problem: PlateProblem):
     load = load[free_nodes(my + 1, mx + 1, problem.clamped).ravel()]
     ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])
     nw = 2 * len(load)          # the w dofs come first, then v
-    parts = ({"coupled": ell} if np.any(problem.forms[..., :3, 3:])
+    parts = ({"coupled": ell} if _coupled(problem)
              else {"membrane": ell[:nw], "bending": ell[nw:]})
     return PlateOperator(problem, [n for n, part in parts.items()
                                    if part.any()]), ell
 
 
-def _solve_block(k: PlateOperator, ell: np.ndarray, name: str, tol: float):
+def _coupled(problem: PlateProblem) -> bool:
+    """Whether a cell form couples membrane and bending: K is one block."""
+    return bool(np.any(problem.forms[..., :3, 3:]))
+
+
+def _solve_block(k: PlateOperator, ell: np.ndarray, name: str, factor,
+                 tol: float):
     """CG on K's block ``name`` for its part of ``ell``, preconditioned by
-    its banded Cholesky factor: the solution, K times it, its SolveInfo,
-    the bandwidth and r.K_b^-1 r, r = l_b - K u_b. Frees the band."""
-    what = f"plate operator's {name} block"
-    factor = BandedCholesky(k.band(name), k.free, k.dofs(name), what)
+    ``factor``, a ``BandedCholesky`` or an object with its ``order``,
+    ``solve`` and ``bandwidth``: the solution, K times it, its SolveInfo,
+    the bandwidth and r.M^-1 r, r = l_b - K u_b and M the factor's
+    matrix."""
     ell_b = np.zeros_like(ell)
     ell_b[factor.order] = ell[factor.order]
     try:
         u, info = pcg(k, ell_b, precond=factor.solve, tol=tol)
     except SolverError as exc:
-        raise SolverError(f"{what}: {exc}") from exc
+        raise SolverError(f"plate operator's {name} block: {exc}") from exc
     ku = k @ u
     r = ell_b - ku
     return u, ku, info, factor.bandwidth, float(r @ factor.solve(r))
@@ -301,9 +311,16 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     mode that the factor amplifies); the estimate names the block with the
     largest term. A singular block the load does not reach raises nothing.
     """
-    k, ell = assemble_plate(problem)
+    return _minimize(*assemble_plate(problem), tol, PlateOperator.factor)
+
+
+def _minimize(k: PlateOperator, ell: np.ndarray, tol: float,
+              factor) -> PlateSolution:
+    """``minimize_plate`` on ``assemble_plate``'s (K, load), with the
+    preconditioner ``factor(k, name)`` of each solved block ``name``."""
     names = list(k.ke)
-    solves = [_solve_block(k.block(name), ell, name, tol) for name in names]
+    solves = [_solve_block(k.block(name), ell, name, factor(k, name), tol)
+              for name in names]
     us, kus, infos, widths, terms = zip(*solves) if solves else ((),) * 5
     u, ku = (sum(a, np.zeros_like(ell)) for a in (us, kus))
     info = SolveInfo(ndof=k.shape[0], nnz=k.nnz,
@@ -325,6 +342,51 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     return PlateSolution(w=grids[:2].T, v=grids[2].T,
                          energy=float(0.5 * u @ ku - load_value),
                          load_value=load_value, solve=info)
+
+
+class _BlockDiagonal:
+    """The preconditioner of the block-diagonal part of K on several
+    blocks, from their factors: ``order`` and ``solve`` as one factor's,
+    ``bandwidth`` the widest."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.order = np.concatenate([f.order for f in factors])
+        self.bandwidth = max(f.bandwidth for f in factors)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        x = self.factors[0].solve(y)
+        for f in self.factors[1:]:
+            x += f.solve(y)
+        return x
+
+
+class _SharedFactors:
+    """``_minimize``'s ``factor(k, name)`` for one base problem and its
+    perturbations (``perturbation_stability``). Each block of the base's
+    K is factored once, on first use, and kept: from ``k``, the base's K
+    on the blocks its load reaches, or else from the block's own element
+    matrices. A block the base has gets the base's factor, so a
+    perturbation by 0 solves as the base does, bit for bit. The coupled
+    block of a decoupled base gets its membrane and bending factors
+    together (``_BlockDiagonal``), and no coupled band is filled. A
+    decoupled perturbation of a coupled base gets its own factors."""
+
+    def __init__(self, problem: PlateProblem, k: PlateOperator):
+        self.problem, self.k, self.factors = problem, k, {}
+        self.names = (("coupled",) if _coupled(problem)
+                      else ("membrane", "bending"))
+
+    def __call__(self, k: PlateOperator, name: str):
+        if name in self.names:
+            if name not in self.factors:
+                base = (self.k if name in self.k.ke
+                        else PlateOperator(self.problem, (name,)))
+                self.factors[name] = base.factor(name)
+            return self.factors[name]
+        if name == "coupled":
+            return _BlockDiagonal([self(k, n) for n in self.names])
+        return k.factor(name)
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:
@@ -358,10 +420,24 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
 
     B is a fixed positive-semidefinite direction scaled to ||A||, so the
     energy derivative is nonzero whenever the base strains are.
+
+    The base blocks of K are factored once (``_SharedFactors``): the base
+    solve is ``minimize_plate``'s, bit for bit, and CG on each perturbed
+    problem's own K is preconditioned by the base's factors, its membrane
+    and bending factors together when B couples a decoupled base. K moves
+    by O(eta), so CG takes a few more iterations than with the perturbed
+    problem's own factor (6 and 4 in place of 2 at eta = 1e-3 and 1e-4 on
+    a 32 x 32 cantilever), and no band wider than the base's is factored.
     """
-    base = minimize_plate(problem, tol=tol)
+    k, ell = assemble_plate(problem)
+    factors = _SharedFactors(problem, k)
+    base = _minimize(k, ell, tol, factors)
     z0 = cell_strains(problem, base)
-    scale = np.linalg.norm(problem.forms, ord=2, axis=(2, 3)).max()
+    # the largest spectral norm over the distinct cell forms (their bytes),
+    # the same max as over every cell at one 6 x 6 SVD per distinct form
+    distinct = np.unique(problem.forms.reshape(-1, 36).view((np.void, 288)))
+    scale = np.linalg.norm(distinct.view(float).reshape(-1, 6, 6), ord=2,
+                           axis=(1, 2)).max()
     vvec = np.ones(6) / np.sqrt(6.0)
     bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
     gaps, sgaps = [], []
@@ -372,7 +448,7 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
                                 forces=problem.forces, clamped=problem.clamped)
         except ValueError as exc:
             raise ValueError(f"eta={eta} makes a cell form indefinite") from exc
-        sol = minimize_plate(pert, tol=tol)
+        sol = _minimize(*assemble_plate(pert), tol, factors)
         gaps.append(abs(sol.energy - base.energy))
         dz = cell_strains(pert, sol) - z0
         sgaps.append(float(np.sqrt((dz ** 2).sum() / (problem.mx * problem.my))))
@@ -413,12 +489,15 @@ def load_problem(path) -> PlateProblem:
 
 
 def dump_solution_csv(sol: PlateSolution, path) -> None:
-    """One row per node, x fastest: x, y, w1, w2, v."""
+    """One row per node, x fastest: x, y, w1, w2, v, each value its
+    ``repr`` and each row ended by CRLF, as ``csv.writer`` writes them.
+    The text is built whole: x and y are formatted once per grid line,
+    each solution value once."""
     mx, my = sol.v.shape[0] - 1, sol.v.shape[1] - 1
-    x, y = np.meshgrid(np.arange(mx + 1) / mx, np.arange(my + 1) / my)
-    rows = np.column_stack([a.ravel() for a in (
-        x, y, sol.w[..., 0].T, sol.w[..., 1].T, sol.v.T)]).tolist()
+    xs = [repr(i / mx) for i in range(mx + 1)]
+    xy = [f"{x},{y}," for y in (repr(j / my) for j in range(my + 1))
+          for x in xs]
+    values = (a.T.ravel().tolist() for a in (sol.w[..., 0], sol.w[..., 1], sol.v))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "w1", "w2", "v"])
-        w.writerows(rows)
+        f.write("x,y,w1,w2,v\r\n"
+                + "".join(map("{}{!r},{!r},{!r}\r\n".format, xy, *values)))

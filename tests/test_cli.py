@@ -830,6 +830,47 @@ def test_theorem1_needs_finite_positive_thicknesses(tmp_path, phases_file,
     assert not out.exists()
 
 
+def _run_silently(argv):
+    """``run(argv)`` and the warnings it emitted, none filtered out."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = run(argv)
+    return rc, [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ("1e-150", "the reference operator's symbol at gamma 1e-150 is singular"),
+    ("1e-200", "the element stiffness at scale 1e-200 is not finite"),
+    ("1e-300", "the element stiffness at scale 1e-300 is not finite")])
+def test_homogenize_rejects_a_gamma_the_element_cannot_hold(
+        tmp_path, phases_file, capsys, gamma, message):
+    # 1/gamma^2 overflows the element stiffness below about 1e-154, and
+    # at 1e-150 the reference symbol is singular: each is an input error
+    # naming gamma, raised before any warning or artifact
+    micro, out = _cell_micro(tmp_path), tmp_path / "o"
+    rc, warned = _run_silently(["homogenize", "--micro", micro,
+                                "--phases", phases_file, "--gamma", gamma,
+                                "--out", str(out)])
+    assert (rc, warned) == (1, [])
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_theorem1_rejects_a_thickness_the_element_cannot_hold(
+        tmp_path, phases_file, capsys):
+    # 1/h^2 overflows the element stiffness as 1/gamma^2 does
+    micro, out = _plate_micro(tmp_path), tmp_path / "o"
+    rc, warned = _run_silently(["theorem1", "--micro", micro,
+                                "--phases", phases_file, "--h", "1e-300",
+                                "--out", str(out)])
+    assert (rc, warned) == (1, [])
+    assert ("the element stiffness at scale 1e-300 is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h", ["nan", "inf", "0"])
 def test_griso_needs_a_finite_positive_h(tmp_path, capsys, h):
     out = tmp_path / "o"

@@ -969,3 +969,112 @@ def test_block_solve_peak_is_k_and_one_block_band():
     finally:
         tracemalloc.stop()
     assert peak <= 13.5e6
+
+
+def csv_writer_solution(sol, path):
+    """``dump_solution_csv`` as ``csv.writer`` wrote it, from the node
+    columns x, y, w1, w2, v stacked as floats."""
+    import csv
+
+    mx, my = sol.v.shape[0] - 1, sol.v.shape[1] - 1
+    x, y = np.meshgrid(np.arange(mx + 1) / mx, np.arange(my + 1) / my)
+    rows = np.column_stack([a.ravel() for a in (
+        x, y, sol.w[..., 0].T, sol.w[..., 1].T, sol.v.T)]).tolist()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x", "y", "w1", "w2", "v"])
+        w.writerows(rows)
+
+
+@pytest.mark.parametrize("mx,my", [(7, 4), (3, 10)])
+def test_solution_csv_is_the_csv_writer_file(tmp_path, mx, my):
+    # the text is built whole, each value formatted once; the bytes are
+    # csv.writer's, down to the signed zero, tiny and huge magnitudes and
+    # the CRLF row ends
+    rng = np.random.default_rng(mx)
+    vals = rng.standard_normal((mx + 1, my + 1, 3))
+    vals *= 10.0 ** rng.choice([-20.0, -1.0, 0.0, 17.0], size=vals.shape)
+    vals.flat[:6] = [-0.0, 0.0, 1e-20, -1.0000000000000001e-20, 1e17,
+                     -9.999999999999998e16]
+    sol = PlateSolution(w=vals[..., :2], v=vals[..., 2], energy=0.0,
+                        load_value=0.0, solve=None)
+    dump_solution_csv(sol, tmp_path / "new.csv")
+    csv_writer_solution(sol, tmp_path / "ref.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\r\n") == 1 + (mx + 1) * (my + 1)
+    for text in (b",-0.0,", b"1e-20", b"1e+17"):
+        assert text in got
+
+
+def spy_report(monkeypatch, prob):
+    """The bandwidth of each factor ``perturbation_stability`` builds and
+    the iterations of each of its CG calls, with its report."""
+    seen = {"widths": [], "iterations": []}
+
+    def factor(*args):
+        out = BandedCholesky(*args)
+        seen["widths"].append(out.bandwidth)
+        return out
+
+    def cg(*args, **kwargs):
+        u, info = pcg(*args, **kwargs)
+        seen["iterations"].append(info.iterations)
+        return u, info
+
+    monkeypatch.setattr(plate2d, "BandedCholesky", factor)
+    monkeypatch.setattr(plate2d, "pcg", cg)
+    return perturbation_stability(prob), seen
+
+
+def test_perturbation_report_factors_the_base_blocks_once(monkeypatch):
+    # B couples the decoupled plane-stress base: the perturbed problems are
+    # coupled, and CG on each runs on the base's membrane and bending
+    # factors (67 and 97 sub-diagonals), not on a coupled band of its own
+    # (291); the base solve shares its bending factor
+    _, seen = spy_report(monkeypatch, cantilever(mx=32, my=32))
+    assert sorted(seen["widths"]) == [67, 97]
+    assert len(seen["iterations"]) == 3
+
+
+def test_perturbed_solves_on_the_base_factors_take_few_iterations(monkeypatch):
+    # the base's own factor: 2 iterations; the perturbed K moves by
+    # O(eta), and CG takes 6 (eta = 1e-3) and 4 (1e-4)
+    _, seen = spy_report(monkeypatch, cantilever(mx=32, my=32))
+    base, *perturbed = seen["iterations"]
+    assert base <= 2
+    assert len(perturbed) == 2 and max(perturbed) <= 8
+
+
+def own_factor_report(problem, etas=(1e-3, 1e-4)):
+    """(base energy, energy gaps, strain gaps) of the perturbation report
+    with every problem solved by ``minimize_plate``, on its own factors."""
+    base = minimize_plate(problem)
+    z0 = cell_strains(problem, base)
+    scale = np.linalg.norm(problem.forms, ord=2, axis=(2, 3)).max()
+    vvec = np.ones(6) / np.sqrt(6.0)
+    bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
+    gaps, sgaps = [], []
+    for eta in etas:
+        pert = dataclasses.replace(problem, forms=problem.forms + eta * bdir)
+        sol = minimize_plate(pert)
+        gaps.append(abs(sol.energy - base.energy))
+        dz = cell_strains(pert, sol) - z0
+        sgaps.append(np.sqrt((dz ** 2).sum() / (problem.mx * problem.my)))
+    return base.energy, np.array(gaps), np.array(sgaps)
+
+
+@pytest.mark.parametrize("forms", ["plane stress", "coupled"])
+def test_shared_factor_report_is_the_own_factor_report(forms):
+    # the base solve is minimize_plate's bit for bit; the perturbed CG
+    # stops at the same residual on another preconditioner, so the gaps
+    # move by rounding: measured 6.4e-12 and 1.6e-12 of |base energy|
+    # (energy; plane stress, coupled) and 6.7e-10 and 2.5e-10 of the
+    # largest strain gap
+    prob = cantilever(mx=32, my=32,
+                      forms=Q0.a if forms == "plane stress" else coupled_form())
+    rep = perturbation_stability(prob)
+    energy, gaps, sgaps = own_factor_report(prob)
+    assert rep.base_energy == energy
+    assert np.abs(rep.energy_gaps - gaps).max() <= 1e-10 * abs(energy)
+    assert np.abs(rep.strain_gaps - sgaps).max() <= 1e-8 * sgaps.max()
