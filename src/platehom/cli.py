@@ -96,10 +96,6 @@ def _floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
-
-
 def _res(text: str) -> tuple[int, ...]:
     """A ``--res`` value: three positive ints nx,ny,nz."""
     parts = text.split(",")
@@ -177,14 +173,12 @@ def cmd_gen_micro(args) -> int:
         nph = len(_floats(args.fractions)) if args.fractions else 2
         grid = micro.make_checkerboard(args.period, res, nphases=nph,
                                        domain=args.domain)
-    elif args.kind == "random":
+    else:  # "random"
         rng = np.random.default_rng(args.seed)
         nph = len(_floats(args.fractions)) if args.fractions else 2
         data = rng.integers(1, nph + 1, size=res[0] * res[1] * res[2])
         grid = micro.VoxelGrid(nx=res[0], ny=res[1], nz=res[2],
                                data=data.astype(np.int32), domain=args.domain)
-    else:
-        raise CliError(f"unknown kind {args.kind!r}")
     if args.adjust:
         grid = micro.adjust_volume_fraction(grid, _floats(args.adjust))
     outdir = _outdir(args)
@@ -501,9 +495,6 @@ def main(argv=None) -> int:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

@@ -263,24 +263,18 @@ def assemble_plate(problem: PlateProblem):
     load = load[free_nodes(my + 1, mx + 1, problem.clamped).ravel()]
     ell = np.concatenate([load[:, :2].ravel(), load[:, 2]])
     nw = 2 * len(load)          # the w dofs come first, then v
-    parts = ({"coupled": ell} if _coupled(problem)
+    parts = ({"coupled": ell} if np.any(problem.forms[..., :3, 3:])
              else {"membrane": ell[:nw], "bending": ell[nw:]})
     return PlateOperator(problem, [n for n, part in parts.items()
                                    if part.any()]), ell
 
 
-def _coupled(problem: PlateProblem) -> bool:
-    """Whether a cell form couples membrane and bending: K is one block."""
-    return bool(np.any(problem.forms[..., :3, 3:]))
-
-
-def _solve_block(k: PlateOperator, ell: np.ndarray, name: str, factor,
-                 tol: float):
+def _solve_block(k: PlateOperator, ell: np.ndarray, name: str,
+                 factor: BandedCholesky, tol: float):
     """CG on K's block ``name`` for its part of ``ell``, preconditioned by
-    ``factor``, a ``BandedCholesky`` or an object with its ``order``,
-    ``solve`` and ``bandwidth``: the solution, K times it, its SolveInfo,
-    the bandwidth and r.M^-1 r, r = l_b - K u_b and M the factor's
-    matrix."""
+    the block's banded Cholesky ``factor``: the solution, K times it, its
+    SolveInfo, the factor's bandwidth and r.M^-1 r, r = l_b - K u_b and M
+    the factor's matrix."""
     ell_b = np.zeros_like(ell)
     ell_b[factor.order] = ell[factor.order]
     try:
@@ -311,15 +305,17 @@ def minimize_plate(problem: PlateProblem, tol: float = 1e-12) -> PlateSolution:
     mode that the factor amplifies); the estimate names the block with the
     largest term. A singular block the load does not reach raises nothing.
     """
-    return _minimize(*assemble_plate(problem), tol, PlateOperator.factor)
+    k, ell = assemble_plate(problem)
+    return _minimize(k, ell, tol, k.factor)
 
 
 def _minimize(k: PlateOperator, ell: np.ndarray, tol: float,
               factor) -> PlateSolution:
-    """``minimize_plate`` on ``assemble_plate``'s (K, load), with the
-    preconditioner ``factor(k, name)`` of each solved block ``name``."""
+    """``minimize_plate`` on ``assemble_plate``'s (K, load), with
+    ``factor(name)`` the banded Cholesky factor of each solved block
+    ``name``, taken as each block's solve starts."""
     names = list(k.ke)
-    solves = [_solve_block(k.block(name), ell, name, factor(k, name), tol)
+    solves = [_solve_block(k.block(name), ell, name, factor(name), tol)
               for name in names]
     us, kus, infos, widths, terms = zip(*solves) if solves else ((),) * 5
     u, ku = (sum(a, np.zeros_like(ell)) for a in (us, kus))
@@ -342,51 +338,6 @@ def _minimize(k: PlateOperator, ell: np.ndarray, tol: float,
     return PlateSolution(w=grids[:2].T, v=grids[2].T,
                          energy=float(0.5 * u @ ku - load_value),
                          load_value=load_value, solve=info)
-
-
-class _BlockDiagonal:
-    """The preconditioner of the block-diagonal part of K on several
-    blocks, from their factors: ``order`` and ``solve`` as one factor's,
-    ``bandwidth`` the widest."""
-
-    def __init__(self, factors):
-        self.factors = factors
-        self.order = np.concatenate([f.order for f in factors])
-        self.bandwidth = max(f.bandwidth for f in factors)
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        x = self.factors[0].solve(y)
-        for f in self.factors[1:]:
-            x += f.solve(y)
-        return x
-
-
-class _SharedFactors:
-    """``_minimize``'s ``factor(k, name)`` for one base problem and its
-    perturbations (``perturbation_stability``). Each block of the base's
-    K is factored once, on first use, and kept: from ``k``, the base's K
-    on the blocks its load reaches, or else from the block's own element
-    matrices. A block the base has gets the base's factor, so a
-    perturbation by 0 solves as the base does, bit for bit. The coupled
-    block of a decoupled base gets its membrane and bending factors
-    together (``_BlockDiagonal``), and no coupled band is filled. A
-    decoupled perturbation of a coupled base gets its own factors."""
-
-    def __init__(self, problem: PlateProblem, k: PlateOperator):
-        self.problem, self.k, self.factors = problem, k, {}
-        self.names = (("coupled",) if _coupled(problem)
-                      else ("membrane", "bending"))
-
-    def __call__(self, k: PlateOperator, name: str):
-        if name in self.names:
-            if name not in self.factors:
-                base = (self.k if name in self.k.ke
-                        else PlateOperator(self.problem, (name,)))
-                self.factors[name] = base.factor(name)
-            return self.factors[name]
-        if name == "coupled":
-            return _BlockDiagonal([self(k, n) for n in self.names])
-        return k.factor(name)
 
 
 def cell_strains(problem: PlateProblem, sol: PlateSolution) -> np.ndarray:
@@ -418,20 +369,21 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
     """Solve the problem with coefficient perturbations A -> A + eta*B and
     report how the minimum moves; the gap is asymptotically linear in eta.
 
-    B is a fixed positive-semidefinite direction scaled to ||A||, so the
-    energy derivative is nonzero whenever the base strains are.
+    B is a fixed positive-definite direction scaled to ||A||, so the
+    energy derivative is nonzero whenever the base strains are. B has a
+    membrane and a bending block and no membrane-bending coupling, so each
+    perturbed K has the base's blocks, and the load reaches the same ones.
 
-    The base blocks of K are factored once (``_SharedFactors``): the base
-    solve is ``minimize_plate``'s, bit for bit, and CG on each perturbed
-    problem's own K is preconditioned by the base's factors, its membrane
-    and bending factors together when B couples a decoupled base. K moves
-    by O(eta), so CG takes a few more iterations than with the perturbed
-    problem's own factor (6 and 4 in place of 2 at eta = 1e-3 and 1e-4 on
-    a 32 x 32 cantilever), and no band wider than the base's is factored.
+    Each block of the base's K is factored once. The base solve is
+    ``minimize_plate``'s, bit for bit, and CG on each perturbed problem's
+    own K is preconditioned by the base's factors. K moves by O(eta), so
+    CG takes a few more iterations than with the perturbed problem's own
+    factor (5 and 4 in place of 2 at eta = 1e-3 and 1e-4 on a 32 x 32
+    cantilever).
     """
     k, ell = assemble_plate(problem)
-    factors = _SharedFactors(problem, k)
-    base = _minimize(k, ell, tol, factors)
+    factors = {name: k.factor(name) for name in k.ke}
+    base = _minimize(k, ell, tol, factors.__getitem__)
     z0 = cell_strains(problem, base)
     # the largest spectral norm over the distinct cell forms (their bytes),
     # the same max as over every cell at one 6 x 6 SVD per distinct form
@@ -440,6 +392,7 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
                            axis=(1, 2)).max()
     vvec = np.ones(6) / np.sqrt(6.0)
     bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
+    bdir[:3, 3:] = bdir[3:, :3] = 0.0
     gaps, sgaps = [], []
     for eta in etas:
         try:
@@ -448,7 +401,7 @@ def perturbation_stability(problem: PlateProblem, etas=(1e-3, 1e-4),
                                 forces=problem.forces, clamped=problem.clamped)
         except ValueError as exc:
             raise ValueError(f"eta={eta} makes a cell form indefinite") from exc
-        sol = _minimize(*assemble_plate(pert), tol, factors)
+        sol = _minimize(*assemble_plate(pert), tol, factors.__getitem__)
         gaps.append(abs(sol.energy - base.energy))
         dz = cell_strains(pert, sol) - z0
         sgaps.append(float(np.sqrt((dz ** 2).sum() / (problem.mx * problem.my))))

@@ -425,6 +425,61 @@ def test_exit_codes(tmp_path, phases_file):
                 "--out", str(tmp_path / "y")]) == 1
 
 
+def test_theorem1_failed_check_exit_code(tmp_path, phases_file):
+    # no gap is below 0: the check fails, and the artifacts and the
+    # manifest are still written
+    out = tmp_path / "t1"
+    assert run(["theorem1", "--micro", _plate_micro(tmp_path, "8,8,4"),
+                "--phases", phases_file, "--h", "0.25,0.125",
+                "--check", "--gap-tol", "0", "--out", str(out)]) == 3
+    assert (out / "theorem1.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["command"] == "theorem1"
+
+
+def test_patchwork_failed_check_exit_code(tmp_path, phases_file):
+    from platehom.microstructure import dump_grid, make_laminate
+
+    dump_grid(make_laminate("x1", [0.5, 0.5], (4, 4, 4)), tmp_path / "a.json")
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({
+        "resolution": [12, 12, 4], "gamma": 1.0,
+        "patches": [{"rect": [0, 12, 0, 12], "micro": "a.json"}]}))
+    out = tmp_path / "pw"
+    assert run(["patchwork", "--spec", str(spath), "--phases", phases_file,
+                "--check", "--gap-tol", "-1", "--out", str(out)]) == 3
+    assert (out / "recovery.json").exists()
+
+
+def test_griso_failed_check_exit_code(tmp_path, monkeypatch):
+    from platehom import convergence
+
+    orig = convergence.griso_decompose
+
+    def corrupted(field):
+        parts = orig(field)
+        parts.bar[0, 0, 0, 0] += 1.0
+        return parts
+
+    monkeypatch.setattr(convergence, "griso_decompose", corrupted)
+    out = tmp_path / "g"
+    assert run(["griso", "--res", "4,4,4", "--check", "--out", str(out)]) == 3
+    assert json.loads((out / "griso.json").read_text())[
+        "reconstruction_error"] == pytest.approx(1.0)
+
+
+def test_gen_micro_adjust_writes_the_target_fractions(tmp_path):
+    out = tmp_path / "m"
+    assert run(["gen-micro", "--kind", "random", "--res", "4,4,4",
+                "--adjust", "0.25,0.75", "--out", str(out)]) == 0
+    doc = json.loads((out / "fractions.json").read_text())
+    assert doc["ids"] == [1, 2] and doc["fractions"] == [0.25, 0.75]
+
+
+def test_config_without_a_path_exit_code(capsys):
+    assert run(["check", "--config"]) == 1
+    assert "--config requires a path" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_code(tmp_path, phases_file, monkeypatch):
     # force an unreachable tolerance and a tiny iteration budget: pcg stalls
     import platehom.fem3d as fem3d

@@ -778,13 +778,6 @@ def test_coupled_plate_energy_is_the_whole_band_solve():
         assert_same_solution(minimize_plate(prob), whole_band_minimize(prob))
 
 
-def test_perturbation_report_is_the_whole_band_report(monkeypatch):
-    prob = cantilever(mx=32, my=32)
-    got = perturbation_stability(prob)
-    monkeypatch.setattr(plate2d, "minimize_plate", whole_band_minimize)
-    assert got == perturbation_stability(prob)
-
-
 @pytest.mark.parametrize("prob,rel", [
     (cantilever(mx=32, my=32, forms=ortho_form(), f=(0.3, -0.2, 1.0)), 1e-12),
     (cantilever(mx=20, my=32, f=(1.0, 0.5, 0.0)), 1e-12),
@@ -1028,53 +1021,58 @@ def spy_report(monkeypatch, prob):
 
 
 def test_perturbation_report_factors_the_base_blocks_once(monkeypatch):
-    # B couples the decoupled plane-stress base: the perturbed problems are
-    # coupled, and CG on each runs on the base's membrane and bending
-    # factors (67 and 97 sub-diagonals), not on a coupled band of its own
-    # (291); the base solve shares its bending factor
+    # B has no membrane-bending coupling, so the perturbed problems of the
+    # plane-stress base are decoupled too and their load reaches only the
+    # bending block: the base's bending factor (97 sub-diagonals) serves
+    # every solve, and no membrane band (67) or coupled band (291) is
+    # factored
     _, seen = spy_report(monkeypatch, cantilever(mx=32, my=32))
-    assert sorted(seen["widths"]) == [67, 97]
+    assert seen["widths"] == [97]
     assert len(seen["iterations"]) == 3
 
 
 def test_perturbed_solves_on_the_base_factors_take_few_iterations(monkeypatch):
     # the base's own factor: 2 iterations; the perturbed K moves by
-    # O(eta), and CG takes 6 (eta = 1e-3) and 4 (1e-4)
+    # O(eta), and CG takes 5 (eta = 1e-3) and 4 (1e-4)
     _, seen = spy_report(monkeypatch, cantilever(mx=32, my=32))
     base, *perturbed = seen["iterations"]
     assert base <= 2
     assert len(perturbed) == 2 and max(perturbed) <= 8
 
 
-def own_factor_report(problem, etas=(1e-3, 1e-4)):
+def own_factor_report(problem, solver, etas=(1e-3, 1e-4)):
     """(base energy, energy gaps, strain gaps) of the perturbation report
-    with every problem solved by ``minimize_plate``, on its own factors."""
-    base = minimize_plate(problem)
+    with every problem solved by ``solver``, on its own factors."""
+    base = solver(problem)
     z0 = cell_strains(problem, base)
     scale = np.linalg.norm(problem.forms, ord=2, axis=(2, 3)).max()
     vvec = np.ones(6) / np.sqrt(6.0)
     bdir = scale * 0.5 * (np.eye(6) + np.outer(vvec, vvec))
+    bdir[:3, 3:] = bdir[3:, :3] = 0.0
     gaps, sgaps = [], []
     for eta in etas:
         pert = dataclasses.replace(problem, forms=problem.forms + eta * bdir)
-        sol = minimize_plate(pert)
+        sol = solver(pert)
         gaps.append(abs(sol.energy - base.energy))
         dz = cell_strains(pert, sol) - z0
         sgaps.append(np.sqrt((dz ** 2).sum() / (problem.mx * problem.my)))
     return base.energy, np.array(gaps), np.array(sgaps)
 
 
-@pytest.mark.parametrize("forms", ["plane stress", "coupled"])
-def test_shared_factor_report_is_the_own_factor_report(forms):
+@pytest.mark.parametrize("forms,solver", [
+    pytest.param(forms, solver, id=forms + suffix)
+    for solver, suffix in ((minimize_plate, ""), (whole_band_minimize, "-whole-band"))
+    for forms in ("plane stress", "coupled")])
+def test_shared_factor_report_is_the_own_factor_report(forms, solver):
     # the base solve is minimize_plate's bit for bit; the perturbed CG
     # stops at the same residual on another preconditioner, so the gaps
-    # move by rounding: measured 6.4e-12 and 1.6e-12 of |base energy|
-    # (energy; plane stress, coupled) and 6.7e-10 and 2.5e-10 of the
-    # largest strain gap
+    # move by rounding: measured 3.9e-12 and 2.1e-12 of |base energy|
+    # (energy; plane stress, coupled) and 8.0e-10 and 1.1e-10 of the
+    # largest strain gap, against either solver
     prob = cantilever(mx=32, my=32,
                       forms=Q0.a if forms == "plane stress" else coupled_form())
     rep = perturbation_stability(prob)
-    energy, gaps, sgaps = own_factor_report(prob)
+    energy, gaps, sgaps = own_factor_report(prob, solver)
     assert rep.base_energy == energy
     assert np.abs(rep.energy_gaps - gaps).max() <= 1e-10 * abs(energy)
     assert np.abs(rep.strain_gaps - sgaps).max() <= 1e-8 * sgaps.max()
